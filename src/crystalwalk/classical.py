@@ -36,12 +36,10 @@ def transition_matrix(graph: FiniteGraph, lazy: bool = False) -> np.ndarray:
 
 def stationary_distribution(graph: FiniteGraph) -> np.ndarray:
     """Degree-proportional stationary law pi(v) = deg(v) / (2 |E|)."""
+    p = transition_matrix(graph)
     deg = graph.degrees()
-    if np.any(deg == 0):
-        isolated = int(np.nonzero(deg == 0)[0][0])
-        raise ParameterError(f"vertex {isolated} is isolated; no stationary law")
     pi = deg / deg.sum()
-    err = np.abs(pi @ transition_matrix(graph) - pi).max()
+    err = np.abs(pi @ p - pi).max()
     if err > _STATIONARY_TOL:
         raise NumericalError(f"stationarity check failed: deviation {err:.3e}")
     return pi

@@ -141,44 +141,20 @@ def closed_form_density(family: str, params: Sequence[int]) -> DensityMatrix:
     conventional labels on top. Hypercube entries are looked up by the Hamming
     distance between the binary expansions of the endpoints.
     """
-    if family == "cycle":
-        nu = _single(family, params)
-        if nu < 3:
-            raise ParameterError("cycle needs nu >= 3")
-        values = np.array([[d_cycle(nu, p, q) for q in range(nu)] for p in range(nu)])
-    elif family == "path":
-        nu = _single(family, params)
-        if nu < 2:
-            raise ParameterError("path needs nu >= 2")
-        values = np.array(
-            [[d_path(nu, p + 1, q + 1) for q in range(nu)] for p in range(nu)]
-        )
-    elif family == "star":
-        nu = _single(family, params)
-        if nu < 1:
-            raise ParameterError("star needs nu >= 1 leaves")
-        size = nu + 1
-        values = np.array(
-            [[d_star(nu, p + 1, q + 1) for q in range(size)] for p in range(size)]
-        )
-    elif family == "hypercube":
-        m = _single(family, params)
-        if m < 1:
-            raise ParameterError("hypercube needs dimension m >= 1")
-        size = 1 << m
-        dist_values = [d_hypercube(m, u) for u in range(m + 1)]
-        values = np.array(
-            [[dist_values[bin(p ^ q).count("1")] for q in range(size)] for p in range(size)]
-        )
-    else:
+    if family not in CLOSED_FORM_FAMILIES:
         raise ParameterError(f"no closed form for family {family!r}")
-    return DensityMatrix(values=values, source="closed-form")
-
-
-def _single(family: str, params: Sequence[int]) -> int:
-    if len(params) != 1:
-        raise ParameterError(f"family {family!r} takes 1 parameter, got {len(params)}")
-    return int(params[0])
+    size = build_named(family, params).nu
+    if family == "cycle":
+        values = [[d_cycle(size, p, q) for q in range(size)] for p in range(size)]
+    elif family == "path":
+        values = [[d_path(size, p + 1, q + 1) for q in range(size)] for p in range(size)]
+    elif family == "star":
+        values = [[d_star(size - 1, p + 1, q + 1) for q in range(size)] for p in range(size)]
+    else:
+        m = size.bit_length() - 1
+        dist_values = [d_hypercube(m, u) for u in range(m + 1)]
+        values = [[dist_values[bin(p ^ q).count("1")] for q in range(size)] for p in range(size)]
+    return DensityMatrix(values=np.array(values), source="closed-form")
 
 
 def closed_form_labels(family: str, params: Sequence[int]) -> tuple[str, ...]:

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .floquet import BaseLattice, base_grid
 from .graphs import FiniteGraph, ParameterError
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
@@ -100,13 +101,7 @@ def build_torus(
     if dim > STATE_BUDGET:
         raise ParameterError(f"state count {dim} exceeds the dense budget {STATE_BUDGET}")
     spectrum = eigendecompose_symmetric(graph.adjacency, tol)
-    k = np.arange(N)
-    c = 2.0 * np.cos(2.0 * np.pi * np.minimum(k, N - k) / N)
-    base = np.zeros((N,) * d)
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = N
-        base = base + c.reshape(shape)
+    base = base_grid(BaseLattice.zd(d), N)
     lam = base[..., None] + spectrum.eigenvalues
     base.flags.writeable = False
     lam.flags.writeable = False

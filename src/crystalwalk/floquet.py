@@ -24,6 +24,7 @@ from .spectral import (
     SpectralDecomposition,
     cluster_eigenvalues,
     eigendecompose_symmetric,
+    squared_projection_sum,
 )
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "FloquetScanReport",
     "GridDensityResult",
     "base_band",
+    "base_grid",
     "build_floquet_matrix",
     "product_spec",
     "product_bands",
@@ -165,25 +167,23 @@ def flat_band_check(bands: BandStructure, tol: float = DEFAULT_CLUSTER_TOL) -> l
     return [int(j) for j in np.nonzero(np.abs(mu + 1.0) <= scale)[0]]
 
 
-def _axis_cos(n: int) -> np.ndarray:
-    # min(k, n-k) makes mirrored grid points bit-identical, so exact band
-    # degeneracies under k -> n-k survive floating point.
-    k = np.arange(n)
-    return 2.0 * np.cos(2.0 * np.pi * np.minimum(k, n - k) / n)
+def base_grid(base: BaseLattice, N: int) -> np.ndarray:
+    """Base band sampled on the grid {0..N-1}^d / N, shape (N,) * d.
 
-
-def _base_grid(base: BaseLattice, n: int) -> np.ndarray:
-    """Base band sampled on the grid {0..n-1}^d / n, shape (n,) * d."""
-    c = _axis_cos(n)
+    Each axis evaluates 2cos(2 pi min(k, N-k) / N), so mirrored grid points
+    are bit-identical and exact band degeneracies under k -> N-k survive
+    floating point.
+    """
+    k = np.arange(N)
+    c = 2.0 * np.cos(2.0 * np.pi * np.minimum(k, N - k) / N)
     if base.kind == "zd":
-        grid = np.zeros((n,) * base.d)
+        grid = np.zeros((N,) * base.d)
         for axis in range(base.d):
             shape = [1] * base.d
-            shape[axis] = n
+            shape[axis] = N
             grid = grid + c.reshape(shape)
         return grid
-    k = np.arange(n)
-    return c[:, None] + c[None, :] + c[(k[:, None] + k[None, :]) % n]
+    return c[:, None] + c[None, :] + c[(k[:, None] + k[None, :]) % N]
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def floquet_condition_fraction(
         raise ParameterError("collision width delta must be positive")
     d = bands.base.d
     nu = bands.nu
-    base = _base_grid(bands.base, N)
+    base = base_grid(bands.base, N)
     grid = np.stack([np.asarray(_apply_rule(bands.rule, base, float(mu))) for mu in bands.spectrum.eigenvalues])
     axes = tuple(range(1, d + 1))
     total = N**d
@@ -300,8 +300,6 @@ def general_density(
             vals, vecs = np.linalg.eigh(h)
         except np.linalg.LinAlgError as exc:
             raise EigenSolverError(f"fiber eigendecomposition failed at grid point {r}") from exc
-        for idx in cluster_eigenvalues(vals, tol):
-            p = vecs[:, idx] @ vecs[:, idx].conj().T
-            acc += p.real**2 + p.imag**2
+        acc += squared_projection_sum(vecs, cluster_eigenvalues(vals, tol))
     acc /= N**spec.d
     return GridDensityResult(values=acc, N=N)

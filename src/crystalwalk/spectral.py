@@ -26,6 +26,7 @@ __all__ = [
     "cluster_eigenvalues",
     "eigendecompose_symmetric",
     "projection_kernels",
+    "squared_projection_sum",
     "density_from_decomposition",
     "limiting_density",
     "analytic_spectrum",
@@ -228,17 +229,29 @@ class DensityMatrix:
         return self.values.shape[0]
 
 
+def squared_projection_sum(vecs: np.ndarray, clusters: Sequence[Sequence[int]]) -> np.ndarray:
+    """sum_s |V_s V_s^H|^2 entrywise, for real or complex orthonormal columns V.
+
+    ``clusters`` partitions the column indices by distinct eigenvalue. Simple
+    eigenvalues (|V|^2)(|V|^2)^T contribute in one GEMM; only degenerate
+    clusters form their projection, one block at a time.
+    """
+    singles = [g[0] for g in clusters if len(g) == 1]
+    w = np.abs(vecs[:, singles]) ** 2
+    d = w @ w.T
+    del w  # hold at most one projection-sized temporary beside d in the loop below
+    for group in clusters:
+        if len(group) > 1:
+            block = vecs[:, list(group)]
+            d += np.abs(block @ block.conj().T) ** 2
+    return d
+
+
 def density_from_decomposition(
     dec: SpectralDecomposition, source: str = "numeric"
 ) -> DensityMatrix:
     """Entrywise squared projection kernels summed over distinct eigenvalues."""
-    v = dec.eigenvectors
-    d = np.zeros((dec.nu, dec.nu))
-    for group in dec.clusters:
-        idx = list(group)
-        p = v[:, idx] @ v[:, idx].T
-        d += p * p
-    return DensityMatrix(values=d, source=source)
+    return DensityMatrix(values=squared_projection_sum(dec.eigenvectors, dec.clusters), source=source)
 
 
 def limiting_density(graph: FiniteGraph, tol: float = DEFAULT_CLUSTER_TOL) -> DensityMatrix:
@@ -302,10 +315,8 @@ def _analytic_groups(family: str, params: Sequence[int]) -> list[tuple[float, li
             groups.append((0.0, zero_vectors))
         return groups
     if family == "hypercube":
-        m = int(_one_param(family, params))
-        if m < 1:
-            raise ParameterError("hypercube needs dimension m >= 1")
-        nu = 1 << m
+        nu = build_named(family, params).nu
+        m = nu.bit_length() - 1
         scale = 2.0 ** (-m / 2.0)
         x = np.arange(nu)
         groups = []
@@ -319,12 +330,6 @@ def _analytic_groups(family: str, params: Sequence[int]) -> list[tuple[float, li
             groups.append((float(m - 2 * k), vecs))
         return groups
     raise ParameterError(f"no analytic spectrum for family {family!r}")
-
-
-def _one_param(family: str, params: Sequence[int]) -> int:
-    if len(params) != 1:
-        raise ParameterError(f"family {family!r} takes 1 parameter, got {len(params)}")
-    return int(params[0])
 
 
 def analytic_spectrum(family: str, params: Sequence[int] = ()) -> SpectralDecomposition:

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crystalwalk
 from crystalwalk import NumericalError
 from crystalwalk.cli import main
 
@@ -267,11 +270,15 @@ def test_help_exits_zero(capsys):
 def test_module_entry_point_matches_in_process(capsys):
     argv = ["closed-form", "--family", "cycle", "--nu", "5"]
     _, expected, _ = run_cli(capsys, *argv)
+    # The child must import the same package copy as this process, installed or not.
+    src = str(Path(crystalwalk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "crystalwalk", *argv],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == expected

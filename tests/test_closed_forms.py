@@ -163,6 +163,10 @@ def test_closed_form_density_source_and_labels():
         lambda: closed_form_density("complete", [4]),
         lambda: closed_form_density("cycle", [2]),
         lambda: closed_form_density("cycle", []),
+        lambda: closed_form_density("cycle", [0]),
+        lambda: closed_form_density("path", [1]),
+        lambda: closed_form_density("star", [0]),
+        lambda: closed_form_density("hypercube", [0]),
     ],
 )
 def test_out_of_range_rejected(call):

@@ -14,6 +14,7 @@ from crystalwalk import (
     limiting_density,
     projection_kernels,
 )
+from crystalwalk.spectral import squared_projection_sum
 
 
 def random_graph_text(rng, max_nu=32):
@@ -208,6 +209,30 @@ def test_analytic_spectrum_matches_numeric(family, params):
     assert np.abs(da - dn).max() <= 1e-9
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize(
+    "sizes",
+    [[1] * 9, [9], [1, 3, 1, 1, 2, 1], [1]],
+    ids=["singletons", "one-cluster", "mixed", "n=1"],
+)
+def test_squared_projection_sum_matches_per_cluster_sum(dtype, sizes):
+    rng = np.random.default_rng(11)
+    n = sum(sizes)
+    a = rng.standard_normal((n, n))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((n, n))
+    v, _ = np.linalg.qr(a)
+    bounds = np.cumsum([0] + sizes)
+    clusters = [tuple(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    want = np.zeros((n, n))
+    for g in clusters:
+        p = v[:, g] @ v[:, g].conj().T
+        want += p.real**2 + p.imag**2
+    got = squared_projection_sum(v, clusters)
+    assert got.dtype == np.float64 and got.shape == (n, n)
+    assert np.abs(got - want).max() <= 1e-13
+
+
 def test_analytic_spectrum_path_values():
     dec = analytic_spectrum("path", [6])
     want = np.sort(2.0 * np.cos(np.pi * np.arange(1, 7) / 7))
@@ -226,6 +251,8 @@ def test_analytic_spectrum_rejects_unknown():
         analytic_spectrum("petersen", [])
     with pytest.raises(ParameterError):
         analytic_spectrum("cycle", [])
+    with pytest.raises(ParameterError):
+        analytic_spectrum("hypercube", [0])
 
 
 def test_numerical_error_hierarchy():
