@@ -6,6 +6,13 @@ waves over the cells and eigenvectors of the finite factor, with eigenvalues
 lambda_(r, j) = 2 sum_i cos(2 pi r_i / N) + mu_j. All dynamics here run in
 that factored eigenbasis; states are dense complex vectors indexed in
 C order by (cell_0, ..., cell_(d-1), q), i.e. flat index (cell)*nu + q.
+
+Evolution costs one inverse FFT over the cells. The infinite-time average
+sums squared projections onto eigenvalue clusters; it accumulates the pair
+products inside each cluster by their plane-wave difference and takes one
+inverse FFT for all of them, except that a cluster whose pairs cost more
+than one FFT of its own is projected on its own. The finite-horizon average
+is an exact double sum over eigenpairs, with memory quadratic in the states.
 """
 
 from __future__ import annotations
@@ -257,6 +264,36 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
     return _finalize_distribution(op, start, mu.real, horizon)
 
 
+def _pair_sums(op: TorusOperator, coef: np.ndarray, order: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Sum of coef[q, j_alpha] coef[q, j_beta] per Delta = r_alpha - r_beta mod N.
+
+    Covers every pair of sorted positions i < i + t < end[i], walking the
+    offset t up while the set of positions with partners that far out
+    shrinks. Returns the grid of shape (N,)*d + (nu,); the mirrored pairs
+    (beta, alpha) sit at -Delta and are left to the caller.
+    """
+    N, d, nu = op.N, op.d, op.nu
+    cells = N**d
+    grid = np.zeros(cells * nu)
+    lanes = np.arange(nu)[:, None]
+    active = np.nonzero(end - np.arange(op.dim) > 1)[0]
+    t = 1
+    while active.size:
+        # blocks of at most N^d positions keep the (nu, block) temporaries within dim
+        for lo in range(0, active.size, cells):
+            i = active[lo : lo + cells]
+            a, b = order[i], order[i + t]
+            delta = np.zeros(i.shape, dtype=np.int64)
+            for axis in range(d):
+                stride = N ** (d - 1 - axis) * nu
+                delta += (a // stride - b // stride) % N * stride
+            weights = coef[:, a % nu] * coef[:, b % nu]
+            np.add.at(grid, delta + lanes, weights)
+        t += 1
+        active = active[end[active] - active > t]
+    return grid.reshape(op.grid_shape + (nu,))
+
+
 def infinite_time_averaged(
     op: TorusOperator, start: Start, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> TimeAveragedDistribution:
@@ -265,15 +302,44 @@ def infinite_time_averaged(
     All nu N^d eigenvalues are clustered with the shared single-linkage rule,
     so the structural r <-> N - r degeneracies (bit-identical here) and any
     accidental cross-band coincidences within tolerance land in one cluster.
+
+    Within a cluster C the squared projection at (n + m, q) is
+    N^-2d sum_(alpha, beta in C) e^(2 pi i (r_alpha - r_beta).m / N)
+    c_alpha(q) c_beta(q) with c_(r, j)(q) = w_j(p) w_j(q). So every ordered
+    pair only adds c_alpha(q) c_beta(q) to a coefficient grid G[Delta, q] at
+    Delta = r_alpha - r_beta mod N, and one inverse FFT of G over the cell
+    axes gives the sum over all clusters: O(nu sum |C|^2 + dim log N) work.
+    A cluster whose nu |C|^2 pair terms exceed the N^d nu^2 + dim log2(dim)
+    cost of projecting it on its own (a flat or highly degenerate band) is
+    projected on its own instead.
     """
     start = _normalize_start(op, start)
+    cell, p = start
+    N, d, nu, dim = op.N, op.d, op.nu, op.dim
+    cells = N**d
     lam = op.eigenvalues.reshape(-1)
     order = np.argsort(lam, kind="stable")
-    mu = np.zeros(op.dim)
-    for group in cluster_eigenvalues(lam[order], cluster_tol):
-        weights = np.zeros(op.dim)
-        weights[order[group]] = 1.0
-        a = _assemble(op, start, weights.reshape(op.grid_shape + (op.nu,)))
+    sizes = np.array([len(g) for g in cluster_eigenvalues(lam[order], cluster_tol)])
+    ends = np.cumsum(sizes)
+    alone = nu * sizes**2 > cells * nu**2 + dim * math.log2(dim)
+    # end of each sorted position's cluster, 0 where the cluster is projected alone
+    end = np.repeat(np.where(alone, 0, ends), sizes)
+    w = op.spectrum.eigenvectors
+    coef = w[p, :] * w  # coef[q, j] = w_j(p) w_j(q)
+    grid = _pair_sums(op, coef, order, end)
+    grid += grid[np.ix_(*[(-np.arange(N)) % N] * d)]
+    grid[(0,) * d] += coef**2 @ np.bincount(order[end > 0] % nu, minlength=nu)  # alpha = beta
+    axes = tuple(range(d))
+    psi = np.fft.ifftn(grid, axes=axes)
+    imag_err = float(np.abs(psi.imag).max()) / cells
+    if imag_err > _REALNESS_TOL:
+        raise NumericalError(f"averaged distribution not real: residue {imag_err:.3e}")
+    mu = np.roll(psi.real, cell, axis=axes).reshape(-1)
+    mu /= cells
+    for lo, hi in zip(ends[alone] - sizes[alone], ends[alone]):
+        weights = np.zeros(dim)
+        weights[order[lo:hi]] = 1.0
+        a = _assemble(op, start, weights.reshape(op.grid_shape + (nu,)))
         mu += a.real**2 + a.imag**2
     return _finalize_distribution(op, start, mu, math.inf)
 

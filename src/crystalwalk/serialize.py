@@ -7,6 +7,7 @@ so identical inputs always produce identical bytes.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,14 +73,16 @@ def scan_report_json(report: FloquetScanReport) -> str:
 
 def distribution_csv(dist: TimeAveragedDistribution, digits: int = TABLE_DIGITS) -> str:
     """Per-site masses with one cell coordinate column per torus axis."""
-    header = ",".join(f"cell_{i}" for i in range(dist.d)) + ",q,mass"
-    lines = [header]
-    grid = dist.values.reshape((dist.N,) * dist.d + (dist.nu,))
-    for cell in np.ndindex(*((dist.N,) * dist.d)):
-        for q in range(dist.nu):
-            coords = ",".join(str(c) for c in cell)
-            lines.append(f"{coords},{q},{format_float(grid[cell + (q,)], digits)}")
-    return "\n".join(lines) + "\n"
+    lines = [",".join(f"cell_{i}" for i in range(dist.d)) + ",q,mass"]
+    values = iter(dist.values.tolist())
+    columns = [f",{q}," for q in range(dist.nu)]
+    for cell in itertools.product(range(dist.N), repeat=dist.d):
+        prefix = ",".join(map(str, cell))
+        # zip exhausts columns first, so each cell takes exactly nu values
+        lines.extend(prefix + c + format_float(v, digits) for c, v in zip(columns, values))
+    del values  # the join needs room for the whole text: drop the float list first
+    lines.append("")
+    return "\n".join(lines)
 
 
 def walk_report_json(report: WalkReport) -> str:

@@ -12,7 +12,9 @@ from crystalwalk import (
     apply_adjacency,
     build_named,
     build_torus,
+    cluster_eigenvalues,
     d_cycle,
+    dynamics,
     evolve,
     infinite_time_averaged,
     limit_prediction,
@@ -189,6 +191,49 @@ def test_infinite_average_is_the_long_time_limit():
     ]
     assert tvs[0] > tvs[1] > tvs[2]
     assert tvs[2] < 1e-4
+
+
+@pytest.mark.parametrize(
+    "family,params,d,N,start,alone,cross",
+    [
+        ("cycle", [3], 2, 6, ((2, 5), 1), 1, True),
+        ("complete_bipartite", [3, 1], 1, 12, ((4,), 3), 0, True),  # 2 cos(pi/6) = sqrt 3
+        ("cycle", [4], 2, 6, ((1, 3), 2), 1, True),
+        ("complete", [8], 1, 4, ((1,), 5), 1, False),  # the 14-fold -1 band at r = 1, 3 goes alone
+        ("cycle", [3], 4, 3, ((0, 2, 1, 0), 1), 4, True),
+    ],
+)
+def test_infinite_average_matches_dense_projections(
+    monkeypatch, family, params, d, N, start, alone, cross
+):
+    g = build_named(family, params)
+    op = build_torus(g, d=d, N=N)
+    calls = []
+    assemble = dynamics._assemble
+    monkeypatch.setattr(dynamics, "_assemble", lambda *a: calls.append(1) or assemble(*a))
+    got = infinite_time_averaged(op, start).values
+    vals, vecs = np.linalg.eigh(dense_product_adjacency(g, d, N))
+    row = vecs[flat_index(start[0], start[1], N, g.nu)]
+    clusters = cluster_eigenvalues(vals)
+    want = sum((vecs[:, c] @ row[c]) ** 2 for c in clusters)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # clusters past the pair-cost threshold are projected one by one, the rest as pairs
+    assert len(calls) == alone < len(clusters)
+    # accidental coincidences put eigenpairs of different factor eigenvalues in one cluster
+    lam = op.eigenvalues.reshape(-1)
+    order = np.argsort(lam, kind="stable")
+    mu = op.spectrum.eigenvalues[order % g.nu]
+    assert cross == any(np.ptp(mu[c]) > 0.5 for c in cluster_eigenvalues(lam[order]))
+
+
+def test_infinite_average_runs_one_inverse_fft(monkeypatch):
+    # no cluster of this torus is past the pair-cost threshold (at N = 24 one is)
+    op = build_torus(build_named("cycle", [3]), d=2, N=72)
+    calls = []
+    ifftn = np.fft.ifftn
+    monkeypatch.setattr(np.fft, "ifftn", lambda *a, **k: calls.append(1) or ifftn(*a, **k))
+    infinite_time_averaged(op, ((5, 61), 2))
+    assert len(calls) == 1
 
 
 def test_limit_prediction_tiles_factor_density():

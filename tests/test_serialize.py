@@ -5,6 +5,7 @@ import numpy as np
 from crystalwalk import (
     BaseLattice,
     ProductKind,
+    TimeAveragedDistribution,
     build_named,
     build_torus,
     closed_form_density,
@@ -88,6 +89,21 @@ def test_distribution_csv_two_axes():
     assert len(lines) == 1 + 18
     assert lines[1].startswith("0,0,0,")
     assert lines[-1].startswith("2,2,1,")
+    pinned = TimeAveragedDistribution(
+        values=np.arange(18) / 153, horizon=5.0, start=((0, 0), 0), N=3, d=2, nu=2
+    )
+    assert distribution_csv(pinned) == (
+        "cell_0,cell_1,q,mass\n"
+        "0,0,0,0\n0,0,1,0.00653594771242\n"
+        "0,1,0,0.0130718954248\n0,1,1,0.0196078431373\n"
+        "0,2,0,0.0261437908497\n0,2,1,0.0326797385621\n"
+        "1,0,0,0.0392156862745\n1,0,1,0.0457516339869\n"
+        "1,1,0,0.0522875816993\n1,1,1,0.0588235294118\n"
+        "1,2,0,0.0653594771242\n1,2,1,0.0718954248366\n"
+        "2,0,0,0.078431372549\n2,0,1,0.0849673202614\n"
+        "2,1,0,0.0915032679739\n2,1,1,0.0980392156863\n"
+        "2,2,0,0.104575163399\n2,2,1,0.111111111111\n"
+    )
 
 
 def test_walk_report_json():
