@@ -7,12 +7,14 @@ lambda_(r, j) = 2 sum_i cos(2 pi r_i / N) + mu_j. All dynamics here run in
 that factored eigenbasis; states are dense complex vectors indexed in
 C order by (cell_0, ..., cell_(d-1), q), i.e. flat index (cell)*nu + q.
 
-Evolution costs one inverse FFT over the cells. The infinite-time average
-sums squared projections onto eigenvalue clusters; it accumulates the pair
-products inside each cluster by their plane-wave difference and takes one
-inverse FFT for all of them, except that a cluster whose pairs cost more
-than one FFT of its own is projected on its own. The finite-horizon average
-is an exact double sum over eigenpairs, with memory quadratic in the states.
+Evolution costs one inverse FFT over the cells. Both time averages are
+exact double sums over eigenpairs, and both sum the pairs by their
+plane-wave difference into one grid that a single inverse FFT turns into the
+distribution. The infinite-time average keeps the pairs inside each
+eigenvalue cluster, except that a cluster whose pairs cost more than one FFT
+of its own is projected on its own. The finite-horizon average keeps every
+pair, weighted by its phase average over [0, T]: dim^2 / 2 weights in
+memory linear in the states.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .spectral import (
     DEFAULT_CLUSTER_TOL,
     NumericalError,
     SpectralDecomposition,
-    cluster_eigenvalues,
+    _cluster_ends,
     density_from_decomposition,
     eigendecompose_symmetric,
 )
@@ -50,9 +52,10 @@ __all__ = [
 
 # Dense state vectors only; no truncation anywhere.
 STATE_BUDGET = 1 << 20
-# The exact finite-horizon average is a double sum over eigenpair pairs with
-# O(dim^2) memory, so it gets a much smaller ceiling than vector evolution.
-PAIR_SUM_LIMIT = 1024
+# The exact finite-horizon average evaluates dim^2 / 2 pair weights, so it
+# gets a much smaller ceiling than vector evolution: 4096 states take about
+# half a second, in memory linear in the states.
+PAIR_SUM_LIMIT = 4096
 
 _NORM_TOL = 1e-10
 _MASS_TOL = 1e-10
@@ -222,6 +225,23 @@ def _finalize_distribution(
     )
 
 
+def _from_pair_grid(op: TorusOperator, cell: tuple[int, ...], grid: np.ndarray) -> np.ndarray:
+    """Flat distribution roll(ifftn(G), n) / N^d from a pair grid G[Delta, q].
+
+    Raises NumericalError when the inverse FFT leaves an imaginary residue
+    above the realness tolerance.
+    """
+    axes = tuple(range(op.d))
+    cells = op.N**op.d
+    psi = np.fft.ifftn(grid, axes=axes)
+    imag_err = float(np.abs(psi.imag).max()) / cells
+    if imag_err > _REALNESS_TOL:
+        raise NumericalError(f"averaged distribution not real: residue {imag_err:.3e}")
+    mu = np.roll(psi.real, cell, axis=axes).reshape(-1)
+    mu /= cells
+    return mu
+
+
 def _phi(x: np.ndarray) -> np.ndarray:
     """Mean of e^(i x s) over s in [0, 1]: (e^(ix) - 1)/(ix), 1 at x = 0."""
     x = np.asarray(x, dtype=float)
@@ -236,8 +256,18 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
     """Exact average of |e^(itA) delta|^2 over t in [0, horizon].
 
     Expands the average into eigenpair cross terms weighted by
-    (e^(iT Delta) - 1)/(iT Delta); no time quadrature is involved. Memory is
-    quadratic in the state count, hence the 1024-state ceiling.
+    phi(T (lambda_alpha - lambda_beta)), phi(x) = (e^(ix) - 1)/(ix); no time
+    quadrature is involved. As in ``infinite_time_averaged`` the pair
+    alpha = (r, j), beta = (r', j') reaches (n + m, q) as
+    N^-2d e^(2 pi i (r - r').m / N) c_j(q) c_j'(q), so the pairs are summed
+    per plane-wave difference Delta = r - r' mod N:
+    S[Delta, j, j'] = sum_r phi(T (lambda[r, j] - lambda[r - Delta, j'])) and
+    G[Delta, q] = sum_(j, j') c_j(q) c_j'(q) S[Delta, j, j'], and one inverse
+    FFT of G gives the average. phi(-x) = conj phi(x) makes S[-Delta] the
+    conjugate transpose of S[Delta], so only the offsets with flat index at
+    most that of -Delta are summed and G[-Delta] = conj G[Delta] fills the
+    rest. Cost: dim^2 / 2 phi evaluations, N^d nu^3 for G and one FFT, in
+    O(dim nu) memory.
     """
     horizon = float(horizon)
     if not (math.isfinite(horizon) and horizon > 0):
@@ -247,21 +277,30 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
         raise ParameterError(
             f"finite-horizon averaging supports up to {PAIR_SUM_LIMIT} states, got {op.dim}"
         )
-    n, p = start
+    cell, p = start
     N, d, nu = op.N, op.d, op.nu
-    f = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N) / np.sqrt(N)
-    u = op.spectrum.eigenvectors.astype(complex)
-    for _ in range(d):
-        u = np.kron(f, u)  # columns ordered (r_0, ..., r_(d-1), j), C order
-    lam = op.eigenvalues.reshape(-1)
-    v_flat = int(np.ravel_multi_index(n + (p,), op.grid_shape + (nu,)))
-    amp = u * u[v_flat, :].conj()  # amp[w, alpha] = alpha(w) conj(alpha(start))
-    phi = _phi(horizon * (lam[:, None] - lam[None, :]))
-    mu = np.einsum("wb,wb->w", amp @ phi, amp.conj())
-    imag_err = float(np.abs(mu.imag).max())
-    if imag_err > _REALNESS_TOL:
-        raise NumericalError(f"averaged distribution not real: residue {imag_err:.3e}")
-    return _finalize_distribution(op, start, mu.real, horizon)
+    cells = N**d
+    shape = op.grid_shape
+    lam = op.eigenvalues.reshape(cells, nu)
+    coords = np.indices(shape).reshape(d, cells)
+    mirror = np.ravel_multi_index(-coords % N, shape)  # flat index of -Delta
+    half = np.nonzero(np.arange(cells) <= mirror)[0]
+    s = np.empty((half.size, nu, nu), dtype=complex)
+    # blocks of offsets keep the (block, N^d, nu, nu) temporaries within max(8, nu) * dim entries
+    block = max(1, 8 // nu)
+    for lo in range(0, half.size, block):
+        delta = half[lo : lo + block]
+        shifted = np.ravel_multi_index((coords[:, None, :] - coords[:, delta, None]) % N, shape)
+        x = horizon * (lam[:, :, None] - lam[shifted][:, :, None, :])  # T (lambda_alpha - lambda_beta)
+        s[lo : lo + block] = _phi(x).sum(axis=1)
+    w = op.spectrum.eigenvectors
+    coef = w[p, :] * w  # coef[q, j] = w_j(p) w_j(q)
+    grid = np.empty((cells, nu), dtype=complex)
+    grid[half] = np.einsum("bjk,qj,qk->bq", s, coef, coef)
+    rest = np.nonzero(np.arange(cells) > mirror)[0]
+    grid[rest] = grid[mirror[rest]].conj()
+    mu = _from_pair_grid(op, cell, grid.reshape(shape + (nu,)))
+    return _finalize_distribution(op, start, mu, horizon)
 
 
 def _pair_sums(op: TorusOperator, coef: np.ndarray, order: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -319,8 +358,8 @@ def infinite_time_averaged(
     cells = N**d
     lam = op.eigenvalues.reshape(-1)
     order = np.argsort(lam, kind="stable")
-    sizes = np.array([len(g) for g in cluster_eigenvalues(lam[order], cluster_tol)])
-    ends = np.cumsum(sizes)
+    ends = _cluster_ends(lam[order], cluster_tol)
+    sizes = np.diff(ends, prepend=0)
     alone = nu * sizes**2 > cells * nu**2 + dim * math.log2(dim)
     # end of each sorted position's cluster, 0 where the cluster is projected alone
     end = np.repeat(np.where(alone, 0, ends), sizes)
@@ -329,13 +368,7 @@ def infinite_time_averaged(
     grid = _pair_sums(op, coef, order, end)
     grid += grid[np.ix_(*[(-np.arange(N)) % N] * d)]
     grid[(0,) * d] += coef**2 @ np.bincount(order[end > 0] % nu, minlength=nu)  # alpha = beta
-    axes = tuple(range(d))
-    psi = np.fft.ifftn(grid, axes=axes)
-    imag_err = float(np.abs(psi.imag).max()) / cells
-    if imag_err > _REALNESS_TOL:
-        raise NumericalError(f"averaged distribution not real: residue {imag_err:.3e}")
-    mu = np.roll(psi.real, cell, axis=axes).reshape(-1)
-    mu /= cells
+    mu = _from_pair_grid(op, cell, grid)
     for lo, hi in zip(ends[alone] - sizes[alone], ends[alone]):
         weights = np.zeros(dim)
         weights[order[lo:hi]] = 1.0

@@ -38,7 +38,9 @@ def format_float(x: float, digits: int = JSON_DIGITS) -> str:
 
 
 def _float_list(values: Iterable[float], digits: int) -> str:
-    return "[" + ",".join(format_float(v, digits) for v in values) + "]"
+    # one %-format for the whole list prints each value as format_float does
+    values = tuple(np.asarray(values, dtype=float).tolist())
+    return ("[" + ",".join([f"%.{digits}g"] * len(values)) + "]") % values
 
 
 def density_json(density: DensityMatrix) -> str:

@@ -49,23 +49,29 @@ class EigenSolverError(NumericalError):
     """Eigendecomposition failed or did not reproduce the input matrix."""
 
 
+def _cluster_ends(values: np.ndarray, tol: float) -> np.ndarray:
+    """Exclusive end of each cluster of ``cluster_eigenvalues``, in order."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    if values.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    step = np.diff(values)
+    if np.any(step < 0):
+        raise ValueError("values must be ascending")
+    gap = tol * max(1.0, float(np.abs(values).max()))
+    return np.append(np.nonzero(step > gap)[0] + 1, values.size)
+
+
 def cluster_eigenvalues(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> list[np.ndarray]:
     """Group an ascending array of eigenvalues into degenerate clusters.
 
     Single linkage: consecutive values closer than tol * max(1, max|value|)
     share a cluster. Returns index arrays partitioning range(len(values)).
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError("values must be one-dimensional")
-    n = values.size
-    if n == 0:
-        return []
-    if np.any(np.diff(values) < 0):
-        raise ValueError("values must be ascending")
-    gap = tol * max(1.0, float(np.abs(values).max()))
-    splits = np.nonzero(np.diff(values) > gap)[0]
-    return np.split(np.arange(n), splits + 1)
+    ends = _cluster_ends(values, tol).tolist()
+    index = np.arange(ends[-1] if ends else 0)
+    return [index[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,7 @@ def test_simulate_rejects_bad_horizon(capsys):
 
 def test_simulate_rejects_oversized_finite_average(capsys):
     code, _, err = run_cli(
-        capsys, "simulate", "--family", "cycle", "--nu", "3", "--N", "512", "--T", "10"
+        capsys, "simulate", "--family", "cycle", "--nu", "3", "--N", "2048", "--T", "10"
     )
     assert code == 2
     assert "error:" in err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,10 +168,57 @@ def test_time_averaged_rejects():
     for bad in (0.0, -1.0, math.inf):
         with pytest.raises(ParameterError):
             time_averaged(op, ((0,), 0), bad)
-    big = build_torus(build_named("cycle", [3]), d=1, N=512)
+    big = build_torus(build_named("cycle", [3]), d=1, N=2048)
     assert big.dim > PAIR_SUM_LIMIT
     with pytest.raises(ParameterError):
         time_averaged(big, ((0,), 0), 1.0)
+
+
+def test_time_averaged_at_the_pair_sum_limit():
+    op = build_torus(build_named("path", [2]), d=1, N=2048)
+    assert op.dim == PAIR_SUM_LIMIT
+    dist = time_averaged(op, ((0,), 1), 300.0)
+    assert dist.values.sum() == pytest.approx(1.0, abs=1e-10)
+    # a walk started in cell 0 spreads symmetrically under k -> -k
+    masses = dist.cell_masses()
+    np.testing.assert_allclose(masses[1:], masses[:0:-1], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("horizon", [1e-3, 7.5, 1e4])
+@pytest.mark.parametrize(
+    "family,params,d,N,start",
+    [
+        ("cycle", [3], 2, 6, ((2, 5), 1)),
+        ("complete_bipartite", [3, 1], 1, 12, ((4,), 3)),  # 2 cos(pi/6) = sqrt 3
+        ("cycle", [4], 2, 6, ((1, 3), 2)),
+        ("cycle", [3], 3, 3, ((0, 2, 1), 1)),
+    ],
+)
+def test_time_averaged_matches_dense_eigenpairs(family, params, d, N, start, horizon):
+    g = build_named(family, params)
+    got = time_averaged(build_torus(g, d=d, N=N), start, horizon).values
+    vals, vecs = np.linalg.eigh(dense_product_adjacency(g, d, N))
+    row = vecs[flat_index(start[0], start[1], N, g.nu)]
+    clusters = cluster_eigenvalues(vals)
+    x = np.stack([vecs[:, c] @ row[c] for c in clusters], axis=1)  # P_c e_start
+    lam = np.array([vals[c].mean() for c in clusters])
+    # the mean of e^(i t (lam_c - lam_c')) over [0, T] has real part sinc(T (lam_c - lam_c'))
+    weights = np.sinc(horizon * (lam[:, None] - lam[None, :]) / np.pi)
+    want = np.einsum("wc,ce,we->w", x, weights, x)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_time_averaged_memory_stays_linear():
+    # a dim^2 pair-weight matrix alone would take 16 MB at 1024 states
+    op = build_torus(build_named("cycle", [4]), d=2, N=16)
+    assert op.dim == 1024
+    tracemalloc.start()
+    try:
+        time_averaged(op, ((3, 7), 1), 123.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_infinite_average_cell_masses_are_cycle_density():

@@ -4,6 +4,7 @@ import numpy as np
 
 from crystalwalk import (
     BaseLattice,
+    DensityMatrix,
     ProductKind,
     TimeAveragedDistribution,
     build_named,
@@ -46,6 +47,27 @@ def test_density_json_round_trips_exactly():
     assert obj["source"] == "numeric"
     # 17 significant digits reproduce every float64 bit for bit
     assert np.array_equal(np.array(obj["d"]), density.values)
+
+
+def test_density_json_exact_bytes():
+    third = 1 / 3
+    values = np.array(
+        [
+            [third, 2 * third, 0.0, 0.0, 1e-300],
+            [2 * third, third, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.1, 0.9, 0.0],
+            [0.0, 0.0, 0.9, 0.1, 0.0],
+            [1e-300, 0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    assert density_json(DensityMatrix(values, "numeric")) == (
+        '{"nu":5,"source":"numeric","d":['
+        "[0.33333333333333331,0.66666666666666663,0,0,1e-300],"
+        "[0.66666666666666663,0.33333333333333331,0,0,0],"
+        "[0,0,0.10000000000000001,0.90000000000000002,0],"
+        "[0,0,0.90000000000000002,0.10000000000000001,0],"
+        "[1e-300,0,0,0,1]]}\n"
+    )
 
 
 def test_density_csv_table():
