@@ -73,7 +73,6 @@ from .spectral import (
     NumericalError,
     ProjectionKernel,
     SpectralDecomposition,
-    analytic_spectrum,
     cluster_eigenvalues,
     density_from_decomposition,
     eigendecompose_symmetric,
@@ -93,7 +92,7 @@ __all__ = [
     "DEFAULT_CLUSTER_TOL", "NumericalError", "EigenSolverError",
     "SpectralDecomposition", "ProjectionKernel", "DensityMatrix",
     "cluster_eigenvalues", "eigendecompose_symmetric", "projection_kernels",
-    "density_from_decomposition", "limiting_density", "analytic_spectrum",
+    "density_from_decomposition", "limiting_density",
     # closed forms
     "CLOSED_FORM_FAMILIES", "d_cycle", "d_path", "d_star", "d_hypercube",
     "d_cycle_exact", "d_path_exact", "d_star_exact", "d_hypercube_exact",

@@ -31,7 +31,7 @@ from .spectral import (
     DEFAULT_CLUSTER_TOL,
     NumericalError,
     SpectralDecomposition,
-    _cluster_ends,
+    cluster_eigenvalues,
     density_from_decomposition,
     eigendecompose_symmetric,
 )
@@ -358,7 +358,7 @@ def infinite_time_averaged(
     cells = N**d
     lam = op.eigenvalues.reshape(-1)
     order = np.argsort(lam, kind="stable")
-    ends = _cluster_ends(lam[order], cluster_tol)
+    ends = cluster_eigenvalues(lam[order], cluster_tol)
     sizes = np.diff(ends, prepend=0)
     alone = nu * sizes**2 > cells * nu**2 + dim * math.log2(dim)
     # end of each sorted position's cluster, 0 where the cluster is projected alone

@@ -23,6 +23,7 @@ from .spectral import (
     NumericalError,
     SpectralDecomposition,
     cluster_eigenvalues,
+    cluster_gap,
     eigendecompose_symmetric,
     squared_projection_sum,
 )
@@ -156,10 +157,10 @@ def flat_band_check(bands: BandStructure, tol: float = DEFAULT_CLUSTER_TOL) -> l
 
     The box product has none; the tensor product is flat where mu_j = 0; the
     strong product is flat where mu_j = -1. Matching uses the clustering
-    scale tol * max(1, spectral radius).
+    gap ``cluster_gap(mu, tol)``.
     """
     mu = bands.spectrum.eigenvalues
-    scale = tol * max(1.0, float(np.abs(mu).max()))
+    scale = cluster_gap(mu, tol)
     if bands.rule is ProductKind.CARTESIAN:
         return []
     if bands.rule is ProductKind.TENSOR:

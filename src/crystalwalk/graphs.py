@@ -102,10 +102,6 @@ class FiniteGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(int(u), int(v)), max(int(u), int(v))) in self.edges
 
-    def label(self, v: int) -> str:
-        _check_vertex(v, self.nu)
-        return self.labels[v] if self.labels is not None else str(v)
-
     def vertex_labels(self) -> tuple[str, ...]:
         if self.labels is not None:
             return self.labels

@@ -49,14 +49,12 @@ def density_json(density: DensityMatrix) -> str:
     return f'{{"nu":{density.nu},"source":"{density.source}","d":[{rows}]}}\n'
 
 
-def density_csv(
-    values: np.ndarray, labels: Sequence[str], digits: int = TABLE_DIGITS
-) -> str:
+def density_csv(values: np.ndarray, labels: Sequence[str]) -> str:
     """Entrywise density table with header p,q,d in display labeling."""
     lines = ["p,q,d"]
     for p, row in enumerate(np.asarray(values)):
         for q, v in enumerate(row):
-            lines.append(f"{labels[p]},{labels[q]},{format_float(v, digits)}")
+            lines.append(f"{labels[p]},{labels[q]},{format_float(v, TABLE_DIGITS)}")
     return "\n".join(lines) + "\n"
 
 
@@ -73,7 +71,7 @@ def scan_report_json(report: FloquetScanReport) -> str:
     )
 
 
-def distribution_csv(dist: TimeAveragedDistribution, digits: int = TABLE_DIGITS) -> str:
+def distribution_csv(dist: TimeAveragedDistribution) -> str:
     """Per-site masses with one cell coordinate column per torus axis."""
     lines = [",".join(f"cell_{i}" for i in range(dist.d)) + ",q,mass"]
     values = iter(dist.values.tolist())
@@ -81,7 +79,7 @@ def distribution_csv(dist: TimeAveragedDistribution, digits: int = TABLE_DIGITS)
     for cell in itertools.product(range(dist.N), repeat=dist.d):
         prefix = ",".join(map(str, cell))
         # zip exhausts columns first, so each cell takes exactly nu values
-        lines.extend(prefix + c + format_float(v, digits) for c, v in zip(columns, values))
+        lines.extend(prefix + c + format_float(v, TABLE_DIGITS) for c, v in zip(columns, values))
     del values  # the join needs room for the whole text: drop the float list first
     lines.append("")
     return "\n".join(lines)
@@ -102,7 +100,6 @@ def comparison_csv(
     labels: Sequence[str],
     quantum_row: np.ndarray,
     stationary: np.ndarray,
-    digits: int = TABLE_DIGITS,
 ) -> str:
     """Side-by-side quantum limiting row vs classical stationary law."""
     nu = len(labels)
@@ -110,7 +107,7 @@ def comparison_csv(
     uniform = 1.0 / nu
     for q in range(nu):
         lines.append(
-            f"{labels[q]},{format_float(quantum_row[q], digits)},"
-            f"{format_float(stationary[q], digits)},{format_float(uniform, digits)}"
+            f"{labels[q]},{format_float(quantum_row[q], TABLE_DIGITS)},"
+            f"{format_float(stationary[q], TABLE_DIGITS)},{format_float(uniform, TABLE_DIGITS)}"
         )
     return "\n".join(lines) + "\n"

@@ -4,17 +4,17 @@ The limiting density of the time-averaged quantum walk on a finite graph is
 assembled from the spectral projections onto distinct eigenvalues of the
 adjacency matrix: d(p, q) = sum_s P_s(p, q)^2. Eigenvalues are grouped into
 numerically distinct clusters by single linkage with an absolute gap of
-tol * max(1, spectral radius).
+tol * max(1, spectral radius); each cluster is a contiguous run of the
+ascending order, carried as the exclusive end of that run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .graphs import FiniteGraph, ParameterError, build_named
+from .graphs import FiniteGraph
 
 __all__ = [
     "DEFAULT_CLUSTER_TOL",
@@ -23,13 +23,13 @@ __all__ = [
     "SpectralDecomposition",
     "ProjectionKernel",
     "DensityMatrix",
+    "cluster_gap",
     "cluster_eigenvalues",
     "eigendecompose_symmetric",
     "projection_kernels",
     "squared_projection_sum",
     "density_from_decomposition",
     "limiting_density",
-    "analytic_spectrum",
 ]
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -49,29 +49,28 @@ class EigenSolverError(NumericalError):
     """Eigendecomposition failed or did not reproduce the input matrix."""
 
 
-def _cluster_ends(values: np.ndarray, tol: float) -> np.ndarray:
-    """Exclusive end of each cluster of ``cluster_eigenvalues``, in order."""
+def cluster_gap(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> float:
+    """Clustering gap tol * max(1, max|value|) of a nonempty array of eigenvalues."""
+    return tol * max(1.0, float(np.abs(values).max()))
+
+
+def cluster_eigenvalues(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
+    """Group an ascending array of eigenvalues into degenerate clusters.
+
+    Single linkage: consecutive values no further apart than
+    ``cluster_gap(values, tol)`` share a cluster, so every cluster is a
+    contiguous run. Returns the exclusive end of each run, rising to
+    len(values); its length is the number of clusters.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError("values must be one-dimensional")
     if values.size == 0:
         return np.zeros(0, dtype=np.intp)
-    step = np.diff(values)
-    if np.any(step < 0):
+    step = values[1:] - values[:-1]  # np.diff and np.any cost more per Bloch fiber
+    if (step < 0).any():
         raise ValueError("values must be ascending")
-    gap = tol * max(1.0, float(np.abs(values).max()))
-    return np.append(np.nonzero(step > gap)[0] + 1, values.size)
-
-
-def cluster_eigenvalues(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> list[np.ndarray]:
-    """Group an ascending array of eigenvalues into degenerate clusters.
-
-    Single linkage: consecutive values closer than tol * max(1, max|value|)
-    share a cluster. Returns index arrays partitioning range(len(values)).
-    """
-    ends = _cluster_ends(values, tol).tolist()
-    index = np.arange(ends[-1] if ends else 0)
-    return [index[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    return np.append(np.nonzero(step > cluster_gap(values, tol))[0] + 1, values.size)
 
 
 @dataclass(frozen=True)
@@ -79,35 +78,40 @@ class SpectralDecomposition:
     """Eigenvalues, eigenvectors, and degeneracy clusters of a symmetric matrix.
 
     ``eigenvalues`` is ascending, ``eigenvectors`` holds orthonormal columns
-    in the same order, ``clusters`` partitions the indices into numerically
-    distinct eigenvalues, and ``cluster_values`` holds one representative per
-    cluster.
+    in the same order, and ``ends`` holds the exclusive end of each cluster
+    of numerically distinct eigenvalues, as ``cluster_eigenvalues`` returns.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    clusters: tuple[tuple[int, ...], ...]
-    cluster_values: np.ndarray
+    ends: np.ndarray
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=float)
         vecs = np.asarray(self.eigenvectors, dtype=float)
+        ends = np.asarray(self.ends, dtype=np.intp)
         n = vals.size
         if vecs.shape != (n, n):
             raise ValueError("eigenvectors must be square and match eigenvalues")
-        flat = [i for group in self.clusters for i in group]
-        if flat != list(range(n)):
-            raise ValueError("clusters must partition eigenvalue indices in order")
-        cvals = np.asarray(self.cluster_values, dtype=float)
-        if cvals.size != len(self.clusters):
-            raise ValueError("one representative value per cluster required")
+        if ends.ndim != 1 or np.any(np.diff(ends, prepend=0) <= 0) or ends.max(initial=0) != n:
+            raise ValueError("cluster ends must rise strictly to the eigenvalue count")
         vals.flags.writeable = False
         vecs.flags.writeable = False
-        cvals.flags.writeable = False
+        ends.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
-        object.__setattr__(self, "clusters", tuple(tuple(int(i) for i in g) for g in self.clusters))
-        object.__setattr__(self, "cluster_values", cvals)
+        object.__setattr__(self, "ends", ends)
+
+    @property
+    def clusters(self) -> tuple[range, ...]:
+        """Index range of each cluster, in ascending order."""
+        ends = self.ends.tolist()
+        return tuple(map(range, [0] + ends[:-1], ends))
+
+    @property
+    def cluster_values(self) -> np.ndarray:
+        """Mean eigenvalue of each cluster."""
+        return np.array([self.eigenvalues[g.start:g.stop].mean() for g in self.clusters])
 
     @property
     def nu(self) -> int:
@@ -115,7 +119,7 @@ class SpectralDecomposition:
 
     @property
     def distinct_count(self) -> int:
-        return len(self.clusters)
+        return self.ends.size
 
     def multiplicity(self, s: int) -> int:
         return len(self.clusters[s])
@@ -150,13 +154,8 @@ def eigendecompose_symmetric(
     recon = np.abs(m - (vecs * vals) @ vecs.T).max()
     if recon > _RECONSTRUCTION_REL * scale:
         raise EigenSolverError(f"decomposition does not reconstruct input: error {recon:.3e}")
-    groups = cluster_eigenvalues(vals, tol)
-    cluster_values = np.array([vals[g].mean() for g in groups])
     dec = SpectralDecomposition(
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        clusters=tuple(tuple(int(i) for i in g) for g in groups),
-        cluster_values=cluster_values,
+        eigenvalues=vals, eigenvectors=vecs, ends=cluster_eigenvalues(vals, tol)
     )
     dec.validate()
     return dec
@@ -189,13 +188,11 @@ def projection_kernels(dec: SpectralDecomposition) -> list[ProjectionKernel]:
     v = dec.eigenvectors
     kernels = []
     total = np.zeros((dec.nu, dec.nu))
-    for s, group in enumerate(dec.clusters):
-        idx = list(group)
-        p = v[:, idx] @ v[:, idx].T
+    for group, value in zip(dec.clusters, dec.cluster_values):
+        block = v[:, group.start:group.stop]
+        p = block @ block.T
         total += p
-        kernels.append(
-            ProjectionKernel(matrix=p, eigenvalue=float(dec.cluster_values[s]), multiplicity=len(idx))
-        )
+        kernels.append(ProjectionKernel(matrix=p, eigenvalue=float(value), multiplicity=len(group)))
     err = np.abs(total - np.eye(dec.nu)).max()
     if err > _COMPLETENESS_TOL:
         raise NumericalError(f"projections do not sum to identity: deviation {err:.3e}")
@@ -235,132 +232,31 @@ class DensityMatrix:
         return self.values.shape[0]
 
 
-def squared_projection_sum(vecs: np.ndarray, clusters: Sequence[Sequence[int]]) -> np.ndarray:
+def squared_projection_sum(vecs: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """sum_s |V_s V_s^H|^2 entrywise, for real or complex orthonormal columns V.
 
-    ``clusters`` partitions the column indices by distinct eigenvalue. Simple
-    eigenvalues (|V|^2)(|V|^2)^T contribute in one GEMM; only degenerate
-    clusters form their projection, one block at a time.
+    ``ends`` are the cluster ends of ``cluster_eigenvalues``: cluster s is the
+    column run V_s = V[:, ends[s-1]:ends[s]]. Simple eigenvalues contribute
+    (|V|^2)(|V|^2)^T in one GEMM; only degenerate clusters form their
+    projection, one block at a time.
     """
-    singles = [g[0] for g in clusters if len(g) == 1]
-    w = np.abs(vecs[:, singles]) ** 2
+    starts = np.concatenate(([0], ends[:-1]))
+    simple = ends - starts == 1
+    w = np.abs(vecs[:, starts[simple]]) ** 2
     d = w @ w.T
     del w  # hold at most one projection-sized temporary beside d in the loop below
-    for group in clusters:
-        if len(group) > 1:
-            block = vecs[:, list(group)]
-            d += np.abs(block @ block.conj().T) ** 2
+    for lo, hi in zip(starts[~simple], ends[~simple]):
+        block = vecs[:, lo:hi]
+        d += np.abs(block @ block.conj().T) ** 2
     return d
 
 
-def density_from_decomposition(
-    dec: SpectralDecomposition, source: str = "numeric"
-) -> DensityMatrix:
+def density_from_decomposition(dec: SpectralDecomposition) -> DensityMatrix:
     """Entrywise squared projection kernels summed over distinct eigenvalues."""
-    return DensityMatrix(values=squared_projection_sum(dec.eigenvectors, dec.clusters), source=source)
+    return DensityMatrix(values=squared_projection_sum(dec.eigenvectors, dec.ends), source="numeric")
 
 
 def limiting_density(graph: FiniteGraph, tol: float = DEFAULT_CLUSTER_TOL) -> DensityMatrix:
     """Limiting density of the time-averaged quantum walk on a finite graph."""
     dec = eigendecompose_symmetric(graph.adjacency, tol)
-    return density_from_decomposition(dec, source="numeric")
-
-
-def _cycle_real_basis(nu: int, size: int) -> list[tuple[float, list[np.ndarray]]]:
-    """Real orthonormal cosine/sine eigenbasis of the nu-cycle, grouped by eigenvalue.
-
-    Vectors are typed over ``size`` coordinates with the cycle occupying the
-    first nu entries (used directly for cycles and reused, minus the constant
-    vector, for the star's zero eigenspace on the leaves).
-    """
-    k = np.arange(nu)
-    groups: list[tuple[float, list[np.ndarray]]] = []
-    const = np.zeros(size)
-    const[:nu] = 1.0 / np.sqrt(nu)
-    groups.append((2.0, [const]))
-    for r in range(1, (nu - 1) // 2 + 1):
-        c = np.zeros(size)
-        s = np.zeros(size)
-        c[:nu] = np.sqrt(2.0 / nu) * np.cos(2.0 * np.pi * r * k / nu)
-        s[:nu] = np.sqrt(2.0 / nu) * np.sin(2.0 * np.pi * r * k / nu)
-        groups.append((2.0 * np.cos(2.0 * np.pi * r / nu), [c, s]))
-    if nu % 2 == 0:
-        alt = np.zeros(size)
-        alt[:nu] = np.where(k % 2 == 0, 1.0, -1.0) / np.sqrt(nu)
-        groups.append((-2.0, [alt]))
-    return groups
-
-
-def _analytic_groups(family: str, params: Sequence[int]) -> list[tuple[float, list[np.ndarray]]]:
-    if family == "cycle":
-        nu = build_named(family, params).nu
-        return _cycle_real_basis(nu, nu)
-    if family == "path":
-        nu = build_named(family, params).nu
-        j = np.arange(1, nu + 1)
-        i = np.arange(1, nu + 1)
-        groups = []
-        for jj in j:
-            w = np.sqrt(2.0 / (nu + 1)) * np.sin(np.pi * jj * i / (nu + 1))
-            groups.append((2.0 * np.cos(np.pi * jj / (nu + 1)), [w]))
-        return groups
-    if family == "star":
-        nu = build_named(family, params).nu - 1  # leaf count
-        size = nu + 1
-        root = np.sqrt(float(nu))
-        plus = np.full(size, 1.0 / np.sqrt(2.0 * nu))
-        plus[nu] = 1.0 / np.sqrt(2.0)
-        minus = np.full(size, -1.0 / np.sqrt(2.0 * nu))
-        minus[nu] = 1.0 / np.sqrt(2.0)
-        groups = [(-root, [minus]), (root, [plus])]
-        if nu >= 2:
-            # Zero eigenspace: mean-zero vectors on the leaves, zero at the
-            # center. The non-constant cycle vectors on nu points (every group
-            # past the constant one) supply an orthonormal basis for it.
-            zero_vectors = [w for _, vecs in _cycle_real_basis(nu, size)[1:] for w in vecs]
-            groups.append((0.0, zero_vectors))
-        return groups
-    if family == "hypercube":
-        nu = build_named(family, params).nu
-        m = nu.bit_length() - 1
-        scale = 2.0 ** (-m / 2.0)
-        x = np.arange(nu)
-        groups = []
-        for k in range(m + 1):
-            vecs = []
-            for r in range(nu):
-                if bin(r).count("1") != k:
-                    continue
-                signs = np.array([(-1) ** bin(r & xx).count("1") for xx in x], dtype=float)
-                vecs.append(scale * signs)
-            groups.append((float(m - 2 * k), vecs))
-        return groups
-    raise ParameterError(f"no analytic spectrum for family {family!r}")
-
-
-def analytic_spectrum(family: str, params: Sequence[int] = ()) -> SpectralDecomposition:
-    """Exact eigendecomposition of a cycle, path, star, or hypercube.
-
-    Eigenvalues come from the closed forms (2cos(2 pi r / nu) for cycles,
-    2cos(pi j / (nu + 1)) for paths, {-sqrt(nu), 0, sqrt(nu)} for stars,
-    m - 2k for hypercubes), eigenvectors from the matching Fourier, sine,
-    and character bases. Clusters reflect the exact multiplicities.
-    """
-    groups = sorted(_analytic_groups(family, params), key=lambda g: g[0])
-    values: list[float] = []
-    vectors: list[np.ndarray] = []
-    clusters: list[tuple[int, ...]] = []
-    pos = 0
-    for val, vecs in groups:
-        clusters.append(tuple(range(pos, pos + len(vecs))))
-        values.extend([val] * len(vecs))
-        vectors.extend(vecs)
-        pos += len(vecs)
-    dec = SpectralDecomposition(
-        eigenvalues=np.array(values),
-        eigenvectors=np.column_stack(vectors),
-        clusters=tuple(clusters),
-        cluster_values=np.array([g[0] for g in groups]),
-    )
-    dec.validate()
-    return dec
+    return density_from_decomposition(dec)

@@ -2,19 +2,23 @@ import numpy as np
 import pytest
 
 from crystalwalk import (
+    BandStructure,
+    BaseLattice,
     EigenSolverError,
     NumericalError,
     ParameterError,
-    analytic_spectrum,
+    ProductKind,
+    SpectralDecomposition,
     build_named,
     cluster_eigenvalues,
     density_from_decomposition,
     eigendecompose_symmetric,
+    flat_band_check,
     from_edge_list,
     limiting_density,
     projection_kernels,
 )
-from crystalwalk.spectral import squared_projection_sum
+from crystalwalk.spectral import cluster_gap, squared_projection_sum
 
 
 def random_graph_text(rng, max_nu=32):
@@ -40,22 +44,53 @@ def random_graph_text(rng, max_nu=32):
 def test_cluster_eigenvalues_groups_degeneracies():
     vals = np.array([-1.0, -1.0 + 1e-12, 0.5, 2.0])
     groups = cluster_eigenvalues(vals, tol=1e-8)
-    assert [list(g) for g in groups] == [[0, 1], [2], [3]]
+    assert groups.tolist() == [2, 3, 4]
 
 
 def test_cluster_eigenvalues_scales_with_radius():
     # gap threshold is tol * max(1, spectral radius)
     vals = np.array([0.0, 5e-7, 100.0])
     groups = cluster_eigenvalues(vals, tol=1e-8)
-    assert [list(g) for g in groups] == [[0, 1], [2]]
+    assert groups.tolist() == [2, 3]
     vals = np.array([0.0, 5e-7, 1.0])
     groups = cluster_eigenvalues(vals, tol=1e-8)
-    assert [list(g) for g in groups] == [[0], [1], [2]]
+    assert groups.tolist() == [1, 2, 3]
 
 
 def test_cluster_eigenvalues_requires_ascending():
     with pytest.raises(ValueError, match="ascending"):
         cluster_eigenvalues(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at-gap", "one-ulp-above"])
+def test_one_rule_decides_at_the_gap(above):
+    # gap g = tol * max(1, max|value|) with the default tol and values reaching 3
+    g = 1e-8 * 3.0
+    step = np.nextafter(g, np.inf) if above else g
+    v = np.array([0.0, step, 3.0])
+    assert cluster_gap(v) == g
+    assert cluster_eigenvalues(v).tolist() == ([1, 2, 3] if above else [2, 3])
+    dec = eigendecompose_symmetric(np.diag(v))
+    assert np.array_equal(dec.eigenvalues, v)  # eigh returns a diagonal exactly
+    assert [len(c) for c in dec.clusters] == ([1, 1, 1] if above else [2, 1])
+    mu = np.array([-step, step, 3.0])
+    spectrum = eigendecompose_symmetric(np.diag(mu))
+    assert np.array_equal(spectrum.eigenvalues, mu)
+    bands = BandStructure(BaseLattice.zd(1), spectrum, ProductKind.TENSOR)
+    assert flat_band_check(bands) == ([] if above else [0, 1])
+
+
+@pytest.mark.parametrize(
+    "ends",
+    [[1, 3, 5], [1, 3], [1, 1, 4], [3, 1, 4], [[1, 3, 4]]],
+    ids=["overshoot", "short", "repeated", "decreasing", "two-dimensional"],
+)
+def test_decomposition_rejects_bad_cluster_ends(ends):
+    vals, vecs = np.linalg.eigh(build_named("cycle", [4]).adjacency)  # -2, 0, 0, 2
+    dec = SpectralDecomposition(vals, vecs, [1, 3, 4])
+    assert dec.clusters == (range(0, 1), range(1, 3), range(3, 4))
+    with pytest.raises(ValueError, match="cluster ends"):
+        SpectralDecomposition(vals, vecs, ends)
 
 
 def test_eigendecompose_p2():
@@ -181,6 +216,96 @@ def test_edgeless_graph_density_is_identity():
     np.testing.assert_allclose(d.values, np.eye(3), atol=1e-12)
 
 
+def _cycle_real_basis(nu, size):
+    """Real orthonormal cosine/sine eigenbasis of the nu-cycle, grouped by eigenvalue.
+
+    Vectors are typed over ``size`` coordinates with the cycle occupying the
+    first nu entries (used directly for cycles and reused, minus the constant
+    vector, for the star's zero eigenspace on the leaves).
+    """
+    k = np.arange(nu)
+    groups = []
+    const = np.zeros(size)
+    const[:nu] = 1.0 / np.sqrt(nu)
+    groups.append((2.0, [const]))
+    for r in range(1, (nu - 1) // 2 + 1):
+        c = np.zeros(size)
+        s = np.zeros(size)
+        c[:nu] = np.sqrt(2.0 / nu) * np.cos(2.0 * np.pi * r * k / nu)
+        s[:nu] = np.sqrt(2.0 / nu) * np.sin(2.0 * np.pi * r * k / nu)
+        groups.append((2.0 * np.cos(2.0 * np.pi * r / nu), [c, s]))
+    if nu % 2 == 0:
+        alt = np.zeros(size)
+        alt[:nu] = np.where(k % 2 == 0, 1.0, -1.0) / np.sqrt(nu)
+        groups.append((-2.0, [alt]))
+    return groups
+
+
+def _analytic_groups(family, params):
+    if family == "cycle":
+        nu = build_named(family, params).nu
+        return _cycle_real_basis(nu, nu)
+    if family == "path":
+        nu = build_named(family, params).nu
+        j = np.arange(1, nu + 1)
+        i = np.arange(1, nu + 1)
+        groups = []
+        for jj in j:
+            w = np.sqrt(2.0 / (nu + 1)) * np.sin(np.pi * jj * i / (nu + 1))
+            groups.append((2.0 * np.cos(np.pi * jj / (nu + 1)), [w]))
+        return groups
+    if family == "star":
+        nu = build_named(family, params).nu - 1  # leaf count
+        size = nu + 1
+        root = np.sqrt(float(nu))
+        plus = np.full(size, 1.0 / np.sqrt(2.0 * nu))
+        plus[nu] = 1.0 / np.sqrt(2.0)
+        minus = np.full(size, -1.0 / np.sqrt(2.0 * nu))
+        minus[nu] = 1.0 / np.sqrt(2.0)
+        groups = [(-root, [minus]), (root, [plus])]
+        if nu >= 2:
+            # Zero eigenspace: mean-zero vectors on the leaves, zero at the
+            # center. The non-constant cycle vectors on nu points (every group
+            # past the constant one) supply an orthonormal basis for it.
+            zero_vectors = [w for _, vecs in _cycle_real_basis(nu, size)[1:] for w in vecs]
+            groups.append((0.0, zero_vectors))
+        return groups
+    if family == "hypercube":
+        nu = build_named(family, params).nu
+        m = nu.bit_length() - 1
+        scale = 2.0 ** (-m / 2.0)
+        x = np.arange(nu)
+        groups = []
+        for k in range(m + 1):
+            vecs = []
+            for r in range(nu):
+                if bin(r).count("1") != k:
+                    continue
+                signs = np.array([(-1) ** bin(r & xx).count("1") for xx in x], dtype=float)
+                vecs.append(scale * signs)
+            groups.append((float(m - 2 * k), vecs))
+        return groups
+    raise ParameterError(f"no analytic spectrum for family {family!r}")
+
+
+def analytic_spectrum(family, params=()):
+    """Exact eigendecomposition of a cycle, path, star, or hypercube.
+
+    Eigenvalues come from the closed forms (2cos(2 pi r / nu) for cycles,
+    2cos(pi j / (nu + 1)) for paths, {-sqrt(nu), 0, sqrt(nu)} for stars,
+    m - 2k for hypercubes), eigenvectors from the matching Fourier, sine,
+    and character bases. Clusters reflect the exact multiplicities.
+    """
+    groups = sorted(_analytic_groups(family, params), key=lambda g: g[0])
+    dec = SpectralDecomposition(
+        eigenvalues=np.array([val for val, vecs in groups for _ in vecs]),
+        eigenvectors=np.column_stack([w for _, vecs in groups for w in vecs]),
+        ends=np.cumsum([len(vecs) for _, vecs in groups]),
+    )
+    dec.validate()
+    return dec
+
+
 @pytest.mark.parametrize(
     "family,params",
     [
@@ -228,7 +353,7 @@ def test_squared_projection_sum_matches_per_cluster_sum(dtype, sizes):
     for g in clusters:
         p = v[:, g] @ v[:, g].conj().T
         want += p.real**2 + p.imag**2
-    got = squared_projection_sum(v, clusters)
+    got = squared_projection_sum(v, bounds[1:])
     assert got.dtype == np.float64 and got.shape == (n, n)
     assert np.abs(got - want).max() <= 1e-13
 
