@@ -42,6 +42,7 @@ from .dynamics import (
 )
 from .floquet import (
     DEFAULT_COLLISION_DELTA,
+    SCAN_COUNT_BUDGET,
     BandStructure,
     BaseLattice,
     FloquetScanReport,
@@ -98,7 +99,7 @@ __all__ = [
     "d_cycle_exact", "d_path_exact", "d_star_exact", "d_hypercube_exact",
     "closed_form_density", "closed_form_labels",
     # floquet
-    "DEFAULT_COLLISION_DELTA", "BaseLattice", "BandStructure",
+    "DEFAULT_COLLISION_DELTA", "SCAN_COUNT_BUDGET", "BaseLattice", "BandStructure",
     "FloquetScanReport", "GridDensityResult", "base_band",
     "build_floquet_matrix", "product_spec", "product_bands",
     "flat_band_check", "floquet_condition_fraction", "general_density",

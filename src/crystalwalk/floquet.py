@@ -6,6 +6,10 @@ branches are the band functions. Two scan operations live here: counting
 near-collisions E_s(theta + m/N) = E_w(theta) over a finite grid (the
 ergodicity condition for the time average to converge), and accumulating the
 grid approximation of the limiting density from per-point eigenprojections.
+
+The collision scan sorts the nu N^d band values once and walks each value's
+run of close successors, so it costs O(nu N^d log(nu N^d) + close pairs)
+instead of nu^2 N^2d tests, and holds one count per shift and band pair.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .spectral import (
 
 __all__ = [
     "DEFAULT_COLLISION_DELTA",
+    "SCAN_COUNT_BUDGET",
     "BaseLattice",
     "BandStructure",
     "FloquetScanReport",
@@ -45,6 +50,8 @@ __all__ = [
 ]
 
 DEFAULT_COLLISION_DELTA = 1e-9
+# The collision scan keeps one count per (shift, band pair): nu^2 N^d integers.
+SCAN_COUNT_BUDGET = 1 << 20
 
 _HERMITICITY_TOL = 1e-12
 _GRID_ROW_SUM_TOL = 1e-8
@@ -187,6 +194,12 @@ def base_grid(base: BaseLattice, N: int) -> np.ndarray:
     return c[:, None] + c[None, :] + c[(k[:, None] + k[None, :]) % N]
 
 
+def _band_grid(bands: BandStructure, N: int) -> np.ndarray:
+    """All band values on the grid {0..N-1}^d / N, shape (nu,) + (N,) * d."""
+    base = base_grid(bands.base, N)
+    return np.stack([np.asarray(_apply_rule(bands.rule, base, float(mu))) for mu in bands.spectrum.eigenvalues])
+
+
 @dataclass(frozen=True)
 class FloquetScanReport:
     """Worst near-collision fraction of band pairs over a shifted grid.
@@ -213,6 +226,14 @@ def floquet_condition_fraction(
     grid points r with |E_s((r + m)/N) - E_w(r/N)| < delta and reports the
     maximum count divided by N^d. Ties keep the first shift and pair in
     lexicographic order. A flat band forces max_fraction = 1.
+
+    Shift (0, ..., 0, 1), the first in that order, is counted densely. If a
+    pair already meets at all N^d points there, no later shift can beat it
+    and the scan stops; a flat band always ends here. Otherwise one sorted
+    sweep over all nu N^d band values counts every shift at once (see
+    ``_collision_counts``): O(nu N^d log(nu N^d) + close pairs) time and
+    nu^2 N^d integer counts of memory. Scans needing more than
+    ``SCAN_COUNT_BUDGET`` counts are rejected before anything is allocated.
     """
     N = int(N)
     if N < 2:
@@ -221,32 +242,71 @@ def floquet_condition_fraction(
         raise ParameterError("collision width delta must be positive")
     d = bands.base.d
     nu = bands.nu
-    base = base_grid(bands.base, N)
-    grid = np.stack([np.asarray(_apply_rule(bands.rule, base, float(mu))) for mu in bands.spectrum.eigenvalues])
-    axes = tuple(range(1, d + 1))
-    total = N**d
-    best_count = -1
-    best_shift: tuple[int, ...] = ()
-    best_pair = (0, 0)
-    for shift in np.ndindex(*((N,) * d)):
-        if not any(shift):
-            continue
-        rolled = np.roll(grid, tuple(-s for s in shift), axis=axes)
-        close = np.abs(rolled[:, None] - grid[None, :]) < delta
-        counts = close.reshape(nu, nu, -1).sum(axis=2)
-        s, w = np.unravel_index(int(np.argmax(counts)), (nu, nu))
-        count = int(counts[s, w])
-        if count > best_count:
-            best_count = count
-            best_shift = tuple(int(x) for x in shift)
-            best_pair = (int(s), int(w))
+    cells = N**d
+    if nu * nu * cells > SCAN_COUNT_BUDGET:
+        raise ParameterError(
+            f"collision scan needs {nu * nu * cells} counts, over the budget {SCAN_COUNT_BUDGET}"
+        )
+    grid = _band_grid(bands, N)
+    flat = grid.reshape(nu, cells)
+    # shift (0, ..., 0, 1) comes first in C order; count it densely, one band row at a time
+    counts = np.stack(
+        [(np.abs(np.roll(row, -1, axis=-1).reshape(-1) - flat) < delta).sum(axis=1) for row in grid]
+    ).reshape(-1)
+    if counts.max() < cells:
+        counts = _collision_counts(flat, N, d, delta).reshape(-1)[nu * nu :]
+    best = int(np.argmax(counts))
+    shift, pair = divmod(best, nu * nu)
     return FloquetScanReport(
         N=N,
-        max_fraction=best_count / total,
-        worst_shift=best_shift,
-        worst_pair=best_pair,
+        max_fraction=int(counts[best]) / cells,
+        worst_shift=tuple(int(x) for x in np.unravel_index(shift + 1, (N,) * d)),
+        worst_pair=divmod(pair, nu),
         flat_bands=tuple(flat_band_check(bands)),
     )
+
+
+def _collision_counts(grid: np.ndarray, N: int, d: int, delta: float) -> np.ndarray:
+    """C[m, s, w] = #{r : |E_s(r + m) - E_w(r)| < delta} from one sorted sweep.
+
+    ``grid`` holds E_s(r) at [s, r] with r flat in C order over (N,)*d.
+    Returns C of shape (N,)*d + (nu, nu); at shift 0 no point is paired with
+    itself. Counts fit int32 because they are at most N^d.
+
+    With the values sorted ascending, x[i + t] - x[i] rounds to a
+    nondecreasing function of t (rounding is monotone), so the partners of
+    position i that pass the test form a run t = 1, 2, ... ending at the
+    first miss, where i leaves the walk. Each hit, a pair of grid points
+    a = (s, r_a) after b = (w, r_b), counts at m = r_a - r_b; its mirror
+    (b, a) at -m is filled in at the end.
+    """
+    nu, cells = grid.shape
+    order = np.argsort(grid, axis=None, kind="stable")
+    x = grid.reshape(-1)[order]
+    counts = np.zeros(cells * nu * nu, dtype=np.int32)
+    active = np.arange(x.size - 1)
+    t = 1
+    while active.size:
+        kept = 0
+        # blocks of at most N^d positions keep each step's temporaries at N^d entries
+        for lo in range(0, active.size, cells):
+            i = active[lo : lo + cells]
+            i = i[np.abs(x[i + t] - x[i]) < delta]
+            active[kept : kept + i.size] = i
+            kept += i.size
+            a, b = order[i + t], order[i]
+            m = np.zeros(i.shape, dtype=np.int64)
+            for axis in range(d):
+                stride = N ** (d - 1 - axis)
+                m += (a // stride - b // stride) % N * stride
+            # an increment of the counts' own dtype keeps add.at on its fast path
+            np.add.at(counts, (m * nu + a // cells) * nu + b // cells, np.int32(1))
+        t += 1
+        active = active[:kept]
+        active = active[active < x.size - t]
+    counts = counts.reshape((N,) * d + (nu, nu))
+    counts += counts[np.ix_(*[(-np.arange(N)) % N] * d)].swapaxes(-1, -2)
+    return counts
 
 
 @dataclass(frozen=True)

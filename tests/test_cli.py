@@ -122,6 +122,34 @@ def test_floquet_check_flat_band(capsys):
     assert obj["flat_bands"] == [1, 2]
 
 
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (
+            ("--nu", "3", "--N", "64"),
+            '{"N":64,"max_fraction":0.03125,"worst_shift":[2],"worst_pair":[0,0],"flat_bands":[]}\n',
+        ),
+        (
+            ("--nu", "4", "--product", "tensor", "--N", "64"),
+            '{"N":64,"max_fraction":1,"worst_shift":[1],"worst_pair":[1,1],"flat_bands":[1,2]}\n',
+        ),
+    ],
+)
+def test_floquet_check_readme_examples_exact_bytes(capsys, argv, want):
+    code, out, _ = run_cli(capsys, "floquet-check", "--family", "cycle", *argv)
+    assert code == 0
+    assert out == want
+
+
+def test_floquet_check_rejects_scan_over_budget(capsys):
+    code, out, err = run_cli(
+        capsys, "floquet-check", "--family", "cycle", "--nu", "3", "--d", "3", "--N", "128"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_simulate_summary_goes_to_stderr(capsys):
     code, out, err = run_cli(
         capsys,

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from crystalwalk import (
+    DEFAULT_COLLISION_DELTA,
+    SCAN_COUNT_BUDGET,
     BaseLattice,
+    FloquetScanReport,
     ParameterError,
     ProductKind,
     base_band,
@@ -20,6 +23,7 @@ from crystalwalk import (
     product_spec,
     zd_product_spec,
 )
+from crystalwalk import floquet
 from crystalwalk.graphs import PeriodicGraphSpec
 
 
@@ -136,10 +140,11 @@ def test_scan_cartesian_c3_brute_force():
 
 
 def test_scan_small_grid_no_collisions():
-    # N=2 box product with P_2: all band differences are in {+-2, +-4, +-6}
+    # N=2 box product with P_2: all band differences are in {+-2, +-4, +-6},
+    # so the report names the first shift and pair
     bands = product_spec(BaseLattice.zd(1), build_named("path", [2]), ProductKind.CARTESIAN)
     report = floquet_condition_fraction(bands, 2)
-    assert report.max_fraction == 0.0
+    assert report == FloquetScanReport(N=2, max_fraction=0.0, worst_shift=(1,), worst_pair=(0, 0), flat_bands=())
 
 
 def test_scan_flat_band_forces_full_fraction():
@@ -175,6 +180,150 @@ def test_scan_triangular_base_runs():
     report = floquet_condition_fraction(bands, 6)
     assert 0.0 <= report.max_fraction <= 1.0
     assert len(report.worst_shift) == 2
+
+
+_RULES = {
+    ProductKind.CARTESIAN: lambda e0, mu: e0 + mu,
+    ProductKind.TENSOR: lambda e0, mu: mu * e0,
+    ProductKind.STRONG: lambda e0, mu: (1.0 + mu) * e0 + mu,
+}
+
+
+def _dense_grid(bands, N):
+    base = floquet.base_grid(bands.base, N)
+    return np.stack([_RULES[bands.rule](base, float(mu)) for mu in bands.spectrum.eigenvalues])
+
+
+def _dense_counts(bands, N, delta):
+    """Yield (shift, C[shift]) over every shift: all nu^2 pairs at every point."""
+    d = bands.base.d
+    nu = bands.nu
+    grid = _dense_grid(bands, N)
+    for shift in np.ndindex(*((N,) * d)):
+        rolled = np.roll(grid, tuple(-s for s in shift), axis=tuple(range(1, d + 1)))
+        close = np.abs(rolled[:, None] - grid[None, :]) < delta
+        yield shift, close.reshape(nu, nu, -1).sum(axis=2)
+
+
+def _dense_scan(bands, N, delta=DEFAULT_COLLISION_DELTA):
+    """Reference scan: one dense pass per nonzero shift, first maximum kept."""
+    best_count, best_shift, best_pair = -1, (), (0, 0)
+    for shift, counts in _dense_counts(bands, N, delta):
+        if not any(shift):
+            continue
+        s, w = np.unravel_index(int(np.argmax(counts)), counts.shape)
+        if counts[s, w] > best_count:
+            best_count = int(counts[s, w])
+            best_shift = tuple(int(x) for x in shift)
+            best_pair = (int(s), int(w))
+    return FloquetScanReport(
+        N=N,
+        max_fraction=best_count / N**bands.base.d,
+        worst_shift=best_shift,
+        worst_pair=best_pair,
+        flat_bands=tuple(flat_band_check(bands)),
+    )
+
+
+_SCAN_CASES = [
+    (BaseLattice.zd(1), "cycle", [5], ProductKind.CARTESIAN, 24),
+    (BaseLattice.zd(1), "star", [3], ProductKind.TENSOR, 16),
+    (BaseLattice.zd(1), "path", [3], ProductKind.STRONG, 20),
+    (BaseLattice.zd(2), "complete", [4], ProductKind.CARTESIAN, 8),
+    (BaseLattice.zd(2), "path", [3], ProductKind.TENSOR, 8),
+    (BaseLattice.zd(2), "cycle", [3], ProductKind.STRONG, 9),
+    (BaseLattice.zd(3), "cycle", [3], ProductKind.CARTESIAN, 4),
+    (BaseLattice.zd(3), "path", [2], ProductKind.TENSOR, 6),
+    (BaseLattice.zd(3), "star", [3], ProductKind.STRONG, 4),
+    (BaseLattice.triangular(), "cycle", [3], ProductKind.CARTESIAN, 9),
+    (BaseLattice.triangular(), "path", [3], ProductKind.TENSOR, 8),
+    (BaseLattice.triangular(), "star", [4], ProductKind.STRONG, 6),
+]
+
+
+@pytest.mark.parametrize("base,family,params,rule,N", _SCAN_CASES)
+def test_scan_matches_dense_reference(base, family, params, rule, N):
+    bands = product_spec(base, build_named(family, params), rule)
+    assert floquet_condition_fraction(bands, N) == _dense_scan(bands, N)
+
+
+def _occurring_gap(grid):
+    """A small positive difference between two band values of the grid."""
+    x = np.unique(grid)
+    gaps = np.diff(x)
+    return float(gaps[gaps > 1e-6].min())
+
+
+def _assert_counts_match(bands, N, delta):
+    nu, d = bands.nu, bands.base.d
+    got = floquet._collision_counts(_dense_grid(bands, N).reshape(nu, N**d), N, d, delta)
+    for shift, counts in _dense_counts(bands, N, delta):
+        if any(shift):  # shift 0 leaves out each point paired with itself
+            np.testing.assert_array_equal(got[shift], counts, err_msg=f"shift {shift}, delta {delta!r}")
+    assert floquet_condition_fraction(bands, N, delta) == _dense_scan(bands, N, delta)
+
+
+@pytest.mark.parametrize("base,family,params,rule,N", [_SCAN_CASES[0], _SCAN_CASES[5], _SCAN_CASES[9]])
+def test_scan_counts_exact_at_an_occurring_delta(base, family, params, rule, N):
+    # A width equal to a difference that occurs, and one ulp either side: the
+    # pairs at exactly that difference count only under the wider width.
+    bands = product_spec(base, build_named(family, params), rule)
+    gap = _occurring_gap(_dense_grid(bands, N))
+    for delta in (np.nextafter(gap, 0.0), gap, np.nextafter(gap, np.inf)):
+        _assert_counts_match(bands, N, delta)
+    wide = sum(c.sum() for _, c in _dense_counts(bands, N, np.nextafter(gap, np.inf)))
+    assert wide > sum(c.sum() for _, c in _dense_counts(bands, N, gap))
+
+
+@pytest.mark.parametrize("case", [0, 3, 6, 11])
+def test_scan_counts_exact_at_a_wide_delta(case):
+    # a width of 0.25 gives long runs of partners in the sweep, some of them
+    # ending at the largest value of the grid
+    base, family, params, rule, N = _SCAN_CASES[case]
+    _assert_counts_match(product_spec(base, build_named(family, params), rule), N, 0.25)
+
+
+def test_scan_early_exit_off_diagonal_pair():
+    # At N=2, E(theta + 1/2) = -E(theta), so the tensor bands -E and +E swap
+    # under the first shift and pair (0, 1) meets at every point.
+    bands = product_spec(BaseLattice.zd(1), build_named("path", [2]), ProductKind.TENSOR)
+    report = floquet_condition_fraction(bands, 2)
+    assert report == FloquetScanReport(N=2, max_fraction=1.0, worst_shift=(1,), worst_pair=(0, 1), flat_bands=())
+    assert report == _dense_scan(bands, 2)
+
+
+@pytest.mark.parametrize(
+    "base,family,params,rule,N,flat",
+    [
+        (BaseLattice.zd(2), "star", [3], ProductKind.TENSOR, 8, 1),
+        (BaseLattice.triangular(), "complete", [4], ProductKind.STRONG, 6, 0),
+    ],
+)
+def test_scan_flat_band_names_first_flat_index(base, family, params, rule, N, flat):
+    bands = product_spec(base, build_named(family, params), rule)
+    report = floquet_condition_fraction(bands, N)
+    assert report.flat_bands[0] == flat
+    assert report.worst_pair == (flat, flat)
+    assert report.worst_shift == (0,) * (base.d - 1) + (1,)
+    assert report == _dense_scan(bands, N)
+
+
+def test_scan_budget_rejects_before_allocating():
+    bands = product_spec(BaseLattice.zd(3), build_named("cycle", [3]), ProductKind.CARTESIAN)
+    assert 9 * 128**3 > SCAN_COUNT_BUDGET
+    with pytest.raises(ParameterError, match="budget"):
+        floquet_condition_fraction(bands, 128)
+    # a grid this size could not even be allocated, so the check came first
+    with pytest.raises(ParameterError, match="budget"):
+        floquet_condition_fraction(bands, 10**9)
+
+
+def test_scan_budget_boundary(monkeypatch):
+    bands = product_spec(BaseLattice.zd(2), build_named("path", [2]), ProductKind.CARTESIAN)
+    monkeypatch.setattr(floquet, "SCAN_COUNT_BUDGET", 4 * 8**2)
+    assert floquet_condition_fraction(bands, 8) == _dense_scan(bands, 8)
+    with pytest.raises(ParameterError):
+        floquet_condition_fraction(bands, 9)
 
 
 def test_general_density_line_is_trivial():
