@@ -14,7 +14,8 @@ distribution. The infinite-time average keeps the pairs inside each
 eigenvalue cluster, except that a cluster whose pairs cost more than one FFT
 of its own is projected on its own. The finite-horizon average keeps every
 pair, weighted by its phase average over [0, T]: dim^2 / 2 weights in
-memory linear in the states.
+memory linear in the states. Both take Delta from the torus offset rule of
+``floquet``, and the infinite-time average walks its pairs with floquet's.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .floquet import BaseLattice, base_grid
+from .floquet import BaseLattice, _run_pairs, _torus_offset, base_grid
 from .graphs import FiniteGraph, ParameterError
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
@@ -197,10 +198,11 @@ class TimeAveragedDistribution:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size != self.nu * self.N**self.d:
             raise ValueError("distribution length must equal nu * N^d")
-        if v.min() < 0.0:
-            raise NumericalError("distribution has negative entries")
+        # written so that NaN fails each check
+        if not v.min() >= 0.0:
+            raise NumericalError("distribution has negative or NaN entries")
         mass_err = abs(float(v.sum()) - 1.0)
-        if mass_err > _MASS_TOL:
+        if not mass_err <= _MASS_TOL:
             raise NumericalError(f"distribution mass deviates from 1 by {mass_err:.3e}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -213,7 +215,7 @@ class TimeAveragedDistribution:
 def _finalize_distribution(
     op: TorusOperator, start: tuple[tuple[int, ...], int], values: np.ndarray, horizon: float
 ) -> TimeAveragedDistribution:
-    if values.min() < -_REALNESS_TOL:
+    if not values.min() >= -_REALNESS_TOL:  # NaN fails too
         raise NumericalError(f"averaged distribution has negative mass {values.min():.3e}")
     return TimeAveragedDistribution(
         values=np.maximum(values, 0.0),
@@ -235,7 +237,7 @@ def _from_pair_grid(op: TorusOperator, cell: tuple[int, ...], grid: np.ndarray) 
     cells = op.N**op.d
     psi = np.fft.ifftn(grid, axes=axes)
     imag_err = float(np.abs(psi.imag).max()) / cells
-    if imag_err > _REALNESS_TOL:
+    if not imag_err <= _REALNESS_TOL:  # NaN fails too
         raise NumericalError(f"averaged distribution not real: residue {imag_err:.3e}")
     mu = np.roll(psi.real, cell, axis=axes).reshape(-1)
     mu /= cells
@@ -280,57 +282,26 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
     cell, p = start
     N, d, nu = op.N, op.d, op.nu
     cells = N**d
-    shape = op.grid_shape
     lam = op.eigenvalues.reshape(cells, nu)
-    coords = np.indices(shape).reshape(d, cells)
-    mirror = np.ravel_multi_index(-coords % N, shape)  # flat index of -Delta
-    half = np.nonzero(np.arange(cells) <= mirror)[0]
+    r = np.arange(cells)
+    mirror = _torus_offset(0, r, N, d)  # flat index of -Delta
+    half = np.nonzero(r <= mirror)[0]
     s = np.empty((half.size, nu, nu), dtype=complex)
     # blocks of offsets keep the (block, N^d, nu, nu) temporaries within max(8, nu) * dim entries
     block = max(1, 8 // nu)
     for lo in range(0, half.size, block):
         delta = half[lo : lo + block]
-        shifted = np.ravel_multi_index((coords[:, None, :] - coords[:, delta, None]) % N, shape)
+        shifted = _torus_offset(r, delta[:, None], N, d)
         x = horizon * (lam[:, :, None] - lam[shifted][:, :, None, :])  # T (lambda_alpha - lambda_beta)
         s[lo : lo + block] = _phi(x).sum(axis=1)
     w = op.spectrum.eigenvectors
     coef = w[p, :] * w  # coef[q, j] = w_j(p) w_j(q)
     grid = np.empty((cells, nu), dtype=complex)
     grid[half] = np.einsum("bjk,qj,qk->bq", s, coef, coef)
-    rest = np.nonzero(np.arange(cells) > mirror)[0]
+    rest = np.nonzero(r > mirror)[0]
     grid[rest] = grid[mirror[rest]].conj()
-    mu = _from_pair_grid(op, cell, grid.reshape(shape + (nu,)))
+    mu = _from_pair_grid(op, cell, grid.reshape(op.grid_shape + (nu,)))
     return _finalize_distribution(op, start, mu, horizon)
-
-
-def _pair_sums(op: TorusOperator, coef: np.ndarray, order: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Sum of coef[q, j_alpha] coef[q, j_beta] per Delta = r_alpha - r_beta mod N.
-
-    Covers every pair of sorted positions i < i + t < end[i], walking the
-    offset t up while the set of positions with partners that far out
-    shrinks. Returns the grid of shape (N,)*d + (nu,); the mirrored pairs
-    (beta, alpha) sit at -Delta and are left to the caller.
-    """
-    N, d, nu = op.N, op.d, op.nu
-    cells = N**d
-    grid = np.zeros(cells * nu)
-    lanes = np.arange(nu)[:, None]
-    active = np.nonzero(end - np.arange(op.dim) > 1)[0]
-    t = 1
-    while active.size:
-        # blocks of at most N^d positions keep the (nu, block) temporaries within dim
-        for lo in range(0, active.size, cells):
-            i = active[lo : lo + cells]
-            a, b = order[i], order[i + t]
-            delta = np.zeros(i.shape, dtype=np.int64)
-            for axis in range(d):
-                stride = N ** (d - 1 - axis) * nu
-                delta += (a // stride - b // stride) % N * stride
-            weights = coef[:, a % nu] * coef[:, b % nu]
-            np.add.at(grid, delta + lanes, weights)
-        t += 1
-        active = active[end[active] - active > t]
-    return grid.reshape(op.grid_shape + (nu,))
 
 
 def infinite_time_averaged(
@@ -348,7 +319,9 @@ def infinite_time_averaged(
     pair only adds c_alpha(q) c_beta(q) to a coefficient grid G[Delta, q] at
     Delta = r_alpha - r_beta mod N, and one inverse FFT of G over the cell
     axes gives the sum over all clusters: O(nu sum |C|^2 + dim log N) work.
-    A cluster whose nu |C|^2 pair terms exceed the N^d nu^2 + dim log2(dim)
+    The collision scan's pair walk, keeping partner i + t in the cluster of
+    i, and its offset rule give each pair once; its mirror fills -Delta. A
+    cluster whose nu |C|^2 pair terms exceed the N^d nu^2 + dim log2(dim)
     cost of projecting it on its own (a flat or highly degenerate band) is
     projected on its own instead.
     """
@@ -361,14 +334,20 @@ def infinite_time_averaged(
     ends = cluster_eigenvalues(lam[order], cluster_tol)
     sizes = np.diff(ends, prepend=0)
     alone = nu * sizes**2 > cells * nu**2 + dim * math.log2(dim)
-    # end of each sorted position's cluster, 0 where the cluster is projected alone
-    end = np.repeat(np.where(alone, 0, ends), sizes)
+    # sorted positions from each one to its cluster's end, <= 0 where the cluster is projected alone
+    span = np.repeat(np.where(alone, 0, ends), sizes) - np.arange(dim)
     w = op.spectrum.eigenvectors
     coef = w[p, :] * w  # coef[q, j] = w_j(p) w_j(q)
-    grid = _pair_sums(op, coef, order, end)
-    grid += grid[np.ix_(*[(-np.arange(N)) % N] * d)]
-    grid[(0,) * d] += coef**2 @ np.bincount(order[end > 0] % nu, minlength=nu)  # alpha = beta
-    mu = _from_pair_grid(op, cell, grid)
+    grid = np.zeros(dim)
+    lanes = np.arange(nu)[:, None]
+    # blocks of at most N^d positions keep the (nu, block) temporaries within dim
+    for i, t in _run_pairs(dim, cells, lambda i, t: span[i] > t):
+        a, b = order[i], order[i + t]
+        np.add.at(grid, _torus_offset(a, b, N, d, nu) + lanes, coef[:, a % nu] * coef[:, b % nu])
+    grid = grid.reshape(cells, nu)
+    grid += grid[_torus_offset(0, np.arange(cells), N, d)]
+    grid[0] += coef**2 @ np.bincount(order[span > 0] % nu, minlength=nu)  # alpha = beta
+    mu = _from_pair_grid(op, cell, grid.reshape(op.grid_shape + (nu,)))
     for lo, hi in zip(ends[alone] - sizes[alone], ends[alone]):
         weights = np.zeros(dim)
         weights[order[lo:hi]] = 1.0

@@ -10,12 +10,16 @@ grid approximation of the limiting density from per-point eigenprojections.
 The collision scan sorts the nu N^d band values once and walks each value's
 run of close successors, so it costs O(nu N^d log(nu N^d) + close pairs)
 instead of nu^2 N^2d tests, and holds one count per shift and band pair.
+Its sorted pair walk (``_run_pairs``) and torus offset rule
+(``_torus_offset``) also serve the time averages in ``dynamics``: the scan
+walks partner i + t while |x[i + t] - x[i]| < delta, the infinite-time
+average while i + t stays in the eigenvalue cluster of i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -266,6 +270,40 @@ def floquet_condition_fraction(
     )
 
 
+def _torus_offset(a: np.ndarray | int, b: np.ndarray, N: int, d: int, unit: int = 1) -> np.ndarray:
+    """Flat C-order index of (cell(a) - cell(b)) mod N per axis, times ``unit``.
+
+    a and b index (N,)*d cells of ``unit`` entries each; digits above the cell drop out.
+    """
+    stride = N ** (d - 1) * unit
+    m = (a // stride - b // stride) % N * stride
+    for _ in range(d - 1):
+        stride //= N
+        m += (a // stride - b // stride) % N * stride
+    return m
+
+
+def _run_pairs(n: int, block: int, within: Callable) -> Iterator[tuple[np.ndarray, int]]:
+    """Walk the pairs (i, i + t) of n sorted positions for which ``within(i, t)`` holds.
+
+    ``within`` must hold for a run of offsets t = 1, 2, ... at each position
+    and fail by i + t = n. For each t in turn, yields the ascending positions
+    that pass, tested ``block`` at a time, with t.
+    """
+    active = np.arange(n - 1)
+    t = 1
+    while active.size:
+        kept = 0
+        for lo in range(0, active.size, block):
+            i = active[lo : lo + block]
+            i = i[within(i, t)]
+            active[kept : kept + i.size] = i
+            kept += i.size
+            yield i, t
+        t += 1
+        active = active[:kept]
+
+
 def _collision_counts(grid: np.ndarray, N: int, d: int, delta: float) -> np.ndarray:
     """C[m, s, w] = #{r : |E_s(r + m) - E_w(r)| < delta} from one sorted sweep.
 
@@ -273,40 +311,23 @@ def _collision_counts(grid: np.ndarray, N: int, d: int, delta: float) -> np.ndar
     Returns C of shape (N,)*d + (nu, nu); at shift 0 no point is paired with
     itself. Counts fit int32 because they are at most N^d.
 
-    With the values sorted ascending, x[i + t] - x[i] rounds to a
-    nondecreasing function of t (rounding is monotone), so the partners of
-    position i that pass the test form a run t = 1, 2, ... ending at the
-    first miss, where i leaves the walk. Each hit, a pair of grid points
-    a = (s, r_a) after b = (w, r_b), counts at m = r_a - r_b; its mirror
-    (b, a) at -m is filled in at the end.
+    Sorted ascending, x[i + t] - x[i] rounds to a nondecreasing function of
+    t (rounding is monotone), so the hits of position i form the run that
+    ``_run_pairs`` walks. A hit a = (s, r_a) after b = (w, r_b) counts at
+    m = r_a - r_b; its mirror (b, a) at -m is filled in at the end.
     """
     nu, cells = grid.shape
     order = np.argsort(grid, axis=None, kind="stable")
-    x = grid.reshape(-1)[order]
-    counts = np.zeros(cells * nu * nu, dtype=np.int32)
-    active = np.arange(x.size - 1)
-    t = 1
-    while active.size:
-        kept = 0
-        # blocks of at most N^d positions keep each step's temporaries at N^d entries
-        for lo in range(0, active.size, cells):
-            i = active[lo : lo + cells]
-            i = i[np.abs(x[i + t] - x[i]) < delta]
-            active[kept : kept + i.size] = i
-            kept += i.size
-            a, b = order[i + t], order[i]
-            m = np.zeros(i.shape, dtype=np.int64)
-            for axis in range(d):
-                stride = N ** (d - 1 - axis)
-                m += (a // stride - b // stride) % N * stride
-            # an increment of the counts' own dtype keeps add.at on its fast path
-            np.add.at(counts, (m * nu + a // cells) * nu + b // cells, np.int32(1))
-        t += 1
-        active = active[:kept]
-        active = active[active < x.size - t]
-    counts = counts.reshape((N,) * d + (nu, nu))
-    counts += counts[np.ix_(*[(-np.arange(N)) % N] * d)].swapaxes(-1, -2)
-    return counts
+    x = np.append(grid.reshape(-1)[order], np.inf)  # the inf ends every run at the last position
+    counts = np.zeros((cells, nu, nu), dtype=np.int32)
+    flat = counts.reshape(-1)
+    # blocks of at most N^d positions keep each step's temporaries at N^d entries
+    for i, t in _run_pairs(order.size, cells, lambda i, t: np.abs(x[i + t] - x[i]) < delta):
+        a, b = order[i + t], order[i]
+        # an increment of the counts' own dtype keeps add.at on its fast path
+        np.add.at(flat, (_torus_offset(a, b, N, d) * nu + a // cells) * nu + b // cells, np.int32(1))
+    counts += counts[_torus_offset(0, np.arange(cells), N, d)].swapaxes(1, 2)
+    return counts.reshape((N,) * d + (nu, nu))
 
 
 @dataclass(frozen=True)
@@ -326,7 +347,7 @@ class GridDensityResult:
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("grid density must be square")
         row_err = np.abs(v.sum(axis=1) - 1.0).max()
-        if row_err > _GRID_ROW_SUM_TOL:
+        if not row_err <= _GRID_ROW_SUM_TOL:  # NaN fails too
             raise NumericalError(f"grid density rows do not sum to 1: deviation {row_err:.3e}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

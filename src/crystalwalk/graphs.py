@@ -8,6 +8,7 @@ to vertex q in the cell shifted by the integer vector n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -231,8 +232,8 @@ class PeriodicGraphSpec:
     ``offset_edges`` holds directed entries (p, q, n) meaning vertex p of a
     cell is adjacent to vertex q of the cell offset by n. The list must be
     closed under (p, q, n) <-> (q, p, -n); entries are deduplicated and kept
-    sorted. ``potential`` is an optional real on-site term, one value per
-    fundamental-domain vertex. Connectivity of the infinite graph is not
+    sorted. ``potential`` is an optional finite real on-site term, one value
+    per fundamental-domain vertex. Connectivity of the infinite graph is not
     checked here.
     """
 
@@ -273,6 +274,8 @@ class PeriodicGraphSpec:
             pot = tuple(float(x) for x in self.potential)
             if len(pot) != nu:
                 raise ParameterError("potential length must equal nu")
+            if not all(math.isfinite(x) for x in pot):
+                raise ParameterError("potential entries must be finite")
             object.__setattr__(self, "potential", pot)
 
 

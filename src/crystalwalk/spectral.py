@@ -10,11 +10,12 @@ ascending order, carried as the exclusive end of that run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import FiniteGraph
+from .graphs import FiniteGraph, ParameterError
 
 __all__ = [
     "DEFAULT_CLUSTER_TOL",
@@ -50,7 +51,12 @@ class EigenSolverError(NumericalError):
 
 
 def cluster_gap(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> float:
-    """Clustering gap tol * max(1, max|value|) of a nonempty array of eigenvalues."""
+    """Clustering gap tol * max(1, max|value|) of a nonempty array of eigenvalues.
+
+    Raises ParameterError unless tol is positive and finite.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"clustering tolerance must be positive and finite, got {tol!r}")
     return tol * max(1.0, float(np.abs(values).max()))
 
 
@@ -217,12 +223,13 @@ class DensityMatrix:
             raise ValueError("density must be square")
         if self.source not in ("numeric", "closed-form", "quadrature"):
             raise ValueError(f"unknown source {self.source!r}")
-        if np.abs(d - d.T).max() > _ROW_SUM_TOL:
+        # written so that NaN fails each check
+        if not np.abs(d - d.T).max() <= _ROW_SUM_TOL:
             raise NumericalError("density matrix not symmetric")
-        if d.min() < -1e-12 or d.max() > 1.0 + 1e-12:
+        if not (d.min() >= -1e-12 and d.max() <= 1.0 + 1e-12):
             raise NumericalError("density entries outside [0, 1]")
         row_err = np.abs(d.sum(axis=1) - 1.0).max()
-        if row_err > _ROW_SUM_TOL:
+        if not row_err <= _ROW_SUM_TOL:
             raise NumericalError(f"density rows do not sum to 1: deviation {row_err:.3e}")
         d.flags.writeable = False
         object.__setattr__(self, "values", d)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -139,6 +140,28 @@ def test_floquet_check_readme_examples_exact_bytes(capsys, argv, want):
     code, out, _ = run_cli(capsys, "floquet-check", "--family", "cycle", *argv)
     assert code == 0
     assert out == want
+
+
+@pytest.mark.parametrize(
+    "argv,digest,summary",
+    [
+        (
+            ("--family", "cycle", "--nu", "3", "--N", "64", "--T", "inf"),
+            "f28eccf59feaabd3a09393cb8b51e195673f2bc3032792d25948629ba6545d23",
+            "tv_to_prediction = 0.0302734375\n",
+        ),
+        (
+            ("--family", "path", "--nu", "2", "--N", "8", "--T", "1e4", "--start-cell", "3"),
+            "cb2d7be394546a7c4db5c2b515c157adf0c679210392830294111bc79447aa94",
+            "tv_to_prediction = 0.218749567895\n",
+        ),
+    ],
+)
+def test_simulate_readme_examples_exact_bytes(capsys, argv, digest, summary):
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == summary
 
 
 def test_floquet_check_rejects_scan_over_budget(capsys):
@@ -310,3 +333,21 @@ def test_module_entry_point_matches_in_process(capsys):
     )
     assert proc.returncode == 0
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--family", "cycle", "--nu", "4"),
+        ("density", "--periodic", "honeycomb", "--N", "4"),
+        ("floquet-check", "--family", "cycle", "--nu", "3", "--N", "8", "--product", "tensor"),
+        ("simulate", "--family", "cycle", "--nu", "3", "--N", "8", "--T", "inf"),
+        ("simulate", "--family", "cycle", "--nu", "3", "--N", "8", "--T", "10"),
+    ],
+)
+def test_invalid_tolerance_exits_2(capsys, argv, tol):
+    code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "tolerance" in err

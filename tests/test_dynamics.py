@@ -315,3 +315,27 @@ def test_total_variation():
     a = time_averaged(op, ((0,), 0), 5.0)
     b = infinite_time_averaged(op, ((0,), 0))
     assert 0.0 <= total_variation(a, b) <= 1.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_torus_rejects_invalid_cluster_tolerance(tol):
+    g = build_named("cycle", [3])
+    with pytest.raises(ParameterError, match="tolerance"):
+        build_torus(g, d=1, N=8, tol=tol)
+    with pytest.raises(ParameterError, match="tolerance"):
+        infinite_time_averaged(build_torus(g, d=1, N=8), ((0,), 0), cluster_tol=tol)
+
+
+def test_distribution_checks_fail_on_nan():
+    op = build_torus(build_named("path", [2]), d=1, N=4)
+    start = ((0,), 0)
+    values = np.full(op.dim, 1.0 / op.dim)
+    values[3] = np.nan
+    with pytest.raises(NumericalError):
+        dynamics.TimeAveragedDistribution(values=values, horizon=1.0, start=start, N=4, d=1, nu=2)
+    with pytest.raises(NumericalError, match="negative"):
+        dynamics._finalize_distribution(op, start, values, 1.0)
+    grid = np.ones((4, 2), dtype=complex)
+    grid[1, 0] = complex(0.0, np.nan)
+    with pytest.raises(NumericalError, match="not real"):
+        dynamics._from_pair_grid(op, (0,), grid)

@@ -8,6 +8,7 @@ from crystalwalk import (
     SCAN_COUNT_BUDGET,
     BaseLattice,
     FloquetScanReport,
+    NumericalError,
     ParameterError,
     ProductKind,
     base_band,
@@ -388,3 +389,89 @@ def test_band_continuity_on_grid():
         cur = np.linalg.eigvalsh(build_floquet_matrix(spec, (r / n, 0.0)))
         assert np.abs(cur - prev).max() <= bound + 1e-12
         prev = cur
+
+
+def test_general_density_rejects_invalid_tolerance():
+    for tol in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ParameterError, match="tolerance"):
+            general_density(honeycomb_spec(), 4, tol=tol)
+        with pytest.raises(ParameterError, match="tolerance"):
+            product_spec(BaseLattice.zd(1), build_named("cycle", [3]), ProductKind.TENSOR, tol=tol)
+
+
+def test_grid_density_rejects_nan():
+    with pytest.raises(NumericalError):
+        floquet.GridDensityResult(values=np.full((2, 2), np.nan), N=4)
+    with pytest.raises(NumericalError):
+        floquet.GridDensityResult(values=np.array([[np.nan, 0.0], [0.0, 1.0]]), N=4)
+
+
+def _walked_pairs(n, block, within):
+    """(t, i) of every pair the walk yields, in the order it yields them."""
+    steps = []
+    for i, t in floquet._run_pairs(n, block, within):
+        assert i.size <= block
+        steps += [(t, int(k)) for k in i]
+    return steps
+
+
+def _assert_walk_matches(n, within, brute):
+    # brute: every pair (i, j), i < j, that the walk must visit
+    want = sorted((j - i, i) for i, j in brute)
+    for block in (1, 3, max(n, 1)):
+        got = _walked_pairs(n, block, within)
+        assert got == want, f"block {block}"  # each pair once, by offset, then by position
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_run_pairs_covers_each_cluster_pair_once(seed):
+    # the infinite average's rule: pairs inside runs of a partition, where
+    # runs marked alone (end 0) are left out
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 7, size=rng.integers(1, 12))
+    alone = rng.random(sizes.size) < 0.3
+    ends = np.cumsum(sizes)
+    n = int(ends[-1])
+    span = np.repeat(np.where(alone, 0, ends), sizes) - np.arange(n)
+    brute = [
+        (i, j)
+        for lo, hi, skip in zip(ends - sizes, ends, alone)
+        if not skip
+        for i in range(lo, hi)
+        for j in range(i + 1, hi)
+    ]
+    _assert_walk_matches(n, lambda i, t: span[i] > t, brute)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.5])
+def test_run_pairs_covers_each_close_pair_once(seed, delta):
+    # the scan's rule on sorted values with ties: delta 1.0 pairs only equal
+    # values, as 1 apart does not count
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 30))
+    x = np.append(np.sort(rng.integers(0, 8, n)).astype(float), np.inf)
+    brute = [(i, j) for i in range(n) for j in range(i + 1, n) if abs(x[j] - x[i]) < delta]
+    _assert_walk_matches(n, lambda i, t: np.abs(x[i + t] - x[i]) < delta, brute)
+
+
+@pytest.mark.parametrize("d,N", [(1, 7), (2, 5), (3, 4)])
+def test_torus_offset_matches_unravelled_difference(d, N):
+    rng = np.random.default_rng(d)
+    shape = (N,) * d
+    cells = N**d
+
+    def want(ra, rb):
+        diff = np.array(np.unravel_index(ra, shape)) - np.array(np.unravel_index(rb, shape))
+        return np.ravel_multi_index(tuple(diff % N), shape)
+
+    # band-major index s * N^d + r: the band digit above the cell drops out
+    a, b = rng.integers(0, 3 * cells, (2, 200))
+    np.testing.assert_array_equal(floquet._torus_offset(a, b, N, d), want(a % cells, b % cells))
+    # cell-major index r * nu + j with a unit of nu
+    nu = 3
+    got = floquet._torus_offset(a, b, N, d, nu)
+    np.testing.assert_array_equal(got, want(a // nu % cells, b // nu % cells) * nu)
+    # a = 0 gives -r
+    r = np.arange(cells)
+    np.testing.assert_array_equal(floquet._torus_offset(0, r, N, d), want(np.zeros_like(r), r))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,11 @@ def test_honeycomb_spec_shape():
     assert len(spec.offset_edges) == 6
     offs = {off for p, q, off in spec.offset_edges if p == 0}
     assert offs == {(0, 0), (-1, 0), (0, -1)}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_periodic_spec_rejects_non_finite_potential(value):
+    with pytest.raises(ParameterError, match="finite"):
+        PeriodicGraphSpec(
+            d=1, nu=1, offset_edges=((0, 0, (1,)), (0, 0, (-1,))), potential=(value,)
+        )

@@ -18,7 +18,7 @@ from crystalwalk import (
     limiting_density,
     projection_kernels,
 )
-from crystalwalk.spectral import cluster_gap, squared_projection_sum
+from crystalwalk.spectral import DensityMatrix, cluster_gap, squared_projection_sum
 
 
 def random_graph_text(rng, max_nu=32):
@@ -382,3 +382,22 @@ def test_analytic_spectrum_rejects_unknown():
 
 def test_numerical_error_hierarchy():
     assert issubclass(EigenSolverError, NumericalError)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_invalid_cluster_tolerance_is_rejected(tol):
+    with pytest.raises(ParameterError, match="tolerance"):
+        cluster_gap(np.array([0.0, 1.0]), tol)
+    with pytest.raises(ParameterError, match="tolerance"):
+        cluster_eigenvalues(np.array([-2.0, 0.0, 0.0, 2.0]), tol)
+    with pytest.raises(ParameterError, match="tolerance"):
+        limiting_density(build_named("cycle", [4]), tol)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.full((2, 2), np.nan), np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[0.5, 0.5], [0.5, np.nan]])],
+)
+def test_density_matrix_rejects_nan(values):
+    with pytest.raises(NumericalError):
+        DensityMatrix(values=values, source="numeric")
