@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import FiniteGraph, ParameterError
-from .spectral import NumericalError
+from .spectral import _within
 
 __all__ = [
     "WalkReport",
@@ -39,9 +39,7 @@ def stationary_distribution(graph: FiniteGraph) -> np.ndarray:
     p = transition_matrix(graph)
     deg = graph.degrees()
     pi = deg / deg.sum()
-    err = np.abs(pi @ p - pi).max()
-    if err > _STATIONARY_TOL:
-        raise NumericalError(f"stationarity check failed: deviation {err:.3e}")
+    _within(np.abs(pi @ p - pi).max(), _STATIONARY_TOL, "stationarity check failed")
     return pi
 
 

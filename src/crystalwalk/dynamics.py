@@ -30,8 +30,8 @@ from .floquet import BaseLattice, _run_pairs, _torus_offset, base_grid
 from .graphs import FiniteGraph, ParameterError
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
-    NumericalError,
     SpectralDecomposition,
+    _within,
     cluster_eigenvalues,
     density_from_decomposition,
     eigendecompose_symmetric,
@@ -159,8 +159,7 @@ def evolve(op: TorusOperator, start: Start, t: float) -> np.ndarray:
     start = _normalize_start(op, start)
     psi = _assemble(op, start, np.exp(1j * t * op.eigenvalues))
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise NumericalError(f"evolution lost unitarity: norm {norm:.12g}")
+    _within(abs(norm - 1.0), _NORM_TOL, "evolution lost unitarity")
     return psi
 
 
@@ -198,12 +197,8 @@ class TimeAveragedDistribution:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size != self.nu * self.N**self.d:
             raise ValueError("distribution length must equal nu * N^d")
-        # written so that NaN fails each check
-        if not v.min() >= 0.0:
-            raise NumericalError("distribution has negative or NaN entries")
-        mass_err = abs(float(v.sum()) - 1.0)
-        if not mass_err <= _MASS_TOL:
-            raise NumericalError(f"distribution mass deviates from 1 by {mass_err:.3e}")
+        _within(-v.min(), 0.0, "distribution has negative entries")
+        _within(abs(float(v.sum()) - 1.0), _MASS_TOL, "distribution mass deviates from 1")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -215,8 +210,7 @@ class TimeAveragedDistribution:
 def _finalize_distribution(
     op: TorusOperator, start: tuple[tuple[int, ...], int], values: np.ndarray, horizon: float
 ) -> TimeAveragedDistribution:
-    if not values.min() >= -_REALNESS_TOL:  # NaN fails too
-        raise NumericalError(f"averaged distribution has negative mass {values.min():.3e}")
+    _within(-values.min(), _REALNESS_TOL, "averaged distribution has negative mass")
     return TimeAveragedDistribution(
         values=np.maximum(values, 0.0),
         horizon=horizon,
@@ -236,9 +230,7 @@ def _from_pair_grid(op: TorusOperator, cell: tuple[int, ...], grid: np.ndarray) 
     axes = tuple(range(op.d))
     cells = op.N**op.d
     psi = np.fft.ifftn(grid, axes=axes)
-    imag_err = float(np.abs(psi.imag).max()) / cells
-    if not imag_err <= _REALNESS_TOL:  # NaN fails too
-        raise NumericalError(f"averaged distribution not real: residue {imag_err:.3e}")
+    _within(float(np.abs(psi.imag).max()) / cells, _REALNESS_TOL, "averaged distribution not real")
     mu = np.roll(psi.real, cell, axis=axes).reshape(-1)
     mu /= cells
     return mu

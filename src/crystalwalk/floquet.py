@@ -28,8 +28,8 @@ from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DensityMatrix,
     EigenSolverError,
-    NumericalError,
     SpectralDecomposition,
+    _within,
     cluster_eigenvalues,
     cluster_gap,
     eigendecompose_symmetric,
@@ -115,8 +115,7 @@ def build_floquet_matrix(spec: PeriodicGraphSpec, theta: float | Sequence[float]
     for p, q, off in spec.offset_edges:
         h[p, q] += np.exp(2j * np.pi * float(np.dot(th, off)))
     h[np.diag_indices(spec.nu)] += np.asarray(spec.potential, dtype=float)
-    if np.abs(h - h.conj().T).max() > _HERMITICITY_TOL:
-        raise NumericalError("fiber matrix is not Hermitian")
+    _within(np.abs(h - h.conj().T).max(), _HERMITICITY_TOL, "fiber matrix is not Hermitian")
     return h
 
 
@@ -347,8 +346,7 @@ class GridDensityResult:
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("grid density must be square")
         row_err = np.abs(v.sum(axis=1) - 1.0).max()
-        if not row_err <= _GRID_ROW_SUM_TOL:  # NaN fails too
-            raise NumericalError(f"grid density rows do not sum to 1: deviation {row_err:.3e}")
+        _within(row_err, _GRID_ROW_SUM_TOL, "grid density rows do not sum to 1")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "N", int(self.N))

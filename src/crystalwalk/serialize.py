@@ -1,8 +1,10 @@
 """Deterministic JSON and CSV emitters with fixed float formatting.
 
 Machine-facing JSON carries 17 significant digits (round-trip exact for
-float64); human-facing tables carry 12. Formatting goes through one helper
-so identical inputs always produce identical bytes.
+float64); human-facing tables carry 12. JSON float lists go through
+``_float_list`` and every CSV table through ``_table``; each fills one
+%-template with ``%.<digits>g``, which is what ``format_float`` prints, so
+identical inputs always produce identical bytes.
 """
 
 from __future__ import annotations
@@ -37,25 +39,30 @@ def format_float(x: float, digits: int = JSON_DIGITS) -> str:
     return "%.*g" % (digits, float(x))
 
 
-def _float_list(values: Iterable[float], digits: int) -> str:
-    # one %-format for the whole list prints each value as format_float does
+def _float_list(values: Iterable[float]) -> str:
     values = tuple(np.asarray(values, dtype=float).tolist())
-    return ("[" + ",".join([f"%.{digits}g"] * len(values)) + "]") % values
+    return ("[" + ",".join([f"%.{JSON_DIGITS}g"] * len(values)) + "]") % values
+
+
+def _table(header: str, keys: Iterable[str], *columns: np.ndarray) -> str:
+    """CSV text: the header, then one line ``key,columns[0][i],columns[1][i],...`` per key i."""
+    row = f",%.{TABLE_DIGITS}g" * len(columns) + "\n"
+    # keys are escaped because labels are arbitrary strings
+    template = "%s\n" + "".join(key.replace("%", "%%") + row for key in keys)
+    return template % (header, *np.column_stack(columns).reshape(-1).tolist())
 
 
 def density_json(density: DensityMatrix) -> str:
     """JSON object {"nu", "source", "d"} with the matrix in row-major order."""
-    rows = ",".join(_float_list(row, JSON_DIGITS) for row in density.values)
+    rows = ",".join(_float_list(row) for row in density.values)
     return f'{{"nu":{density.nu},"source":"{density.source}","d":[{rows}]}}\n'
 
 
 def density_csv(values: np.ndarray, labels: Sequence[str]) -> str:
     """Entrywise density table with header p,q,d in display labeling."""
-    lines = ["p,q,d"]
-    for p, row in enumerate(np.asarray(values)):
-        for q, v in enumerate(row):
-            lines.append(f"{labels[p]},{labels[q]},{format_float(v, TABLE_DIGITS)}")
-    return "\n".join(lines) + "\n"
+    n = len(values)
+    keys = (f"{labels[p]},{labels[q]}" for p in range(n) for q in range(n))
+    return _table("p,q,d", keys, np.asarray(values).reshape(-1))
 
 
 def scan_report_json(report: FloquetScanReport) -> str:
@@ -73,25 +80,19 @@ def scan_report_json(report: FloquetScanReport) -> str:
 
 def distribution_csv(dist: TimeAveragedDistribution) -> str:
     """Per-site masses with one cell coordinate column per torus axis."""
-    lines = [",".join(f"cell_{i}" for i in range(dist.d)) + ",q,mass"]
-    values = iter(dist.values.tolist())
-    columns = [f",{q}," for q in range(dist.nu)]
-    for cell in itertools.product(range(dist.N), repeat=dist.d):
-        prefix = ",".join(map(str, cell))
-        # zip exhausts columns first, so each cell takes exactly nu values
-        lines.extend(prefix + c + format_float(v, TABLE_DIGITS) for c, v in zip(columns, values))
-    del values  # the join needs room for the whole text: drop the float list first
-    lines.append("")
-    return "\n".join(lines)
+    header = ",".join(f"cell_{i}" for i in range(dist.d)) + ",q,mass"
+    cells = map(",".join, itertools.product([str(k) for k in range(dist.N)], repeat=dist.d))
+    sites = [f",{q}" for q in range(dist.nu)]
+    return _table(header, (cell + q for cell in cells for q in sites), dist.values)
 
 
 def walk_report_json(report: WalkReport) -> str:
     parts = [
-        f'"stationary":{_float_list(report.stationary, JSON_DIGITS)}',
+        f'"stationary":{_float_list(report.stationary)}',
         f'"bipartite":{"true" if report.bipartite else "false"}',
     ]
     if report.iterates is not None:
-        iterates = ",".join(_float_list(it, JSON_DIGITS) for it in report.iterates)
+        iterates = ",".join(_float_list(it) for it in report.iterates)
         parts.append(f'"iterates":[{iterates}]')
     return "{" + ",".join(parts) + "}\n"
 
@@ -102,12 +103,5 @@ def comparison_csv(
     stationary: np.ndarray,
 ) -> str:
     """Side-by-side quantum limiting row vs classical stationary law."""
-    nu = len(labels)
-    lines = ["q,quantum_density,classical_stationary,uniform"]
-    uniform = 1.0 / nu
-    for q in range(nu):
-        lines.append(
-            f"{labels[q]},{format_float(quantum_row[q], TABLE_DIGITS)},"
-            f"{format_float(stationary[q], TABLE_DIGITS)},{format_float(uniform, TABLE_DIGITS)}"
-        )
-    return "\n".join(lines) + "\n"
+    header = "q,quantum_density,classical_stationary,uniform"
+    return _table(header, labels, quantum_row, stationary, np.full(len(labels), 1.0 / len(labels)))

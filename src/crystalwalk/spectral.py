@@ -50,14 +50,23 @@ class EigenSolverError(NumericalError):
     """Eigendecomposition failed or did not reproduce the input matrix."""
 
 
+def _within(err: float, tol: float, what: str, error: type[Exception] = NumericalError) -> None:
+    """Raise ``error`` unless the residual ``err`` is at most ``tol``; NaN fails.
+
+    Every tolerance contract in the package is checked here.
+    """
+    if not err <= tol:
+        raise error(f"{what}: deviation {err:.3e}")
+
+
 def cluster_gap(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> float:
-    """Clustering gap tol * max(1, max|value|) of a nonempty array of eigenvalues.
+    """Clustering gap tol * max(1, max|value|) of an array of eigenvalues.
 
     Raises ParameterError unless tol is positive and finite.
     """
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"clustering tolerance must be positive and finite, got {tol!r}")
-    return tol * max(1.0, float(np.abs(values).max()))
+    return tol * max(1.0, float(np.abs(values).max(initial=0.0)))
 
 
 def cluster_eigenvalues(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
@@ -71,12 +80,13 @@ def cluster_eigenvalues(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) ->
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    if values.size == 0:
-        return np.zeros(0, dtype=np.intp)
     step = values[1:] - values[:-1]  # np.diff and np.any cost more per Bloch fiber
     if (step < 0).any():
         raise ValueError("values must be ascending")
-    return np.append(np.nonzero(step > cluster_gap(values, tol))[0] + 1, values.size)
+    gap = cluster_gap(values, tol)  # before the empty return, so tol is checked there too
+    if values.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    return np.append(np.nonzero(step > gap)[0] + 1, values.size)
 
 
 @dataclass(frozen=True)
@@ -134,8 +144,7 @@ class SpectralDecomposition:
         """Check orthonormality of the eigenvector columns."""
         v = self.eigenvectors
         err = np.abs(v.T @ v - np.eye(self.nu)).max()
-        if err > _ORTHONORMALITY_TOL:
-            raise NumericalError(f"eigenvectors not orthonormal: deviation {err:.3e}")
+        _within(err, _ORTHONORMALITY_TOL, "eigenvectors not orthonormal")
 
 
 def eigendecompose_symmetric(
@@ -150,16 +159,16 @@ def eigendecompose_symmetric(
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if m.size and np.abs(m - m.T).max() > _SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric")
+    if m.size:
+        _within(np.abs(m - m.T).max(), _SYMMETRY_TOL, "matrix is not symmetric", ValueError)
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
     scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
     recon = np.abs(m - (vecs * vals) @ vecs.T).max()
-    if recon > _RECONSTRUCTION_REL * scale:
-        raise EigenSolverError(f"decomposition does not reconstruct input: error {recon:.3e}")
+    _within(recon, _RECONSTRUCTION_REL * scale, "decomposition does not reconstruct input",
+            EigenSolverError)
     dec = SpectralDecomposition(
         eigenvalues=vals, eigenvectors=vecs, ends=cluster_eigenvalues(vals, tol)
     )
@@ -177,14 +186,9 @@ class ProjectionKernel:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.matrix, dtype=float)
-        err_idem = np.abs(p @ p - p).max()
-        if err_idem > _ORTHONORMALITY_TOL:
-            raise NumericalError(f"projection not idempotent: deviation {err_idem:.3e}")
-        tr = float(np.trace(p))
-        if abs(tr - self.multiplicity) > 1e-8:
-            raise NumericalError(
-                f"projection trace {tr:.12g} does not match multiplicity {self.multiplicity}"
-            )
+        _within(np.abs(p @ p - p).max(), _ORTHONORMALITY_TOL, "projection not idempotent")
+        err = abs(float(np.trace(p)) - self.multiplicity)
+        _within(err, 1e-8, "projection trace does not match multiplicity")
         p.flags.writeable = False
         object.__setattr__(self, "matrix", p)
 
@@ -200,8 +204,7 @@ def projection_kernels(dec: SpectralDecomposition) -> list[ProjectionKernel]:
         total += p
         kernels.append(ProjectionKernel(matrix=p, eigenvalue=float(value), multiplicity=len(group)))
     err = np.abs(total - np.eye(dec.nu)).max()
-    if err > _COMPLETENESS_TOL:
-        raise NumericalError(f"projections do not sum to identity: deviation {err:.3e}")
+    _within(err, _COMPLETENESS_TOL, "projections do not sum to identity")
     return kernels
 
 
@@ -223,14 +226,11 @@ class DensityMatrix:
             raise ValueError("density must be square")
         if self.source not in ("numeric", "closed-form", "quadrature"):
             raise ValueError(f"unknown source {self.source!r}")
-        # written so that NaN fails each check
-        if not np.abs(d - d.T).max() <= _ROW_SUM_TOL:
-            raise NumericalError("density matrix not symmetric")
-        if not (d.min() >= -1e-12 and d.max() <= 1.0 + 1e-12):
-            raise NumericalError("density entries outside [0, 1]")
-        row_err = np.abs(d.sum(axis=1) - 1.0).max()
-        if not row_err <= _ROW_SUM_TOL:
-            raise NumericalError(f"density rows do not sum to 1: deviation {row_err:.3e}")
+        _within(np.abs(d - d.T).max(), _ROW_SUM_TOL, "density matrix not symmetric")
+        # each side exactly as d.min() >= -1e-12 and d.max() <= 1 + 1e-12
+        outside = np.maximum(-1e-12 - d.min(), d.max() - (1.0 + 1e-12))
+        _within(outside, 0.0, "density entries outside [0, 1]")
+        _within(np.abs(d.sum(axis=1) - 1.0).max(), _ROW_SUM_TOL, "density rows do not sum to 1")
         d.flags.writeable = False
         object.__setattr__(self, "values", d)
 

@@ -164,6 +164,34 @@ def test_simulate_readme_examples_exact_bytes(capsys, argv, digest, summary):
     assert err == summary
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("density", "--family", "cycle", "--nu", "5", "--csv"),
+            "59253710342b67a32d165e7b83d5fd0a2a3d311a07c97464e0666aa73ecb6e91",
+        ),
+        (
+            ("density", "--periodic", "honeycomb", "--N", "12", "--csv"),
+            "326696d2fa1187bd17cd7b833ea06e563611d66a0dff0f8034a6d4b2f0243a19",
+        ),
+        (
+            ("closed-form", "--family", "hypercube", "--m", "4"),
+            "a2661930094d4582fe7cf337c31feeb58404f73d1e0584cab33fd292292b62f7",
+        ),
+        (
+            ("compare", "--family", "petersen"),
+            "32233f74dd2b02020d3e1b58a7bbccabc7b58bdea8c4a23beca0a181985a1f26",
+        ),
+    ],
+)
+def test_csv_tables_exact_bytes(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_floquet_check_rejects_scan_over_budget(capsys):
     code, out, err = run_cli(
         capsys, "floquet-check", "--family", "cycle", "--nu", "3", "--d", "3", "--N", "128"

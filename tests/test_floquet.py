@@ -73,6 +73,11 @@ def test_floquet_matrix_honeycomb():
     assert abs(h[0, 1]) <= 1e-12
 
 
+def test_floquet_matrix_rejects_nan():
+    with pytest.raises(NumericalError, match="Hermitian"):
+        build_floquet_matrix(honeycomb_spec(), (math.nan, 0.0))
+
+
 def test_floquet_matrix_with_potential():
     g = build_named("path", [2])
     spec = zd_product_spec(g, d=1, potential=(0.5, -0.25))

@@ -80,6 +80,19 @@ def test_density_csv_table():
     assert "0,2,0.16" in lines
 
 
+def test_tables_keep_percent_signs_in_labels():
+    labels = ("a%sb", "100%")
+    values = np.array([[0.75, 0.25], [0.25, 0.75]])
+    assert density_csv(values, labels) == (
+        "p,q,d\na%sb,a%sb,0.75\na%sb,100%,0.25\n100%,a%sb,0.25\n100%,100%,0.75\n"
+    )
+    text = comparison_csv(labels, np.array([1 / 3, 2 / 3]), np.array([0.5, 0.5]))
+    assert text == (
+        "q,quantum_density,classical_stationary,uniform\n"
+        "a%sb,0.333333333333,0.5,0.5\n100%,0.666666666667,0.5,0.5\n"
+    )
+
+
 def test_scan_report_json():
     bands = product_spec(BaseLattice.zd(1), build_named("cycle", [3]), ProductKind.CARTESIAN)
     report = floquet_condition_fraction(bands, 16)

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import crystalwalk
 from crystalwalk import (
     BandStructure,
     BaseLattice,
@@ -8,6 +12,7 @@ from crystalwalk import (
     NumericalError,
     ParameterError,
     ProductKind,
+    ProjectionKernel,
     SpectralDecomposition,
     build_named,
     cluster_eigenvalues,
@@ -18,7 +23,7 @@ from crystalwalk import (
     limiting_density,
     projection_kernels,
 )
-from crystalwalk.spectral import DensityMatrix, cluster_gap, squared_projection_sum
+from crystalwalk.spectral import DensityMatrix, _within, cluster_gap, squared_projection_sum
 
 
 def random_graph_text(rng, max_nu=32):
@@ -118,6 +123,28 @@ def test_eigendecompose_rejects_bad_input():
         eigendecompose_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         eigendecompose_symmetric(np.zeros((2, 3)))
+
+
+def test_eigendecompose_rejects_nan(monkeypatch):
+    with pytest.raises(ValueError, match="symmetric"):
+        eigendecompose_symmetric(np.array([[np.nan]]))
+    # a solver returning NaN must fail the reconstruction check
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([np.nan]), np.eye(1)))
+    with pytest.raises(EigenSolverError, match="reconstruct"):
+        eigendecompose_symmetric(np.array([[1.0]]))
+
+
+def test_validate_rejects_nan():
+    dec = SpectralDecomposition(
+        eigenvalues=np.zeros(2), eigenvectors=np.array([[1.0, 0.0], [0.0, np.nan]]), ends=np.array([2])
+    )
+    with pytest.raises(NumericalError, match="orthonormal"):
+        dec.validate()
+
+
+def test_projection_kernel_rejects_nan():
+    with pytest.raises(NumericalError):
+        ProjectionKernel(matrix=np.array([[np.nan]]), eigenvalue=0.0, multiplicity=1)
 
 
 def test_eigendecompose_reconstructs_random_matrices():
@@ -391,6 +418,8 @@ def test_invalid_cluster_tolerance_is_rejected(tol):
     with pytest.raises(ParameterError, match="tolerance"):
         cluster_eigenvalues(np.array([-2.0, 0.0, 0.0, 2.0]), tol)
     with pytest.raises(ParameterError, match="tolerance"):
+        cluster_eigenvalues(np.zeros(0), tol)
+    with pytest.raises(ParameterError, match="tolerance"):
         limiting_density(build_named("cycle", [4]), tol)
 
 
@@ -401,3 +430,60 @@ def test_invalid_cluster_tolerance_is_rejected(tol):
 def test_density_matrix_rejects_nan(values):
     with pytest.raises(NumericalError):
         DensityMatrix(values=values, source="numeric")
+
+
+def test_empty_spectrum_clusters_to_nothing():
+    assert cluster_gap(np.zeros(0), 1e-8) == 1e-8
+    assert cluster_eigenvalues(np.zeros(0)).tolist() == []
+
+
+def test_within_is_at_most_and_fails_on_nan():
+    tol = 1e-10
+    _within(tol, tol, "residual")
+    _within(np.float64(0.0), tol, "residual")
+    _within(-1.0, 0.0, "residual")
+    for err in (np.nan, np.float64(np.nan), np.inf, np.nextafter(tol, np.inf)):
+        with pytest.raises(NumericalError, match="^residual: deviation "):
+            _within(err, tol, "residual")
+    with pytest.raises(EigenSolverError, match="^residual: deviation 2.000e-10$"):
+        _within(2e-10, tol, "residual", EigenSolverError)
+
+
+def _checks_outside_within(tree):
+    """Residual comparisons and NumericalError raises outside spectral._within.
+
+    Returns (offending line numbers, raises inside ``except LinAlgError``).
+    """
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_within":
+            allowed.update(map(id, ast.walk(node)))
+    translations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and "LinAlgError" in ast.unparse(node.type):
+            translations += [n for n in ast.walk(node) if isinstance(n, ast.Raise)]
+    allowed.update(map(id, translations))
+    bad = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            if getattr(node.exc.func, "id", None) in ("NumericalError", "EigenSolverError"):
+                bad.append(node.lineno)
+        if isinstance(node, ast.Compare):
+            names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name)]
+            if any(n.startswith("_") and n.endswith(("_TOL", "_REL")) for n in names):
+                bad.append(node.lineno)
+    return bad, len(translations)
+
+
+def test_every_tolerance_check_goes_through_within():
+    src = Path(crystalwalk.__file__).parent
+    bad, translations = {}, 0
+    for path in sorted(src.glob("*.py")):
+        lines, n = _checks_outside_within(ast.parse(path.read_text()))
+        translations += n
+        if lines:
+            bad[path.name] = lines
+    assert bad == {}
+    assert translations == 2  # the eigh failures in spectral and floquet, which are not residuals
