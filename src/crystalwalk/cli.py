@@ -47,6 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, help="hypercube dimension, or first part of complete_bipartite")
         p.add_argument("--n", type=int, help="second part of complete_bipartite")
 
+    def add_tol(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--tol", type=float, default=spectral.DEFAULT_CLUSTER_TOL,
+                       help="eigenvalue clustering tolerance (default 1e-8)")
+
     def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
 
@@ -55,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge-list", metavar="FILE", help="read the graph from an edge-list file")
     p.add_argument("--periodic", choices=["honeycomb"], help="grid quadrature for a built-in periodic graph")
     p.add_argument("--N", type=int, default=64, help="grid points per axis for --periodic (default 64)")
-    p.add_argument("--tol", type=float, default=spectral.DEFAULT_CLUSTER_TOL,
-                   help="eigenvalue clustering tolerance (default 1e-8)")
+    add_tol(p)
     p.add_argument("--csv", action="store_true", help="emit a p,q,d table instead of JSON")
     add_output(p)
 
@@ -74,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=64, help="grid points per axis (default 64)")
     p.add_argument("--delta", type=float, default=floquet.DEFAULT_COLLISION_DELTA,
                    help="collision width (default 1e-9)")
-    p.add_argument("--tol", type=float, default=spectral.DEFAULT_CLUSTER_TOL,
-                   help="eigenvalue clustering tolerance (default 1e-8)")
+    add_tol(p)
     add_output(p)
 
     p = sub.add_parser("simulate", help="time-averaged walk on a torus product")
@@ -87,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-cell", type=int, nargs="*", default=None,
                    help="start cell coordinates (default origin)")
     p.add_argument("--start-p", type=int, default=0, help="start vertex in the cell (default 0)")
-    p.add_argument("--tol", type=float, default=spectral.DEFAULT_CLUSTER_TOL,
-                   help="eigenvalue clustering tolerance (default 1e-8)")
+    add_tol(p)
     add_output(p)
 
     p = sub.add_parser("classical", help="classical random-walk report")
@@ -103,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_family(p)
     p.add_argument("--edge-list", metavar="FILE", help="read the graph from an edge-list file")
     p.add_argument("--start-p", type=int, default=0, help="quantum start vertex (default 0)")
-    p.add_argument("--tol", type=float, default=spectral.DEFAULT_CLUSTER_TOL,
-                   help="eigenvalue clustering tolerance (default 1e-8)")
+    add_tol(p)
     add_output(p)
 
     return parser
@@ -183,7 +183,7 @@ def _cmd_floquet_check(args: argparse.Namespace) -> int:
     base = floquet.BaseLattice.triangular() if args.base == "triangular" else floquet.BaseLattice.zd(args.d)
     graph = build_named(*_family_params(args))
     bands = floquet.product_spec(base, graph, _PRODUCTS[args.product], tol=args.tol)
-    report = floquet.floquet_condition_fraction(bands, args.N, delta=args.delta)
+    report = floquet.floquet_condition_fraction(bands, args.N, delta=args.delta, tol=args.tol)
     _emit(serialize.scan_report_json(report), args.output)
     return 0
 

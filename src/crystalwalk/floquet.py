@@ -221,14 +221,15 @@ class FloquetScanReport:
 
 
 def floquet_condition_fraction(
-    bands: BandStructure, N: int, delta: float = DEFAULT_COLLISION_DELTA
+    bands: BandStructure, N: int, delta: float = DEFAULT_COLLISION_DELTA, tol: float = DEFAULT_CLUSTER_TOL
 ) -> FloquetScanReport:
     """Scan all nonzero grid shifts for band near-collisions.
 
     For every m in {0..N-1}^d except 0 and every band pair (s, w), counts the
     grid points r with |E_s((r + m)/N) - E_w(r/N)| < delta and reports the
     maximum count divided by N^d. Ties keep the first shift and pair in
-    lexicographic order. A flat band forces max_fraction = 1.
+    lexicographic order. A flat band forces max_fraction = 1. ``flat_bands``
+    lists the bands ``flat_band_check`` finds flat at clustering tolerance tol.
 
     Shift (0, ..., 0, 1), the first in that order, is counted densely. If a
     pair already meets at all N^d points there, no later shift can beat it
@@ -265,7 +266,7 @@ def floquet_condition_fraction(
         max_fraction=int(counts[best]) / cells,
         worst_shift=tuple(int(x) for x in np.unravel_index(shift + 1, (N,) * d)),
         worst_pair=divmod(pair, nu),
-        flat_bands=tuple(flat_band_check(bands)),
+        flat_bands=tuple(flat_band_check(bands, tol)),
     )
 
 

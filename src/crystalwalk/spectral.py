@@ -152,20 +152,19 @@ def eigendecompose_symmetric(
 ) -> SpectralDecomposition:
     """Eigendecompose a real symmetric matrix with degeneracy clustering.
 
-    Raises ValueError for non-symmetric input and EigenSolverError when the
-    solver fails to converge or the decomposition does not reconstruct the
-    matrix to 1e-9 * max(1, ||M||_max).
+    Raises ValueError for empty or non-symmetric input and EigenSolverError
+    when the solver fails to converge or the decomposition does not
+    reconstruct the matrix to 1e-9 * max(1, ||M||_max).
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if m.size:
-        _within(np.abs(m - m.T).max(), _SYMMETRY_TOL, "matrix is not symmetric", ValueError)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError("matrix must be square and nonempty")
+    _within(np.abs(m - m.T).max(), _SYMMETRY_TOL, "matrix is not symmetric", ValueError)
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
+    scale = max(1.0, float(np.abs(m).max()))
     recon = np.abs(m - (vecs * vals) @ vecs.T).max()
     _within(recon, _RECONSTRUCTION_REL * scale, "decomposition does not reconstruct input",
             EigenSolverError)

@@ -123,6 +123,16 @@ def test_floquet_check_flat_band(capsys):
     assert obj["flat_bands"] == [1, 2]
 
 
+@pytest.mark.parametrize("tol,flat", [((), [1]), (("--tol", "1e-20"), [])])
+def test_floquet_check_tol_reaches_flat_band_check(capsys, tol, flat):
+    # the middle eigenvalue of P3 is about -6e-18: flat at the default gap, not at a 1.4e-20 gap
+    code, out, _ = run_cli(
+        capsys, "floquet-check", "--family", "path", "--nu", "3", "--product", "tensor", "--N", "8", *tol
+    )
+    assert code == 0
+    assert json.loads(out)["flat_bands"] == flat
+
+
 @pytest.mark.parametrize(
     "argv,want",
     [

@@ -192,6 +192,9 @@ def test_time_averaged_at_the_pair_sum_limit():
         ("complete_bipartite", [3, 1], 1, 12, ((4,), 3)),  # 2 cos(pi/6) = sqrt 3
         ("cycle", [4], 2, 6, ((1, 3), 2)),
         ("cycle", [3], 3, 3, ((0, 2, 1), 1)),
+        # odd N: no cell but 0 is its own mirror under r -> -r
+        ("cycle", [3], 2, 5, ((1, 3), 2)),
+        ("path", [2], 1, 7, ((4,), 1)),
     ],
 )
 def test_time_averaged_matches_dense_eigenpairs(family, params, d, N, start, horizon):

@@ -123,6 +123,9 @@ def test_eigendecompose_rejects_bad_input():
         eigendecompose_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         eigendecompose_symmetric(np.zeros((2, 3)))
+    # the contract is named, not numpy's zero-size reduction error
+    with pytest.raises(ValueError, match="square and nonempty"):
+        eigendecompose_symmetric(np.zeros((0, 0)))
 
 
 def test_eigendecompose_rejects_nan(monkeypatch):
