@@ -17,14 +17,9 @@ from .classical import (
 from .closed_forms import (
     CLOSED_FORM_FAMILIES,
     closed_form_density,
-    closed_form_labels,
-    d_cycle,
     d_cycle_exact,
-    d_hypercube,
     d_hypercube_exact,
-    d_path,
     d_path_exact,
-    d_star,
     d_star_exact,
 )
 from .dynamics import (
@@ -32,7 +27,6 @@ from .dynamics import (
     STATE_BUDGET,
     TimeAveragedDistribution,
     TorusOperator,
-    apply_adjacency,
     build_torus,
     evolve,
     infinite_time_averaged,
@@ -42,17 +36,16 @@ from .dynamics import (
 )
 from .floquet import (
     DEFAULT_COLLISION_DELTA,
+    FIBER_BUDGET,
     SCAN_COUNT_BUDGET,
     BandStructure,
     BaseLattice,
     FloquetScanReport,
     GridDensityResult,
-    base_band,
     build_floquet_matrix,
     flat_band_check,
     floquet_condition_fraction,
     general_density,
-    product_bands,
     product_spec,
 )
 from .graphs import (
@@ -72,13 +65,11 @@ from .spectral import (
     DensityMatrix,
     EigenSolverError,
     NumericalError,
-    ProjectionKernel,
     SpectralDecomposition,
     cluster_eigenvalues,
     density_from_decomposition,
     eigendecompose_symmetric,
     limiting_density,
-    projection_kernels,
 )
 
 __version__ = "0.1.0"
@@ -91,23 +82,21 @@ __all__ = [
     "zd_product_spec", "honeycomb_spec",
     # spectral
     "DEFAULT_CLUSTER_TOL", "NumericalError", "EigenSolverError",
-    "SpectralDecomposition", "ProjectionKernel", "DensityMatrix",
-    "cluster_eigenvalues", "eigendecompose_symmetric", "projection_kernels",
-    "density_from_decomposition", "limiting_density",
+    "SpectralDecomposition", "DensityMatrix", "cluster_eigenvalues",
+    "eigendecompose_symmetric", "density_from_decomposition",
+    "limiting_density",
     # closed forms
-    "CLOSED_FORM_FAMILIES", "d_cycle", "d_path", "d_star", "d_hypercube",
-    "d_cycle_exact", "d_path_exact", "d_star_exact", "d_hypercube_exact",
-    "closed_form_density", "closed_form_labels",
+    "CLOSED_FORM_FAMILIES", "d_cycle_exact", "d_path_exact", "d_star_exact",
+    "d_hypercube_exact", "closed_form_density",
     # floquet
-    "DEFAULT_COLLISION_DELTA", "SCAN_COUNT_BUDGET", "BaseLattice", "BandStructure",
-    "FloquetScanReport", "GridDensityResult", "base_band",
-    "build_floquet_matrix", "product_spec", "product_bands",
-    "flat_band_check", "floquet_condition_fraction", "general_density",
+    "DEFAULT_COLLISION_DELTA", "SCAN_COUNT_BUDGET", "FIBER_BUDGET",
+    "BaseLattice", "BandStructure", "FloquetScanReport", "GridDensityResult",
+    "build_floquet_matrix", "product_spec", "flat_band_check",
+    "floquet_condition_fraction", "general_density",
     # dynamics
     "STATE_BUDGET", "PAIR_SUM_LIMIT", "TorusOperator",
-    "TimeAveragedDistribution", "build_torus", "evolve", "apply_adjacency",
-    "time_averaged", "infinite_time_averaged", "total_variation",
-    "limit_prediction",
+    "TimeAveragedDistribution", "build_torus", "evolve", "time_averaged",
+    "infinite_time_averaged", "total_variation", "limit_prediction",
     # classical
     "WalkReport", "transition_matrix", "stationary_distribution",
     "is_bipartite", "iterate_distribution", "walk_report",

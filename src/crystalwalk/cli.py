@@ -174,7 +174,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
 def _cmd_closed_form(args: argparse.Namespace) -> int:
     family, params = _family_params(args)
     density = closed_forms.closed_form_density(family, params)
-    labels = closed_forms.closed_form_labels(family, params)
+    labels = build_named(family, params).vertex_labels()
     _emit(serialize.density_csv(density.values, labels), args.output)
     return 0
 

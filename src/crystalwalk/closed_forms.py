@@ -2,10 +2,10 @@
 
 Each family admits an exact rational formula for the limiting density of the
 time-averaged walk. The ``*_exact`` functions return ``fractions.Fraction``
-values; the plain functions convert to float at the end. Paths and stars use
-the 1-based vertex labeling of their family builders (the star's center is
-vertex nu + 1); cycles are 0-based; hypercube entries depend only on the
-Hamming distance u between the two vertices.
+values, which ``closed_form_density`` converts to float entry by entry.
+Paths and stars use the 1-based vertex labeling of their family builders
+(the star's center is vertex nu + 1); cycles are 0-based; hypercube entries
+depend only on the Hamming distance u between the two vertices.
 """
 
 from __future__ import annotations
@@ -21,16 +21,11 @@ from .spectral import DensityMatrix
 
 __all__ = [
     "CLOSED_FORM_FAMILIES",
-    "d_cycle",
-    "d_path",
-    "d_star",
-    "d_hypercube",
     "d_cycle_exact",
     "d_path_exact",
     "d_star_exact",
     "d_hypercube_exact",
     "closed_form_density",
-    "closed_form_labels",
 ]
 
 CLOSED_FORM_FAMILIES = ("cycle", "path", "star", "hypercube")
@@ -118,22 +113,6 @@ def d_hypercube_exact(m: int, u: int) -> Fraction:
     return Fraction(total, 1 << (2 * m))
 
 
-def d_cycle(nu: int, p: int, q: int) -> float:
-    return float(d_cycle_exact(nu, p, q))
-
-
-def d_path(nu: int, p: int, q: int) -> float:
-    return float(d_path_exact(nu, p, q))
-
-
-def d_star(nu: int, p: int, q: int) -> float:
-    return float(d_star_exact(nu, p, q))
-
-
-def d_hypercube(m: int, u: int) -> float:
-    return float(d_hypercube_exact(m, u))
-
-
 def closed_form_density(family: str, params: Sequence[int]) -> DensityMatrix:
     """Assemble the full closed-form density matrix for a supported family.
 
@@ -145,18 +124,14 @@ def closed_form_density(family: str, params: Sequence[int]) -> DensityMatrix:
         raise ParameterError(f"no closed form for family {family!r}")
     size = build_named(family, params).nu
     if family == "cycle":
-        values = [[d_cycle(size, p, q) for q in range(size)] for p in range(size)]
+        values = [[float(d_cycle_exact(size, p, q)) for q in range(size)] for p in range(size)]
     elif family == "path":
-        values = [[d_path(size, p + 1, q + 1) for q in range(size)] for p in range(size)]
+        values = [[float(d_path_exact(size, p + 1, q + 1)) for q in range(size)] for p in range(size)]
     elif family == "star":
-        values = [[d_star(size - 1, p + 1, q + 1) for q in range(size)] for p in range(size)]
+        values = [[float(d_star_exact(size - 1, p + 1, q + 1)) for q in range(size)] for p in range(size)]
     else:
         m = size.bit_length() - 1
-        dist_values = [d_hypercube(m, u) for u in range(m + 1)]
+        dist_values = [float(d_hypercube_exact(m, u)) for u in range(m + 1)]
         values = [[dist_values[bin(p ^ q).count("1")] for q in range(size)] for p in range(size)]
     return DensityMatrix(values=np.array(values), source="closed-form")
 
-
-def closed_form_labels(family: str, params: Sequence[int]) -> tuple[str, ...]:
-    """Display labels matching ``closed_form_density`` row order."""
-    return build_named(family, params).vertex_labels()

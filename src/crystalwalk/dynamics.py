@@ -47,7 +47,6 @@ __all__ = [
     "TimeAveragedDistribution",
     "build_torus",
     "evolve",
-    "apply_adjacency",
     "time_averaged",
     "infinite_time_averaged",
     "total_variation",
@@ -72,17 +71,15 @@ Start = tuple[Sequence[int] | int, int]
 class TorusOperator:
     """Adjacency operator of (d-dimensional N-torus) box (finite graph).
 
-    ``spectrum`` is the eigendecomposition of the finite factor,
-    ``base_grid`` the torus band 2 sum_i cos(2 pi r_i / N) over the cell
-    grid, and ``eigenvalues`` the full array lambda[r, j] of shape
-    (N,)*d + (nu,). Mirror-degenerate cells r and N - r hold bit-identical
-    band values by construction.
+    ``spectrum`` is the eigendecomposition of the finite factor and
+    ``eigenvalues`` the full array lambda[r, j] = 2 sum_i cos(2 pi r_i / N)
+    + mu_j of shape (N,)*d + (nu,). Mirror-degenerate cells r and N - r hold
+    bit-identical band values by construction.
     """
 
     spectrum: SpectralDecomposition
     N: int
     d: int
-    base_grid: np.ndarray
     eigenvalues: np.ndarray
 
     @property
@@ -115,11 +112,9 @@ def build_torus(
     if dim > STATE_BUDGET:
         raise ParameterError(f"state count {dim} exceeds the dense budget {STATE_BUDGET}")
     spectrum = eigendecompose_symmetric(graph.adjacency, tol)
-    base = base_grid(BaseLattice.zd(d), N)
-    lam = base[..., None] + spectrum.eigenvalues
-    base.flags.writeable = False
+    lam = base_grid(BaseLattice.zd(d), N)[..., None] + spectrum.eigenvalues
     lam.flags.writeable = False
-    return TorusOperator(spectrum=spectrum, N=N, d=d, base_grid=base, eigenvalues=lam)
+    return TorusOperator(spectrum=spectrum, N=N, d=d, eigenvalues=lam)
 
 
 def _normalize_start(op: TorusOperator, start: Start) -> tuple[tuple[int, ...], int]:
@@ -166,20 +161,6 @@ def evolve(op: TorusOperator, start: Start, t: float) -> np.ndarray:
     return psi
 
 
-def apply_adjacency(op: TorusOperator, x: np.ndarray) -> np.ndarray:
-    """Apply the torus adjacency operator through the factored eigenbasis."""
-    x = np.asarray(x)
-    if x.shape != (op.dim,):
-        raise ParameterError(f"state must be a flat vector of length {op.dim}")
-    grid = x.reshape(op.grid_shape + (op.nu,))
-    axes = tuple(range(op.d))
-    w = op.spectrum.eigenvectors
-    hat = np.fft.fftn(grid, axes=axes) @ w
-    hat *= op.eigenvalues
-    out = np.fft.ifftn(hat @ w.T, axes=axes)
-    return out.reshape(-1)
-
-
 @dataclass(frozen=True)
 class TimeAveragedDistribution:
     """Site distribution of the walk averaged over [0, T] (T may be inf).
@@ -204,10 +185,6 @@ class TimeAveragedDistribution:
         _within(abs(float(v.sum()) - 1.0), _MASS_TOL, "distribution mass deviates from 1")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    def cell_masses(self) -> np.ndarray:
-        """Total mass per cell, shape (N,) * d."""
-        return self.values.reshape((self.N,) * self.d + (self.nu,)).sum(axis=-1)
 
 
 def _finalize_distribution(

@@ -39,15 +39,14 @@ from .spectral import (
 __all__ = [
     "DEFAULT_COLLISION_DELTA",
     "SCAN_COUNT_BUDGET",
+    "FIBER_BUDGET",
     "BaseLattice",
     "BandStructure",
     "FloquetScanReport",
     "GridDensityResult",
-    "base_band",
     "base_grid",
     "build_floquet_matrix",
     "product_spec",
-    "product_bands",
     "flat_band_check",
     "floquet_condition_fraction",
     "general_density",
@@ -56,6 +55,8 @@ __all__ = [
 DEFAULT_COLLISION_DELTA = 1e-9
 # The collision scan keeps one count per (shift, band pair): nu^2 N^d integers.
 SCAN_COUNT_BUDGET = 1 << 20
+# Grid quadrature diagonalizes one fiber matrix per grid point: N^d of them.
+FIBER_BUDGET = 1 << 20
 
 _HERMITICITY_TOL = 1e-12
 _GRID_ROW_SUM_TOL = 1e-8
@@ -85,25 +86,6 @@ class BaseLattice:
     @staticmethod
     def triangular() -> "BaseLattice":
         return BaseLattice("triangular", 2)
-
-
-def base_band(base: BaseLattice, theta: float | Sequence[float]) -> float:
-    """Band function of the one-vertex base lattice at quasimomentum theta.
-
-    Z^d: 2 sum_i cos(2 pi theta_i). Triangular: 2cos(2 pi theta_1)
-    + 2cos(2 pi theta_2) + 2cos(2 pi (theta_1 + theta_2)). Periodic in each
-    component with period 1.
-    """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if th.shape != (base.d,):
-        raise ParameterError(f"theta must have {base.d} component(s)")
-    if base.kind == "zd":
-        return float(2.0 * np.cos(2.0 * np.pi * th).sum())
-    return float(
-        2.0 * np.cos(2.0 * np.pi * th[0])
-        + 2.0 * np.cos(2.0 * np.pi * th[1])
-        + 2.0 * np.cos(2.0 * np.pi * (th[0] + th[1]))
-    )
 
 
 def build_floquet_matrix(spec: PeriodicGraphSpec, theta: float | Sequence[float]) -> np.ndarray:
@@ -148,20 +130,6 @@ def product_spec(
     return BandStructure(base=base, spectrum=spectrum, rule=kind)
 
 
-def _apply_rule(rule: ProductKind, e0: np.ndarray | float, mu: float) -> np.ndarray | float:
-    if rule is ProductKind.CARTESIAN:
-        return e0 + mu
-    if rule is ProductKind.TENSOR:
-        return mu * e0
-    return (1.0 + mu) * e0 + mu
-
-
-def product_bands(bands: BandStructure, theta: float | Sequence[float]) -> np.ndarray:
-    """All nu band values at one theta, ordered like the factor eigenvalues."""
-    e0 = base_band(bands.base, theta)
-    return np.array([_apply_rule(bands.rule, e0, float(mu)) for mu in bands.spectrum.eigenvalues])
-
-
 def flat_band_check(bands: BandStructure, tol: float = DEFAULT_CLUSTER_TOL) -> list[int]:
     """Indices of theta-independent bands.
 
@@ -199,8 +167,13 @@ def base_grid(base: BaseLattice, N: int) -> np.ndarray:
 
 def _band_grid(bands: BandStructure, N: int) -> np.ndarray:
     """All band values on the grid {0..N-1}^d / N, shape (nu,) + (N,) * d."""
-    base = base_grid(bands.base, N)
-    return np.stack([np.asarray(_apply_rule(bands.rule, base, float(mu))) for mu in bands.spectrum.eigenvalues])
+    e0 = base_grid(bands.base, N)
+    mu = bands.spectrum.eigenvalues.reshape((-1,) + (1,) * e0.ndim)
+    if bands.rule is ProductKind.CARTESIAN:
+        return e0 + mu
+    if bands.rule is ProductKind.TENSOR:
+        return mu * e0
+    return (1.0 + mu) * e0 + mu
 
 
 @dataclass(frozen=True)
@@ -368,11 +341,15 @@ def general_density(
 
     Diagonalizes H(r/N) at every grid point, clusters the eigenvalues with
     the shared single-linkage rule, and accumulates the squared moduli of the
-    distinct-eigenvalue projections.
+    distinct-eigenvalue projections. Grids of more than ``FIBER_BUDGET``
+    points are rejected before anything is allocated.
     """
     N = int(N)
     if N < 1:
         raise ParameterError("grid size N must be >= 1")
+    fibers = N**spec.d
+    if fibers > FIBER_BUDGET:
+        raise ParameterError(f"grid quadrature needs {fibers} fibers, over the budget {FIBER_BUDGET}")
     acc = np.zeros((spec.nu, spec.nu))
     for r in np.ndindex(*((N,) * spec.d)):
         theta = np.asarray(r, dtype=float) / N
@@ -382,5 +359,5 @@ def general_density(
         except np.linalg.LinAlgError as exc:
             raise EigenSolverError(f"fiber eigendecomposition failed at grid point {r}") from exc
         acc += squared_projection_sum(vecs, cluster_eigenvalues(vals, tol))
-    acc /= N**spec.d
+    acc /= fibers
     return GridDensityResult(values=acc, N=N)

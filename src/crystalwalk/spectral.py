@@ -22,12 +22,10 @@ __all__ = [
     "NumericalError",
     "EigenSolverError",
     "SpectralDecomposition",
-    "ProjectionKernel",
     "DensityMatrix",
     "cluster_gap",
     "cluster_eigenvalues",
     "eigendecompose_symmetric",
-    "projection_kernels",
     "squared_projection_sum",
     "density_from_decomposition",
     "limiting_density",
@@ -38,7 +36,6 @@ DEFAULT_CLUSTER_TOL = 1e-8
 _SYMMETRY_TOL = 1e-12
 _RECONSTRUCTION_REL = 1e-9
 _ORTHONORMALITY_TOL = 1e-10
-_COMPLETENESS_TOL = 1e-10
 _ROW_SUM_TOL = 1e-10
 
 
@@ -125,20 +122,8 @@ class SpectralDecomposition:
         return tuple(map(range, [0] + ends[:-1], ends))
 
     @property
-    def cluster_values(self) -> np.ndarray:
-        """Mean eigenvalue of each cluster."""
-        return np.array([self.eigenvalues[g.start:g.stop].mean() for g in self.clusters])
-
-    @property
     def nu(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def distinct_count(self) -> int:
-        return self.ends.size
-
-    def multiplicity(self, s: int) -> int:
-        return len(self.clusters[s])
 
     def validate(self) -> None:
         """Check orthonormality of the eigenvector columns."""
@@ -173,38 +158,6 @@ def eigendecompose_symmetric(
     )
     dec.validate()
     return dec
-
-
-@dataclass(frozen=True)
-class ProjectionKernel:
-    """Orthogonal projection onto one distinct-eigenvalue eigenspace."""
-
-    matrix: np.ndarray
-    eigenvalue: float
-    multiplicity: int
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.matrix, dtype=float)
-        _within(np.abs(p @ p - p).max(), _ORTHONORMALITY_TOL, "projection not idempotent")
-        err = abs(float(np.trace(p)) - self.multiplicity)
-        _within(err, 1e-8, "projection trace does not match multiplicity")
-        p.flags.writeable = False
-        object.__setattr__(self, "matrix", p)
-
-
-def projection_kernels(dec: SpectralDecomposition) -> list[ProjectionKernel]:
-    """Projections onto each distinct eigenvalue, mutually orthogonal, summing to I."""
-    v = dec.eigenvectors
-    kernels = []
-    total = np.zeros((dec.nu, dec.nu))
-    for group, value in zip(dec.clusters, dec.cluster_values):
-        block = v[:, group.start:group.stop]
-        p = block @ block.T
-        total += p
-        kernels.append(ProjectionKernel(matrix=p, eigenvalue=float(value), multiplicity=len(group)))
-    err = np.abs(total - np.eye(dec.nu)).max()
-    _within(err, _COMPLETENESS_TOL, "projections do not sum to identity")
-    return kernels
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,17 @@ def test_floquet_check_rejects_scan_over_budget(capsys):
     assert err.startswith("error:")
 
 
+def test_density_periodic_rejects_quadrature_over_budget(capsys, tmp_path):
+    # 1025^2 = 1050625 fibers, 2049 over the 2^20 budget: rejected before the fiber loop starts
+    out_file = tmp_path / "d.json"
+    for extra in ([], ["-o", str(out_file)]):
+        code, out, err = run_cli(capsys, "density", "--periodic", "honeycomb", "--N", "1025", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
+    assert not out_file.exists()
+
+
 def test_simulate_summary_goes_to_stderr(capsys):
     code, out, err = run_cli(
         capsys,

@@ -8,14 +8,9 @@ from crystalwalk import (
     ParameterError,
     build_named,
     closed_form_density,
-    closed_form_labels,
-    d_cycle,
     d_cycle_exact,
-    d_hypercube,
     d_hypercube_exact,
-    d_path,
     d_path_exact,
-    d_star,
     d_star_exact,
     limiting_density,
 )
@@ -34,7 +29,7 @@ from crystalwalk import (
 )
 def test_cycle_values(nu, p, q, want):
     assert d_cycle_exact(nu, p, q) == want
-    assert d_cycle(nu, p, q) == pytest.approx(float(want), abs=1e-15)
+    assert closed_form_density("cycle", [nu]).values[p, q] == pytest.approx(float(want), abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -78,7 +73,8 @@ def test_star_values(nu, p, q, want):
 )
 def test_hypercube_values(m, u, want):
     assert d_hypercube_exact(m, u) == want
-    assert d_hypercube(m, u) == pytest.approx(float(want), abs=1e-15)
+    q = (1 << u) - 1  # the first u bits set: Hamming distance u from vertex 0
+    assert closed_form_density("hypercube", [m]).values[0, q] == pytest.approx(float(want), abs=1e-15)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -121,8 +117,8 @@ def test_star_rows_sum_exactly(nu):
 def test_hypercube_rows_sum(m):
     exact = sum(comb(m, u) * d_hypercube_exact(m, u) for u in range(m + 1))
     assert exact == 1
-    floats = sum(comb(m, u) * d_hypercube(m, u) for u in range(m + 1))
-    assert abs(floats - 1.0) <= 1e-12
+    floats = closed_form_density("hypercube", [m]).values.sum(axis=1)
+    assert np.abs(floats - 1.0).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -145,21 +141,22 @@ def test_closed_form_density_source_and_labels():
     d = closed_form_density("star", [3])
     assert d.source == "closed-form"
     assert d.nu == 4
-    assert closed_form_labels("star", [3]) == ("1", "2", "3", "4")
-    assert closed_form_labels("hypercube", [2]) == ("00", "10", "01", "11")
+    # the command line labels the rows with the family's own vertex labels
+    assert build_named("star", [3]).vertex_labels() == ("1", "2", "3", "4")
+    assert build_named("hypercube", [2]).vertex_labels() == ("00", "10", "01", "11")
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: d_cycle(2, 0, 0),
-        lambda: d_cycle(5, 5, 0),
-        lambda: d_path(6, 0, 1),
-        lambda: d_path(1, 1, 1),
-        lambda: d_star(3, 0, 1),
-        lambda: d_star(0, 1, 1),
-        lambda: d_hypercube(3, 4),
-        lambda: d_hypercube(0, 0),
+        lambda: d_cycle_exact(2, 0, 0),
+        lambda: d_cycle_exact(5, 5, 0),
+        lambda: d_path_exact(6, 0, 1),
+        lambda: d_path_exact(1, 1, 1),
+        lambda: d_star_exact(3, 0, 1),
+        lambda: d_star_exact(0, 1, 1),
+        lambda: d_hypercube_exact(3, 4),
+        lambda: d_hypercube_exact(0, 0),
         lambda: closed_form_density("complete", [4]),
         lambda: closed_form_density("cycle", [2]),
         lambda: closed_form_density("cycle", []),

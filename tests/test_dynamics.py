@@ -10,11 +10,10 @@ from crystalwalk import (
     PAIR_SUM_LIMIT,
     NumericalError,
     ParameterError,
-    apply_adjacency,
     build_named,
     build_torus,
+    closed_form_density,
     cluster_eigenvalues,
-    d_cycle,
     dynamics,
     evolve,
     infinite_time_averaged,
@@ -40,6 +39,11 @@ def dense_product_adjacency(graph, d, N):
         m += np.kron(np.kron(left, c), right)
     m += np.kron(np.eye(N**d), graph.adjacency)
     return m
+
+
+def cell_masses(dist):
+    """Total mass per cell of a distribution, shape (N,) * d."""
+    return dist.values.reshape((dist.N,) * dist.d + (dist.nu,)).sum(axis=-1)
 
 
 def flat_index(cell, p, N, nu):
@@ -68,7 +72,7 @@ def test_build_torus_eigenvalue_factorization():
     np.testing.assert_allclose(op.eigenvalues, want, atol=1e-12)
     # mirror cells r and N - r carry bit-identical bands
     assert np.array_equal(op.eigenvalues[3], op.eigenvalues[7])
-    assert np.array_equal(op.base_grid[1], op.base_grid[9])
+    assert np.array_equal(op.eigenvalues[1], op.eigenvalues[9])
 
 
 def test_evolve_zero_time_is_delta():
@@ -80,24 +84,27 @@ def test_evolve_zero_time_is_delta():
 
 
 def test_evolve_matches_matrix_exponential_d1():
-    g = build_named("path", [3])
-    op = build_torus(g, d=1, N=4)
-    m = dense_product_adjacency(g, 1, 4)
-    start = np.zeros(12)
-    start[flat_index((1,), 2, 4, 3)] = 1.0
-    for t in (0.6, 3.1, 12.0):
-        want = scipy.linalg.expm(1j * t * m) @ start
-        np.testing.assert_allclose(evolve(op, ((1,), 2), t), want, atol=1e-10)
+    # star3 has the degenerate eigenvalue 0, so its factor basis is not unique
+    for family, params, N, start in [("path", [3], 4, ((1,), 2)), ("star", [3], 6, ((4,), 3))]:
+        g = build_named(family, params)
+        op = build_torus(g, d=1, N=N)
+        m = dense_product_adjacency(g, 1, N)
+        delta = np.zeros(op.dim)
+        delta[flat_index(*start, N, g.nu)] = 1.0
+        for t in (0.6, 3.1, 12.0):
+            want = scipy.linalg.expm(1j * t * m) @ delta
+            np.testing.assert_allclose(evolve(op, start, t), want, atol=1e-10)
 
 
 def test_evolve_matches_matrix_exponential_d2():
-    g = build_named("path", [2])
-    op = build_torus(g, d=2, N=3)
-    m = dense_product_adjacency(g, 2, 3)
-    start = np.zeros(18)
-    start[flat_index((2, 1), 0, 3, 2)] = 1.0
-    want = scipy.linalg.expm(2.7j * m) @ start
-    np.testing.assert_allclose(evolve(op, ((2, 1), 0), 2.7), want, atol=1e-10)
+    for family, params, N, start in [("path", [2], 3, ((2, 1), 0)), ("star", [3], 4, ((1, 3), 1))]:
+        g = build_named(family, params)
+        op = build_torus(g, d=2, N=N)
+        m = dense_product_adjacency(g, 2, N)
+        delta = np.zeros(op.dim)
+        delta[flat_index(*start, N, g.nu)] = 1.0
+        want = scipy.linalg.expm(2.7j * m) @ delta
+        np.testing.assert_allclose(evolve(op, start, 2.7), want, atol=1e-10)
 
 
 def test_evolve_start_normalization():
@@ -117,22 +124,6 @@ def test_evolve_rejects():
         evolve(op, ((0, 0), 1), 1.0)
     with pytest.raises(ParameterError):
         evolve(op, ((0,), 1), math.inf)
-
-
-@pytest.mark.parametrize("d,N", [(1, 6), (2, 4)])
-def test_apply_adjacency_matches_dense(d, N):
-    g = build_named("star", [3])
-    op = build_torus(g, d=d, N=N)
-    m = dense_product_adjacency(g, d, N)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    np.testing.assert_allclose(apply_adjacency(op, x), m @ x, atol=1e-10)
-
-
-def test_apply_adjacency_rejects_bad_shape():
-    op = build_torus(build_named("path", [2]), d=1, N=4)
-    with pytest.raises(ParameterError):
-        apply_adjacency(op, np.zeros(7))
 
 
 def test_time_averaged_tiny_horizon_is_delta():
@@ -158,7 +149,7 @@ def test_time_averaged_matches_quadrature():
 def test_time_averaged_cell_masses_shape():
     op = build_torus(build_named("path", [2]), d=2, N=4)
     dist = time_averaged(op, ((1, 2), 0), 10.0)
-    masses = dist.cell_masses()
+    masses = cell_masses(dist)
     assert masses.shape == (4, 4)
     assert masses.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -180,7 +171,7 @@ def test_time_averaged_at_the_pair_sum_limit():
     dist = time_averaged(op, ((0,), 1), 300.0)
     assert dist.values.sum() == pytest.approx(1.0, abs=1e-10)
     # a walk started in cell 0 spreads symmetrically under k -> -k
-    masses = dist.cell_masses()
+    masses = cell_masses(dist)
     np.testing.assert_allclose(masses[1:], masses[:0:-1], rtol=0, atol=1e-15)
 
 
@@ -229,8 +220,8 @@ def test_infinite_average_cell_masses_are_cycle_density():
     op = build_torus(build_named("cycle", [5]), d=1, N=25)
     dist = infinite_time_averaged(op, ((3,), 2))
     assert dist.horizon == math.inf
-    want = np.array([d_cycle(25, 3, k) for k in range(25)])
-    np.testing.assert_allclose(dist.cell_masses(), want, atol=1e-12)
+    want = closed_form_density("cycle", [25]).values[3]
+    np.testing.assert_allclose(cell_masses(dist), want, atol=1e-12)
 
 
 def test_infinite_average_is_the_long_time_limit():

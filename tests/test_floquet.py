@@ -5,13 +5,13 @@ import pytest
 
 from crystalwalk import (
     DEFAULT_COLLISION_DELTA,
+    FIBER_BUDGET,
     SCAN_COUNT_BUDGET,
     BaseLattice,
     FloquetScanReport,
     NumericalError,
     ParameterError,
     ProductKind,
-    base_band,
     build_floquet_matrix,
     build_named,
     closed_form_density,
@@ -20,7 +20,6 @@ from crystalwalk import (
     general_density,
     honeycomb_spec,
     limiting_density,
-    product_bands,
     product_spec,
     zd_product_spec,
 )
@@ -31,6 +30,36 @@ from crystalwalk.graphs import PeriodicGraphSpec
 def zd_line_spec():
     """One-vertex integer lattice: H(theta) = 2 cos(2 pi theta)."""
     return PeriodicGraphSpec(d=1, nu=1, offset_edges=((0, 0, (1,)), (0, 0, (-1,))))
+
+
+# the band rule E_j = rule(E_0, mu_j) of each product kind
+_RULES = {
+    ProductKind.CARTESIAN: lambda e0, mu: e0 + mu,
+    ProductKind.TENSOR: lambda e0, mu: mu * e0,
+    ProductKind.STRONG: lambda e0, mu: (1.0 + mu) * e0 + mu,
+}
+
+
+def base_band(base, theta):
+    """Band function of a one-vertex base lattice at one quasimomentum theta.
+
+    Z^d: 2 sum_i cos(2 pi theta_i). Triangular: 2cos(2 pi theta_1)
+    + 2cos(2 pi theta_2) + 2cos(2 pi (theta_1 + theta_2)).
+    """
+    th = 2.0 * np.pi * np.atleast_1d(np.asarray(theta, dtype=float))
+    assert th.shape == (base.d,)
+    if base.kind == "zd":
+        return float(2.0 * np.cos(th).sum())
+    return float(2.0 * (np.cos(th[0]) + np.cos(th[1]) + np.cos(th[0] + th[1])))
+
+
+def product_bands(bands, theta):
+    """All nu band values at one theta, ordered like the factor eigenvalues.
+
+    The band rules evaluated point by point: the independent oracle that
+    ``build_floquet_matrix`` is checked against.
+    """
+    return _RULES[bands.rule](base_band(bands.base, theta), bands.spectrum.eigenvalues)
 
 
 @pytest.mark.parametrize(
@@ -50,7 +79,7 @@ def test_base_band_values(base, theta, want):
 
 def test_base_band_rejects_wrong_arity():
     with pytest.raises(ParameterError):
-        base_band(BaseLattice.zd(2), 0.25)
+        build_floquet_matrix(zd_product_spec(build_named("path", [2]), d=2), 0.25)
     with pytest.raises(ParameterError):
         BaseLattice("hexagonal", 2)
     with pytest.raises(ParameterError):
@@ -188,13 +217,6 @@ def test_scan_triangular_base_runs():
     assert len(report.worst_shift) == 2
 
 
-_RULES = {
-    ProductKind.CARTESIAN: lambda e0, mu: e0 + mu,
-    ProductKind.TENSOR: lambda e0, mu: mu * e0,
-    ProductKind.STRONG: lambda e0, mu: (1.0 + mu) * e0 + mu,
-}
-
-
 def _dense_grid(bands, N):
     base = floquet.base_grid(bands.base, N)
     return np.stack([_RULES[bands.rule](base, float(mu)) for mu in bands.spectrum.eigenvalues])
@@ -330,6 +352,22 @@ def test_scan_budget_boundary(monkeypatch):
     assert floquet_condition_fraction(bands, 8) == _dense_scan(bands, 8)
     with pytest.raises(ParameterError):
         floquet_condition_fraction(bands, 9)
+
+
+def test_quadrature_budget_rejects_before_allocating():
+    assert 1025**2 > FIBER_BUDGET
+    with pytest.raises(ParameterError, match="budget"):
+        general_density(honeycomb_spec(), 1025)
+    # 10^18 fibers: nothing of the grid could be allocated, so the check came first
+    with pytest.raises(ParameterError, match="budget"):
+        general_density(honeycomb_spec(), 10**9)
+
+
+def test_quadrature_budget_boundary(monkeypatch):
+    monkeypatch.setattr(floquet, "FIBER_BUDGET", 4**2)
+    assert general_density(honeycomb_spec(), 4).N == 4
+    with pytest.raises(ParameterError, match="budget"):
+        general_density(honeycomb_spec(), 5)
 
 
 def test_general_density_line_is_trivial():

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from crystalwalk import (
     NumericalError,
     ParameterError,
     ProductKind,
-    ProjectionKernel,
     SpectralDecomposition,
     build_named,
     cluster_eigenvalues,
@@ -21,7 +21,6 @@ from crystalwalk import (
     flat_band_check,
     from_edge_list,
     limiting_density,
-    projection_kernels,
 )
 from crystalwalk.spectral import DensityMatrix, _within, cluster_gap, squared_projection_sum
 
@@ -44,6 +43,17 @@ def random_graph_text(rng, max_nu=32):
     if not lines:
         lines = ["0 1"]
     return "\n".join(lines)
+
+
+def projections(dec):
+    """P_s = V_s V_s^T for each cluster s of a decomposition."""
+    v = dec.eigenvectors
+    return [v[:, g.start : g.stop] @ v[:, g.start : g.stop].T for g in dec.clusters]
+
+
+def cluster_values(dec):
+    """Mean eigenvalue of each cluster."""
+    return np.array([dec.eigenvalues[g.start : g.stop].mean() for g in dec.clusters])
 
 
 def test_cluster_eigenvalues_groups_degeneracies():
@@ -101,14 +111,14 @@ def test_decomposition_rejects_bad_cluster_ends(ends):
 def test_eigendecompose_p2():
     dec = eigendecompose_symmetric(build_named("path", [2]).adjacency)
     np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-12)
-    assert dec.distinct_count == 2
+    assert len(dec.clusters) == 2
 
 
 def test_eigendecompose_c5_clusters():
     dec = eigendecompose_symmetric(build_named("cycle", [5]).adjacency)
-    assert [dec.multiplicity(s) for s in range(dec.distinct_count)] == [2, 2, 1]
+    assert [len(c) for c in dec.clusters] == [2, 2, 1]
     golden = 2.0 * np.cos(2.0 * np.pi * np.array([2, 1, 0]) / 5)
-    np.testing.assert_allclose(dec.cluster_values, golden, atol=1e-12)
+    np.testing.assert_allclose(cluster_values(dec), golden, atol=1e-12)
 
 
 def test_eigendecompose_star3():
@@ -145,11 +155,6 @@ def test_validate_rejects_nan():
         dec.validate()
 
 
-def test_projection_kernel_rejects_nan():
-    with pytest.raises(NumericalError):
-        ProjectionKernel(matrix=np.array([[np.nan]]), eigenvalue=0.0, multiplicity=1)
-
-
 def test_eigendecompose_reconstructs_random_matrices():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -164,13 +169,11 @@ def test_eigendecompose_reconstructs_random_matrices():
 
 def test_projection_kernel_values():
     dec = eigendecompose_symmetric(build_named("cycle", [5]).adjacency)
-    kernels = projection_kernels(dec)
     # top eigenvalue 2 has the constant eigenvector
-    np.testing.assert_allclose(kernels[-1].matrix, np.full((5, 5), 0.2), atol=1e-12)
+    np.testing.assert_allclose(projections(dec)[-1], np.full((5, 5), 0.2), atol=1e-12)
     dec = eigendecompose_symmetric(build_named("star", [3]).adjacency)
-    zero = projection_kernels(dec)[1]
-    assert zero.eigenvalue == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(np.diag(zero.matrix), [2 / 3, 2 / 3, 2 / 3, 0.0], atol=1e-12)
+    assert cluster_values(dec)[1] == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(np.diag(projections(dec)[1]), [2 / 3, 2 / 3, 2 / 3, 0.0], atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -179,15 +182,15 @@ def test_projection_kernel_values():
 )
 def test_projection_invariants(family, params):
     dec = eigendecompose_symmetric(build_named(family, params).adjacency)
-    kernels = projection_kernels(dec)
+    kernels = projections(dec)
     nu = dec.nu
     total = np.zeros((nu, nu))
-    for i, k in enumerate(kernels):
-        assert np.abs(k.matrix @ k.matrix - k.matrix).max() <= 1e-10
-        assert abs(np.trace(k.matrix) - k.multiplicity) <= 1e-8
-        total += k.matrix
+    for i, (k, group) in enumerate(zip(kernels, dec.clusters)):
+        assert np.abs(k @ k - k).max() <= 1e-10
+        assert abs(np.trace(k) - len(group)) <= 1e-8
+        total += k
         for other in kernels[i + 1 :]:
-            assert np.abs(k.matrix @ other.matrix).max() <= 1e-10
+            assert np.abs(k @ other).max() <= 1e-10
     assert np.abs(total - np.eye(nu)).max() <= 1e-10
 
 
@@ -398,7 +401,7 @@ def test_analytic_spectrum_path_values():
 def test_analytic_spectrum_hypercube_multiplicities():
     dec = analytic_spectrum("hypercube", [4])
     assert [len(c) for c in dec.clusters] == [1, 4, 6, 4, 1]
-    np.testing.assert_allclose(dec.cluster_values, [-4.0, -2.0, 0.0, 2.0, 4.0], atol=0)
+    np.testing.assert_allclose(cluster_values(dec), [-4.0, -2.0, 0.0, 2.0, 4.0], atol=0)
 
 
 def test_analytic_spectrum_rejects_unknown():
@@ -490,3 +493,38 @@ def test_every_tolerance_check_goes_through_within():
             bad[path.name] = lines
     assert bad == {}
     assert translations == 2  # the eigh failures in spectral and floquet, which are not residuals
+
+
+def _referenced_names(tree):
+    """Identifiers a module uses: loaded names, attributes, imports and string constants.
+
+    Definitions (stored names, def and class names) and the module's own
+    ``__all__`` list do not count. String constants count because a caller
+    may look a function up by name, as ``bench/spans.py`` does.
+    """
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_exported_name_has_a_caller():
+    # a caller is the package itself, the benchmark or the README; tests do not count
+    root = Path(__file__).resolve().parents[1]
+    sources = [p for p in sorted((root / "src" / "crystalwalk").glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted((root / "bench").glob("*.py"))
+    used = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    for path in sources:
+        used.update(_referenced_names(ast.parse(path.read_text())))
+    assert sorted(set(crystalwalk.__all__) - used) == []
