@@ -325,10 +325,6 @@ class GridDensityResult:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "N", int(self.N))
 
-    @property
-    def nu(self) -> int:
-        return self.values.shape[0]
-
     def to_density_matrix(self) -> DensityMatrix:
         """Repackage with the stricter DensityMatrix row tolerance."""
         return DensityMatrix(values=self.values, source="quadrature")

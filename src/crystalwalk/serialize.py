@@ -2,9 +2,14 @@
 
 Machine-facing JSON carries 17 significant digits (round-trip exact for
 float64); human-facing tables carry 12. JSON float lists go through
-``_float_list`` and every CSV table through ``_table``; each fills one
+``_float_rows`` and every CSV table through ``_table``; each fills one
 %-template with ``%.<digits>g``, which is what ``format_float`` prints, so
-identical inputs always produce identical bytes.
+identical inputs always produce identical bytes. ``density_json`` formats
+each distinct value once when few are distinct (``_density_rows``).
+
+A 12-digit table entry can sit on an exact rounding tie, such as hypercube
+m=9's d = 35/65536 = 0.0005340576171875; its last digit then follows the
+last-ulp noise of the summation order. The 17-digit JSON stays exact.
 """
 
 from __future__ import annotations
@@ -39,9 +44,14 @@ def format_float(x: float, digits: int = JSON_DIGITS) -> str:
     return "%.*g" % (digits, float(x))
 
 
+def _float_rows(rows: np.ndarray) -> list[str]:
+    """JSON list text of each row of a 2-D array, all rows through one template."""
+    template = "[" + ",".join([f"%.{JSON_DIGITS}g"] * rows.shape[1]) + "]"
+    return [template % tuple(row.tolist()) for row in rows]
+
+
 def _float_list(values: Iterable[float]) -> str:
-    values = tuple(np.asarray(values, dtype=float).tolist())
-    return ("[" + ",".join([f"%.{JSON_DIGITS}g"] * len(values)) + "]") % values
+    return _float_rows(np.asarray(values, dtype=float).reshape(1, -1))[0]
 
 
 def _table(header: str, keys: Iterable[str], *columns: np.ndarray) -> str:
@@ -52,10 +62,34 @@ def _table(header: str, keys: Iterable[str], *columns: np.ndarray) -> str:
     return template % (header, *np.column_stack(columns).reshape(-1).tolist())
 
 
+def _density_rows(values: np.ndarray) -> list[str]:
+    """``_float_rows`` of a square matrix.
+
+    When the distinct values are at most a quarter of the entries, each is
+    formatted once and every row is looked up from those strings with one
+    ``searchsorted``; above that, the distinct strings cost more time and
+    memory than they save. Values are compared by bit pattern, so -0.0 stays
+    apart from 0.0.
+    """
+    bits = np.ascontiguousarray(values).view(np.int64)
+    keys = np.sort(bits, axis=None)
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    if 4 * np.count_nonzero(first) > keys.size:
+        del keys, first  # release before the row strings are built
+        return _float_rows(values)
+    keys = keys[first]
+    del first
+    words = np.array(_float_list(keys.view(np.float64))[1:-1].split(","), dtype=object)
+    return ["[" + ",".join(words.take(np.searchsorted(keys, row)).tolist()) + "]" for row in bits]
+
+
 def density_json(density: DensityMatrix) -> str:
     """JSON object {"nu", "source", "d"} with the matrix in row-major order."""
-    rows = ",".join(_float_list(row) for row in density.values)
-    return f'{{"nu":{density.nu},"source":"{density.source}","d":[{rows}]}}\n'
+    rows = _density_rows(density.values)
+    # splice the frame into the end rows so that one join builds the text
+    rows[0] = f'{{"nu":{density.nu},"source":"{density.source}","d":[{rows[0]}'
+    rows[-1] += "]}\n"
+    return ",".join(rows)
 
 
 def density_csv(values: np.ndarray, labels: Sequence[str]) -> str:

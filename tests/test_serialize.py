@@ -1,6 +1,9 @@
+import itertools
 import json
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystalwalk import (
     BaseLattice,
@@ -17,9 +20,11 @@ from crystalwalk import (
     time_averaged,
     walk_report,
 )
+from crystalwalk import serialize
 from crystalwalk.serialize import (
     JSON_DIGITS,
     TABLE_DIGITS,
+    _float_rows,
     comparison_csv,
     density_csv,
     density_json,
@@ -67,6 +72,81 @@ def test_density_json_exact_bytes():
         "[0,0,0.10000000000000001,0.90000000000000002,0],"
         "[0,0,0.90000000000000002,0.10000000000000001,0],"
         "[1e-300,0,0,0,1]]}\n"
+    )
+
+
+def _json_row_by_row(density):
+    """density_json with every entry formatted on its own."""
+    rows = ",".join("[" + ",".join(map(format_float, row)) + "]" for row in density.values)
+    return f'{{"nu":{density.nu},"source":"{density.source}","d":[{rows}]}}\n'
+
+
+# Values the density check admits that differ in bits but barely in print:
+# both zeros, the most negative admitted entry, the smallest subnormals (one
+# ulp from the zeros) and the largest subnormal beside the smallest normal.
+_NEAR_ZERO = (0.0, -0.0, -1e-12, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308)
+
+
+@st.composite
+def _degenerate_densities(draw):
+    """Symmetric densities with few distinct values.
+
+    Uniform diagonal blocks under a random relabelling; symmetric pairs of
+    block entries move one ulp, and pairs outside the blocks take near-zero
+    values.
+    """
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    n = sum(sizes)
+    values = np.zeros((n, n))
+    block = np.zeros((n, n), dtype=bool)
+    for start, size in zip(itertools.accumulate([0] + sizes), sizes):
+        values[start:start + size, start:start + size] = 1.0 / size
+        block[start:start + size, start:start + size] = True
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if block[i, j]:
+            new = np.nextafter(values[i, j], draw(st.sampled_from((0.0, 1.0))))
+        else:
+            new = draw(st.sampled_from(_NEAR_ZERO))
+        values[i, j] = values[j, i] = new
+    perm = draw(st.permutations(range(n)))
+    return DensityMatrix(values[np.ix_(perm, perm)], "numeric")
+
+
+@settings(deadline=None)
+@given(_degenerate_densities())
+def test_density_json_matches_row_by_row_formatting(density):
+    assert density_json(density) == _json_row_by_row(density)
+
+
+@pytest.mark.parametrize("moved, formatted_rows", [(15, 1), (16, 8)])
+def test_density_json_formats_each_distinct_value_once_up_to_a_quarter(monkeypatch, moved, formatted_rows):
+    # 1/8 everywhere, then `moved` symmetric pairs each one more ulp above it:
+    # 16 distinct values of 64 is a quarter, formatted once; 17 goes row by row
+    values = np.full((8, 8), 0.125)
+    for k, (i, j) in enumerate(itertools.islice(itertools.combinations(range(8), 2), moved), 1):
+        values[i, j] = values[j, i] = 0.125 + k * np.spacing(0.125)
+    density = DensityMatrix(values, "numeric")
+    want = _json_row_by_row(density)
+    rows = []
+    monkeypatch.setattr(serialize, "_float_rows", lambda v: rows.extend(v) or _float_rows(v))
+    assert density_json(density) == want
+    assert len(rows) == formatted_rows
+
+
+def test_density_json_keeps_negative_zero_apart():
+    values = np.array(
+        [
+            [0.5, 0.5, 0.0, -0.0],
+            [0.5, 0.5, -0.0, 0.0],
+            [0.0, -0.0, 0.5, 0.5],
+            [-0.0, 0.0, 0.5, 0.5],
+        ]
+    )
+    # three distinct values of sixteen entries: each is formatted once
+    assert density_json(DensityMatrix(values, "numeric")) == (
+        '{"nu":4,"source":"numeric","d":['
+        "[0.5,0.5,0,-0],[0.5,0.5,-0,0],[0,-0,0.5,0.5],[-0,0,0.5,0.5]]}\n"
     )
 
 
