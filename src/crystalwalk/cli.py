@@ -182,7 +182,7 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
 def _cmd_floquet_check(args: argparse.Namespace) -> int:
     base = floquet.BaseLattice.triangular() if args.base == "triangular" else floquet.BaseLattice.zd(args.d)
     graph = build_named(*_family_params(args))
-    bands = floquet.product_spec(base, graph, _PRODUCTS[args.product], tol=args.tol)
+    bands = floquet.product_spec(base, graph, _PRODUCTS[args.product])
     report = floquet.floquet_condition_fraction(bands, args.N, delta=args.delta, tol=args.tol)
     _emit(serialize.scan_report_json(report), args.output)
     return 0

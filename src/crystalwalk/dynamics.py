@@ -17,8 +17,8 @@ pair, weighted by the real part sin(x)/x of its phase average over [0, T]:
 the reflection r -> -r maps the band grid onto itself bit for bit and
 cancels the imaginary parts. So its pair grid is real and even in Delta,
 dim^2 / 2 real weights in memory linear in the states. Both take Delta from
-the torus offset rule of ``floquet``, and the infinite-time average walks
-its pairs with floquet's.
+the torus offset rule of ``floquet`` and einsum a table S[Delta, j, j'] into
+the pair grid; the infinite-time average counts S in the collision scan's.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .floquet import BaseLattice, _run_pairs, _torus_offset, base_grid
+from .floquet import BaseLattice, _pair_counts, _torus_offset, base_grid
 from .graphs import FiniteGraph, ParameterError
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
@@ -279,15 +279,17 @@ def infinite_time_averaged(
 
     Within a cluster C the squared projection at (n + m, q) is
     N^-2d sum_(alpha, beta in C) e^(2 pi i (r_alpha - r_beta).m / N)
-    c_alpha(q) c_beta(q) with c_(r, j)(q) = w_j(p) w_j(q). So every ordered
-    pair only adds c_alpha(q) c_beta(q) to a coefficient grid G[Delta, q] at
-    Delta = r_alpha - r_beta mod N, and one inverse FFT of G over the cell
-    axes gives the sum over all clusters: O(nu sum |C|^2 + dim log N) work.
-    The collision scan's pair walk, keeping partner i + t in the cluster of
-    i, and its offset rule give each pair once; its mirror fills -Delta. A
-    cluster whose nu |C|^2 pair terms exceed the N^d nu^2 + dim log2(dim)
-    cost of projecting it on its own (a flat or highly degenerate band) is
-    projected on its own instead.
+    c_alpha(q) c_beta(q) with c_(r, j)(q) = w_j(p) w_j(q). So the ordered
+    pairs only need counting per Delta = r_alpha - r_beta mod N and band pair:
+    S[Delta, j, j'] is the collision scan's count table (``_pair_counts``)
+    under the rule that keeps partner i + t in the cluster of i, plus one
+    count per eigenpair at Delta = 0 for alpha = beta. As in
+    ``time_averaged``, G[Delta, q] = sum_(j, j') c_j(q) c_j'(q) S[Delta, j, j']
+    and one inverse FFT of G over the cell axes gives the sum over all
+    clusters: O(sum |C|^2 + N^d nu^3 + dim log N) work. A cluster with
+    nu |C|^2 > N^d nu^2 + dim log2(dim) (a flat or highly degenerate band) is
+    projected on its own instead, so a counted cluster walks at most
+    N^d nu + dim log2(dim) / nu pairs.
     """
     start = _normalize_start(op, start)
     cell, p = start
@@ -296,26 +298,22 @@ def infinite_time_averaged(
     lam = op.eigenvalues.reshape(-1)
     order = np.argsort(lam, kind="stable")
     ends = cluster_eigenvalues(lam[order], cluster_tol)
+    order = order % nu * cells + order // nu  # band-major position j * N^d + r of each r * nu + j
     sizes = np.diff(ends, prepend=0)
     alone = nu * sizes**2 > cells * nu**2 + dim * math.log2(dim)
     # sorted positions from each one to its cluster's end, <= 0 where the cluster is projected alone
     span = np.repeat(np.where(alone, 0, ends), sizes) - np.arange(dim)
+    counts = _pair_counts(order, cells, N, d, lambda i, t: span[i] > t)
+    counts[0] += np.diag(np.bincount(order[span > 0] // cells, minlength=nu))  # alpha = beta
     w = op.spectrum.eigenvectors
     coef = w[p, :] * w  # coef[q, j] = w_j(p) w_j(q)
-    grid = np.zeros(dim)
-    lanes = np.arange(nu)[:, None]
-    # blocks of at most N^d positions keep the (nu, block) temporaries within dim
-    for i, t in _run_pairs(dim, cells, lambda i, t: span[i] > t):
-        a, b = order[i], order[i + t]
-        np.add.at(grid, _torus_offset(a, b, N, d, nu) + lanes, coef[:, a % nu] * coef[:, b % nu])
-    grid = grid.reshape(cells, nu)
-    grid += grid[_torus_offset(0, np.arange(cells), N, d)]
-    grid[0] += coef**2 @ np.bincount(order[span > 0] % nu, minlength=nu)  # alpha = beta
+    grid = np.einsum("bjk,qj,qk->bq", counts, coef, coef)
+    del counts  # the N^d nu^2 table goes before the inverse FFT allocates
     mu = _from_pair_grid(op, cell, grid.reshape(op.grid_shape + (nu,)))
     for lo, hi in zip(ends[alone] - sizes[alone], ends[alone]):
-        weights = np.zeros(dim)
-        weights[order[lo:hi]] = 1.0
-        a = _assemble(op, start, weights.reshape(op.grid_shape + (nu,)))
+        weights = np.zeros((nu, cells))
+        weights.reshape(-1)[order[lo:hi]] = 1.0
+        a = _assemble(op, start, weights.T.reshape(op.grid_shape + (nu,)))
         mu += a.real**2 + a.imag**2
     return _finalize_distribution(op, start, mu, math.inf)
 

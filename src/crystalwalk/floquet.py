@@ -10,10 +10,10 @@ grid approximation of the limiting density from per-point eigenprojections.
 The collision scan sorts the nu N^d band values once and walks each value's
 run of close successors, so it costs O(nu N^d log(nu N^d) + close pairs)
 instead of nu^2 N^2d tests, and holds one count per shift and band pair.
-Its sorted pair walk (``_run_pairs``) and torus offset rule
-(``_torus_offset``) also serve the time averages in ``dynamics``: the scan
-walks partner i + t while |x[i + t] - x[i]| < delta, the infinite-time
-average while i + t stays in the eigenvalue cluster of i.
+That table, ``_pair_counts``, also serves the infinite-time average in
+``dynamics``: the scan keeps partner i + t while |x[i + t] - x[i]| < delta,
+the average while i + t stays in the eigenvalue cluster of i. The torus
+offset rule (``_torus_offset``) serves both time averages.
 """
 
 from __future__ import annotations
@@ -119,15 +119,9 @@ class BandStructure:
         return self.spectrum.nu
 
 
-def product_spec(
-    base: BaseLattice,
-    graph: FiniteGraph,
-    kind: ProductKind,
-    tol: float = DEFAULT_CLUSTER_TOL,
-) -> BandStructure:
+def product_spec(base: BaseLattice, graph: FiniteGraph, kind: ProductKind) -> BandStructure:
     """Band structure of the product of a base lattice with a finite graph."""
-    spectrum = eigendecompose_symmetric(graph.adjacency, tol)
-    return BandStructure(base=base, spectrum=spectrum, rule=kind)
+    return BandStructure(base=base, spectrum=eigendecompose_symmetric(graph.adjacency), rule=kind)
 
 
 def flat_band_check(bands: BandStructure, tol: float = DEFAULT_CLUSTER_TOL) -> list[int]:
@@ -224,6 +218,7 @@ def floquet_condition_fraction(
         raise ParameterError(
             f"collision scan needs {nu * nu * cells} counts, over the budget {SCAN_COUNT_BUDGET}"
         )
+    flat_bands = tuple(flat_band_check(bands, tol))
     grid = _band_grid(bands, N)
     flat = grid.reshape(nu, cells)
     # shift (0, ..., 0, 1) comes first in C order; count it densely, one band row at a time
@@ -239,16 +234,13 @@ def floquet_condition_fraction(
         max_fraction=int(counts[best]) / cells,
         worst_shift=tuple(int(x) for x in np.unravel_index(shift + 1, (N,) * d)),
         worst_pair=divmod(pair, nu),
-        flat_bands=tuple(flat_band_check(bands, tol)),
+        flat_bands=flat_bands,
     )
 
 
-def _torus_offset(a: np.ndarray | int, b: np.ndarray, N: int, d: int, unit: int = 1) -> np.ndarray:
-    """Flat C-order index of (cell(a) - cell(b)) mod N per axis, times ``unit``.
-
-    a and b index (N,)*d cells of ``unit`` entries each; digits above the cell drop out.
-    """
-    stride = N ** (d - 1) * unit
+def _torus_offset(a: np.ndarray | int, b: np.ndarray, N: int, d: int) -> np.ndarray:
+    """Flat C-order index of (cell(a) - cell(b)) mod N per axis; digits above the (N,)*d cell drop out."""
+    stride = N ** (d - 1)
     m = (a // stride - b // stride) % N * stride
     for _ in range(d - 1):
         stride //= N
@@ -277,29 +269,38 @@ def _run_pairs(n: int, block: int, within: Callable) -> Iterator[tuple[np.ndarra
         active = active[:kept]
 
 
-def _collision_counts(grid: np.ndarray, N: int, d: int, delta: float) -> np.ndarray:
-    """C[m, s, w] = #{r : |E_s(r + m) - E_w(r)| < delta} from one sorted sweep.
+def _pair_counts(order: np.ndarray, cells: int, N: int, d: int, within: Callable) -> np.ndarray:
+    """C[m, s, w] = #{kept pairs of a = (s, r_a), b = (w, r_b) with r_a - r_b = m}.
 
-    ``grid`` holds E_s(r) at [s, r] with r flat in C order over (N,)*d.
-    Returns C of shape (N,)*d + (nu, nu); at shift 0 no point is paired with
-    itself. Counts fit int32 because they are at most N^d.
-
-    Sorted ascending, x[i + t] - x[i] rounds to a nondecreasing function of
-    t (rounding is monotone), so the hits of position i form the run that
-    ``_run_pairs`` walks. A hit a = (s, r_a) after b = (w, r_b) counts at
-    m = r_a - r_b; its mirror (b, a) at -m is filled in at the end.
+    ``order`` holds band-major positions s * N^d + r, and ``_run_pairs``
+    keeps the pairs (order[i], order[i + t]) that ``within(i, t)`` passes.
+    Each counts as (a, b) = (order[i + t], order[i]) and as its mirror (b, a),
+    so no position pairs with itself. int32 counts (each at most N^d), shape (N^d, nu, nu).
     """
-    nu, cells = grid.shape
-    order = np.argsort(grid, axis=None, kind="stable")
-    x = np.append(grid.reshape(-1)[order], np.inf)  # the inf ends every run at the last position
+    nu = order.size // cells
     counts = np.zeros((cells, nu, nu), dtype=np.int32)
     flat = counts.reshape(-1)
     # blocks of at most N^d positions keep each step's temporaries at N^d entries
-    for i, t in _run_pairs(order.size, cells, lambda i, t: np.abs(x[i + t] - x[i]) < delta):
+    for i, t in _run_pairs(order.size, cells, within):
         a, b = order[i + t], order[i]
         # an increment of the counts' own dtype keeps add.at on its fast path
         np.add.at(flat, (_torus_offset(a, b, N, d) * nu + a // cells) * nu + b // cells, np.int32(1))
     counts += counts[_torus_offset(0, np.arange(cells), N, d)].swapaxes(1, 2)
+    return counts
+
+
+def _collision_counts(grid: np.ndarray, N: int, d: int, delta: float) -> np.ndarray:
+    """C[m, s, w] = #{r : |E_s(r + m) - E_w(r)| < delta} from one sorted sweep.
+
+    ``grid`` holds E_s(r) at [s, r] with r flat in C order over (N,)*d.
+    Returns C of shape (N,)*d + (nu, nu). Sorted ascending, x[i + t] - x[i]
+    rounds to a nondecreasing function of t (rounding is monotone), so the
+    hits of position i form the run that ``_pair_counts`` walks.
+    """
+    nu, cells = grid.shape
+    order = np.argsort(grid, axis=None, kind="stable")
+    x = np.append(grid.reshape(-1)[order], np.inf)  # the inf ends every run at the last position
+    counts = _pair_counts(order, cells, N, d, lambda i, t: np.abs(x[i + t] - x[i]) < delta)
     return counts.reshape((N,) * d + (nu, nu))
 
 

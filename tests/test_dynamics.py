@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from crystalwalk import (
     PAIR_SUM_LIMIT,
+    FiniteGraph,
     NumericalError,
     ParameterError,
     build_named,
@@ -266,6 +268,32 @@ def test_infinite_average_matches_dense_projections(
     order = np.argsort(lam, kind="stable")
     mu = op.spectrum.eigenvalues[order % g.nu]
     assert cross == any(np.ptp(c) > 0.5 for c in np.split(mu, cluster_eigenvalues(lam[order])[:-1]))
+
+
+@st.composite
+def _torus_walks(draw):
+    """A factor graph of at most 5 vertices, complete or random, on a 1- or 2-D torus, and a start."""
+    nu = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(nu) for v in range(u + 1, nu)]
+    if pairs and not draw(st.booleans()):
+        pairs = draw(st.sets(st.sampled_from(pairs)))
+    d = draw(st.integers(1, 2))
+    N = draw(st.integers(3, 8))
+    cell = tuple(draw(st.integers(0, N - 1)) for _ in range(d))
+    return FiniteGraph(nu, frozenset(pairs)), d, N, (cell, draw(st.integers(0, nu - 1)))
+
+
+@settings(deadline=None)
+@given(_torus_walks())
+@example((build_named("complete", [5]), 1, 4, ((1,), 2)))  # the 8-fold -1 band at r = 1, 3 goes alone
+def test_infinite_average_matches_dense_projections_on_generated_tori(walk):
+    g, d, N, start = walk
+    got = infinite_time_averaged(build_torus(g, d=d, N=N), start).values
+    vals, vecs = np.linalg.eigh(dense_product_adjacency(g, d, N))
+    row = vecs[flat_index(start[0], start[1], N, g.nu)]
+    clusters = np.split(np.arange(vals.size), cluster_eigenvalues(vals)[:-1])
+    want = sum((vecs[:, c] @ row[c]) ** 2 for c in clusters)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_infinite_average_runs_one_inverse_fft(monkeypatch):

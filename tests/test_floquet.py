@@ -435,11 +435,12 @@ def test_band_continuity_on_grid():
 
 
 def test_general_density_rejects_invalid_tolerance():
+    bands = product_spec(BaseLattice.zd(1), build_named("cycle", [3]), ProductKind.TENSOR)
     for tol in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ParameterError, match="tolerance"):
             general_density(honeycomb_spec(), 4, tol=tol)
         with pytest.raises(ParameterError, match="tolerance"):
-            product_spec(BaseLattice.zd(1), build_named("cycle", [3]), ProductKind.TENSOR, tol=tol)
+            floquet_condition_fraction(bands, 8, tol=tol)
 
 
 def test_grid_density_rejects_nan():
@@ -486,6 +487,38 @@ def test_run_pairs_covers_each_cluster_pair_once(seed):
     _assert_walk_matches(n, lambda i, t: span[i] > t, brute)
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d,N", [(1, 7), (2, 4), (3, 3)])
+def test_pair_counts_match_cluster_pair_enumeration(d, N, seed):
+    # the infinite average's rule over band-major positions s * N^d + r in a
+    # random order, cut into runs of a partition, where runs marked alone are
+    # left out: every ordered pair of distinct positions in a kept run counts
+    # once at the torus offset of its cells
+    rng = np.random.default_rng([d, seed])
+    nu = int(rng.integers(1, 4))
+    shape, cells = (N,) * d, N**d
+    n = nu * cells
+    order = rng.permutation(n)
+    cuts = np.cumsum(rng.integers(1, 2 * cells, size=n))
+    ends = np.append(cuts[cuts < n], n)
+    sizes = np.diff(ends, prepend=0)
+    alone = rng.random(sizes.size) < 0.3
+    alone[np.argmax(sizes)] = False
+    span = np.repeat(np.where(alone, 0, ends), sizes) - np.arange(n)
+    got = floquet._pair_counts(order, cells, N, d, lambda i, t: span[i] > t)
+    want = np.zeros((cells, nu, nu), dtype=int)
+    for lo, hi, skip in zip(ends - sizes, ends, alone):
+        run = [] if skip else order[lo:hi].tolist()
+        for a in run:
+            for b in run:
+                if a != b:
+                    diff = np.subtract(np.unravel_index(a % cells, shape), np.unravel_index(b % cells, shape))
+                    want[np.ravel_multi_index(tuple(diff % N), shape), a // cells, b // cells] += 1
+    assert got.dtype == np.int32
+    assert want.max() > 1  # some offset and band pair is hit more than once
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("delta", [0.5, 1.0, 2.5])
 def test_run_pairs_covers_each_close_pair_once(seed, delta):
@@ -511,10 +544,6 @@ def test_torus_offset_matches_unravelled_difference(d, N):
     # band-major index s * N^d + r: the band digit above the cell drops out
     a, b = rng.integers(0, 3 * cells, (2, 200))
     np.testing.assert_array_equal(floquet._torus_offset(a, b, N, d), want(a % cells, b % cells))
-    # cell-major index r * nu + j with a unit of nu
-    nu = 3
-    got = floquet._torus_offset(a, b, N, d, nu)
-    np.testing.assert_array_equal(got, want(a // nu % cells, b // nu % cells) * nu)
     # a = 0 gives -r
     r = np.arange(cells)
     np.testing.assert_array_equal(floquet._torus_offset(0, r, N, d), want(np.zeros_like(r), r))
