@@ -43,6 +43,7 @@ from .spectral import (
 __all__ = [
     "STATE_BUDGET",
     "PAIR_SUM_LIMIT",
+    "AVERAGE_COUNT_BUDGET",
     "TorusOperator",
     "TimeAveragedDistribution",
     "build_torus",
@@ -59,6 +60,9 @@ STATE_BUDGET = 1 << 20
 # it gets a much smaller ceiling than vector evolution: 4096 states take about
 # a third of a second, in memory linear in the states.
 PAIR_SUM_LIMIT = 4096
+# The infinite-time average fills one int32 count per (cell offset, band pair):
+# nu^2 N^d counts, 16 MB at this budget. C3 on a 512 x 512 torus needs 2.4M.
+AVERAGE_COUNT_BUDGET = 1 << 22
 
 _NORM_TOL = 1e-10
 _MASS_TOL = 1e-10
@@ -289,12 +293,17 @@ def infinite_time_averaged(
     clusters: O(sum |C|^2 + N^d nu^3 + dim log N) work. A cluster with
     nu |C|^2 > N^d nu^2 + dim log2(dim) (a flat or highly degenerate band) is
     projected on its own instead, so a counted cluster walks at most
-    N^d nu + dim log2(dim) / nu pairs.
+    N^d nu + dim log2(dim) / nu pairs. Averages needing more than
+    ``AVERAGE_COUNT_BUDGET`` counts are rejected before anything is allocated.
     """
     start = _normalize_start(op, start)
     cell, p = start
     N, d, nu, dim = op.N, op.d, op.nu, op.dim
     cells = N**d
+    if nu * nu * cells > AVERAGE_COUNT_BUDGET:
+        raise ParameterError(
+            f"infinite-time average needs {nu * nu * cells} counts, over the budget {AVERAGE_COUNT_BUDGET}"
+        )
     lam = op.eigenvalues.reshape(-1)
     order = np.argsort(lam, kind="stable")
     ends = cluster_eigenvalues(lam[order], cluster_tol)

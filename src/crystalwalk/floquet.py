@@ -14,6 +14,13 @@ That table, ``_pair_counts``, also serves the infinite-time average in
 ``dynamics``: the scan keeps partner i + t while |x[i + t] - x[i]| < delta,
 the average while i + t stays in the eigenvalue cluster of i. The torus
 offset rule (``_torus_offset``) serves both time averages.
+
+The grid quadrature walks the grid in blocks of K fibers, K nu^2 <= 64
+matrix entries: per block one stacked fiber-matrix build, one stacked
+``eigh``, the row-wise clustering rule of ``spectral`` and one
+``squared_projection_sum`` per cluster pattern, so a block costs O(offsets +
+patterns) numpy calls instead of K times a per-fiber loop. It adds the
+fibers in grid order and so gives the per-fiber loop's values bit for bit.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ from .spectral import (
     DensityMatrix,
     EigenSolverError,
     SpectralDecomposition,
+    _cluster_splits,
     _within,
-    cluster_eigenvalues,
     cluster_gap,
     eigendecompose_symmetric,
     squared_projection_sum,
@@ -57,6 +64,9 @@ DEFAULT_COLLISION_DELTA = 1e-9
 SCAN_COUNT_BUDGET = 1 << 20
 # Grid quadrature diagonalizes one fiber matrix per grid point: N^d of them.
 FIBER_BUDGET = 1 << 20
+# Quadrature blocks hold K fibers with K nu^2 <= this many matrix entries; it
+# sets the per-block temporaries, and so the quadrature's memory peak.
+_BLOCK_ENTRIES = 64
 
 _HERMITICITY_TOL = 1e-12
 _GRID_ROW_SUM_TOL = 1e-8
@@ -89,15 +99,43 @@ class BaseLattice:
 
 
 def build_floquet_matrix(spec: PeriodicGraphSpec, theta: float | Sequence[float]) -> np.ndarray:
-    """Fiber matrix H(theta)(p, q) = sum over offset edges e^(2 pi i theta.n) + Q(p) delta_pq."""
+    """Fiber matrix H(theta)(p, q) = sum over offset edges e^(2 pi i theta.n) + Q(p) delta_pq.
+
+    ``theta`` is one quasimomentum of d components, giving a (nu, nu)
+    matrix, or a stack of shape (K, d), giving (K, nu, nu). Each distinct
+    offset n contributes one phase column e^(2 pi i theta.n), added to its
+    (p, q) entries in ascending order of n, so each matrix of a stack equals
+    the single-theta call bit for bit.
+    """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if th.shape != (spec.d,):
+    if th.ndim > 2 or th.shape[-1] != spec.d:
         raise ParameterError(f"theta must have {spec.d} component(s)")
-    h = np.zeros((spec.nu, spec.nu), dtype=complex)
-    for p, q, off in spec.offset_edges:
-        h[p, q] += np.exp(2j * np.pi * float(np.dot(th, off)))
-    h[np.diag_indices(spec.nu)] += np.asarray(spec.potential, dtype=float)
-    _within(np.abs(h - h.conj().T).max(), _HERMITICITY_TOL, "fiber matrix is not Hermitian")
+    nu = spec.nu
+    offsets, targets = spec._offset_targets
+    # e^(2 pi i theta.n), one column per distinct offset. The argument is built
+    # in place, both parts as the product 2j * pi * x forms them: a NaN theta
+    # makes the real part NaN too, so exp stays quiet and the check below fails.
+    x = th.reshape(-1, spec.d) @ offsets.T
+    phases = np.empty(x.shape, dtype=complex)
+    np.multiply(x, 0.0, out=phases.real)
+    np.multiply(x, 2 * np.pi, out=phases.imag)
+    del x
+    np.exp(phases, out=phases)
+    h = np.zeros(phases.shape[0] * nu * nu, dtype=complex)
+    rows = np.arange(0, h.size, nu * nu)[:, None]
+    for col, flat in enumerate(targets):
+        # take and put: fancy indexing would allocate a few KB of index machinery per call
+        at = rows + flat
+        entries = h.take(at)
+        entries += phases[:, col, None]
+        h.put(at, entries)
+    del phases
+    # complex already, so the strided add needs no casting buffer
+    h.reshape(-1, nu * nu)[:, :: nu + 1] += np.asarray(spec.potential, dtype=complex)
+    h = h.reshape(th.shape[:-1] + (nu, nu))
+    skew = h.conj()
+    skew -= h.swapaxes(-1, -2)  # H^H - H, transposed
+    _within(np.abs(skew).max(initial=0.0), _HERMITICITY_TOL, "fiber matrix is not Hermitian")
     return h
 
 
@@ -331,15 +369,46 @@ class GridDensityResult:
         return DensityMatrix(values=self.values, source="quadrature")
 
 
+def _fiber_densities(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
+    """sum_s |P_s|^2 of each fiber of a block, shape (K, nu, nu), in the block's order.
+
+    Fibers are grouped by their cluster pattern, so each group shares the
+    ends that ``squared_projection_sum`` takes.
+    """
+    split = _cluster_splits(vals, tol)
+    nu = vals.shape[1]
+    patterns = [0]
+    if len(split) > 1:
+        # one integer code per split pattern; a block holds more than one fiber
+        # only while nu^2 <= _BLOCK_ENTRIES / 2, so the nu - 1 bits fit
+        codes = split @ (1 << np.arange(nu - 1))
+        ranked = np.sort(codes)  # np.unique would allocate about 1 MB on its first call
+        patterns = ranked[np.append(True, ranked[1:] != ranked[:-1])].tolist()
+    if len(patterns) == 1:
+        return squared_projection_sum(vecs, np.append(np.flatnonzero(split[0]) + 1, nu))
+    d = np.empty(vecs.shape, dtype=float)
+    for code in patterns:
+        rows = np.flatnonzero(codes == code)
+        d[rows] = squared_projection_sum(vecs[rows], np.append(np.flatnonzero(split[rows[0]]) + 1, nu))
+    return d
+
+
 def general_density(
     spec: PeriodicGraphSpec, N: int, tol: float = DEFAULT_CLUSTER_TOL
 ) -> GridDensityResult:
     """Grid-quadrature limiting density of an arbitrary periodic spec.
 
-    Diagonalizes H(r/N) at every grid point, clusters the eigenvalues with
-    the shared single-linkage rule, and accumulates the squared moduli of the
-    distinct-eigenvalue projections. Grids of more than ``FIBER_BUDGET``
-    points are rejected before anything is allocated.
+    Walks the N^d grid points r/N in C order, in blocks of K fibers with
+    K nu^2 <= ``_BLOCK_ENTRIES`` (K = 16 for nu = 2, one fiber from nu = 6).
+    Each block builds its K fiber matrices with one ``build_floquet_matrix``
+    call, diagonalizes them with one stacked ``eigh``, clusters every row
+    with the shared single-linkage rule, and adds the squared moduli of the
+    distinct-eigenvalue projections, one ``squared_projection_sum`` per
+    cluster pattern in the block. That is O(offsets + patterns) numpy calls
+    and O(K nu^3) work per block, O(K nu^2) memory. The fibers are summed in
+    grid order, so the result is bit for bit that of a loop over single
+    fibers. Grids of more than ``FIBER_BUDGET`` points are rejected before
+    anything is allocated.
     """
     N = int(N)
     if N < 1:
@@ -347,14 +416,21 @@ def general_density(
     fibers = N**spec.d
     if fibers > FIBER_BUDGET:
         raise ParameterError(f"grid quadrature needs {fibers} fibers, over the budget {FIBER_BUDGET}")
+    shape = (N,) * spec.d
+    block = max(1, _BLOCK_ENTRIES // spec.nu**2)
     acc = np.zeros((spec.nu, spec.nu))
-    for r in np.ndindex(*((N,) * spec.d)):
-        theta = np.asarray(r, dtype=float) / N
-        h = build_floquet_matrix(spec, theta)
+    for lo in range(0, fibers, block):
+        hi = min(lo + block, fibers)
+        theta = np.stack(np.unravel_index(np.arange(lo, hi), shape), axis=-1) / N
         try:
-            vals, vecs = np.linalg.eigh(h)
+            vals, vecs = np.linalg.eigh(build_floquet_matrix(spec, theta))
         except np.linalg.LinAlgError as exc:
-            raise EigenSolverError(f"fiber eigendecomposition failed at grid point {r}") from exc
-        acc += squared_projection_sum(vecs, cluster_eigenvalues(vals, tol))
+            first, last = (tuple(map(int, np.unravel_index(i, shape))) for i in (lo, hi - 1))
+            raise EigenSolverError(
+                f"fiber eigendecomposition failed in the block of grid points {first} to {last}"
+            ) from exc
+        d = _fiber_densities(vals, vecs, tol)
+        d[0] += acc  # then the sum over the block adds fiber after fiber, as a per-fiber loop would
+        acc = d.sum(axis=0)
     acc /= fibers
     return GridDensityResult(values=acc, N=N)

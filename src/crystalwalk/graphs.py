@@ -278,6 +278,19 @@ class PeriodicGraphSpec:
                 raise ParameterError("potential entries must be finite")
             object.__setattr__(self, "potential", pot)
 
+    @cached_property
+    def _offset_targets(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Distinct offsets in ascending order, shape (m, d), and the flat targets p * nu + q of each.
+
+        The entries are deduplicated, so no target repeats within one offset.
+        """
+        targets: dict[tuple[int, ...], list[int]] = {}
+        for p, q, off in self.offset_edges:
+            targets.setdefault(off, []).append(p * self.nu + q)
+        offsets = sorted(targets)
+        flat = tuple(np.array(targets[off], dtype=np.intp) for off in offsets)
+        return np.array(offsets, dtype=float).reshape(len(offsets), self.d), flat
+
 
 def zd_product_spec(
     graph: FiniteGraph, d: int = 1, potential: Sequence[float] | None = None

@@ -5,7 +5,9 @@ assembled from the spectral projections onto distinct eigenvalues of the
 adjacency matrix: d(p, q) = sum_s P_s(p, q)^2. Eigenvalues are grouped into
 numerically distinct clusters by single linkage with an absolute gap of
 tol * max(1, spectral radius); each cluster is a contiguous run of the
-ascending order, carried as the exclusive end of that run.
+ascending order, carried as the exclusive end of that run. The one rule,
+``_cluster_splits``, works on a stack of spectra row by row, each row with
+its own gap, so one call clusters a whole block of Bloch fibers.
 """
 
 from __future__ import annotations
@@ -56,34 +58,44 @@ def _within(err: float, tol: float, what: str, error: type[Exception] = Numerica
         raise error(f"{what}: deviation {err:.3e}")
 
 
-def cluster_gap(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> float:
-    """Clustering gap tol * max(1, max|value|) of an array of eigenvalues.
+def cluster_gap(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> float | np.ndarray:
+    """Clustering gap tol * max(1, max|value|) over the last axis of eigenvalues.
 
-    Raises ParameterError unless tol is positive and finite.
+    A float for a 1-D array, one gap per row for a stack of rows. Raises
+    ParameterError unless tol is positive and finite.
     """
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"clustering tolerance must be positive and finite, got {tol!r}")
-    return tol * max(1.0, float(np.abs(values).max(initial=0.0)))
+    return tol * np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
+
+
+def _cluster_splits(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
+    """Where each row of ascending eigenvalues starts a new cluster, shape (..., n - 1).
+
+    Single linkage: consecutive values of a row no further apart than the
+    row's ``cluster_gap`` share a cluster, so ``split[..., j]`` is True where
+    value j + 1 opens the next one. This is the package's one clustering rule.
+    """
+    step = values[..., 1:] - values[..., :-1]  # np.diff and np.any cost more per block of Bloch fibers
+    if (step < 0).any():
+        raise ValueError("values must be ascending")
+    return step > cluster_gap(values, tol)[..., None]
 
 
 def cluster_eigenvalues(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
     """Group an ascending array of eigenvalues into degenerate clusters.
 
-    Single linkage: consecutive values no further apart than
-    ``cluster_gap(values, tol)`` share a cluster, so every cluster is a
+    The rows of ``_cluster_splits`` for one array: every cluster is a
     contiguous run. Returns the exclusive end of each run, rising to
     len(values); its length is the number of clusters.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    step = values[1:] - values[:-1]  # np.diff and np.any cost more per Bloch fiber
-    if (step < 0).any():
-        raise ValueError("values must be ascending")
-    gap = cluster_gap(values, tol)  # before the empty return, so tol is checked there too
+    split = _cluster_splits(values, tol)  # before the empty return, so tol is checked there too
     if values.size == 0:
         return np.zeros(0, dtype=np.intp)
-    return np.append(np.nonzero(step > gap)[0] + 1, values.size)
+    return np.append(np.nonzero(split)[0] + 1, values.size)
 
 
 @dataclass(frozen=True)
@@ -194,19 +206,21 @@ class DensityMatrix:
 def squared_projection_sum(vecs: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """sum_s |V_s V_s^H|^2 entrywise, for real or complex orthonormal columns V.
 
-    ``ends`` are the cluster ends of ``cluster_eigenvalues``: cluster s is the
-    column run V_s = V[:, ends[s-1]:ends[s]]. Simple eigenvalues contribute
-    (|V|^2)(|V|^2)^T in one GEMM; only degenerate clusters form their
-    projection, one block at a time.
+    ``vecs`` is one n x n matrix V or a stack of them, shape (..., n, n),
+    whose matrices all share ``ends``, the cluster ends of
+    ``cluster_eigenvalues``: cluster s is the column run
+    V_s = V[..., ends[s-1]:ends[s]]. Simple eigenvalues contribute
+    (|V|^2)(|V|^2)^T in one GEMM per matrix; only degenerate clusters form
+    their projection, one block at a time.
     """
     starts = np.concatenate(([0], ends[:-1]))
     simple = ends - starts == 1
-    w = np.abs(vecs[:, starts[simple]]) ** 2
-    d = w @ w.T
+    w = np.abs(vecs.take(starts[simple], axis=-1)) ** 2  # take: no indexing buffers for a stack
+    d = w @ w.swapaxes(-1, -2)
     del w  # hold at most one projection-sized temporary beside d in the loop below
     for lo, hi in zip(starts[~simple], ends[~simple]):
-        block = vecs[:, lo:hi]
-        d += np.abs(block @ block.conj().T) ** 2
+        block = vecs[..., lo:hi]
+        d += np.abs(block @ block.conj().swapaxes(-1, -2)) ** 2
     return d
 
 

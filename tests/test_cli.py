@@ -222,6 +222,27 @@ def test_density_periodic_rejects_quadrature_over_budget(capsys, tmp_path):
     assert not out_file.exists()
 
 
+def test_simulate_rejects_infinite_average_over_budget(capsys):
+    # 2^20 states fit the state budget, but the average's count table would hold 2^26 counts
+    code, out, err = run_cli(
+        capsys, "simulate", "--family", "complete", "--nu", "64", "--N", "16384", "--T", "inf"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "budget" in err
+
+
+def test_density_periodic_eigh_failure_exits_1(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, out, err = run_cli(capsys, "density", "--periodic", "honeycomb", "--N", "8")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("numeric failure: fiber eigendecomposition failed")
+
+
 def test_simulate_summary_goes_to_stderr(capsys):
     code, out, err = run_cli(
         capsys,

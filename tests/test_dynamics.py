@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from crystalwalk import (
+    AVERAGE_COUNT_BUDGET,
     PAIR_SUM_LIMIT,
     FiniteGraph,
     NumericalError,
@@ -337,6 +338,34 @@ def test_total_variation():
     a = time_averaged(op, ((0,), 0), 5.0)
     b = infinite_time_averaged(op, ((0,), 0))
     assert 0.0 <= total_variation(a, b) <= 1.0
+
+
+def test_infinite_average_count_budget_rejects_before_allocating():
+    # K64 at the state budget would need 64 nu N^d = 2^26 counts, 256 MB of int32
+    g = build_named("complete", [64])
+    op = build_torus(g, d=1, N=2**14)
+    assert op.dim == dynamics.STATE_BUDGET
+    assert g.nu * op.dim > AVERAGE_COUNT_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="budget"):
+            infinite_time_averaged(op, ((0,), 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10  # not even the sort of the 2^20 eigenvalues ran
+    # the largest torus the average is known to run, C3 on a 512 x 512 torus, fits
+    assert 3 * 3 * 512**2 <= AVERAGE_COUNT_BUDGET
+
+
+def test_infinite_average_count_budget_boundary(monkeypatch):
+    g = build_named("cycle", [3])
+    monkeypatch.setattr(dynamics, "AVERAGE_COUNT_BUDGET", 9 * 8**2)
+    op = build_torus(g, d=2, N=8)
+    dist = infinite_time_averaged(op, ((1, 2), 0))
+    assert dist.values.sum() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ParameterError, match="budget"):
+        infinite_time_averaged(build_torus(g, d=2, N=9), ((1, 2), 0))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])

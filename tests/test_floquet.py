@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from crystalwalk import (
+    DEFAULT_CLUSTER_TOL,
     DEFAULT_COLLISION_DELTA,
+    EigenSolverError,
     FIBER_BUDGET,
     SCAN_COUNT_BUDGET,
     BaseLattice,
@@ -15,6 +18,7 @@ from crystalwalk import (
     build_floquet_matrix,
     build_named,
     closed_form_density,
+    cluster_eigenvalues,
     flat_band_check,
     floquet_condition_fraction,
     general_density,
@@ -25,6 +29,7 @@ from crystalwalk import (
 )
 from crystalwalk import floquet
 from crystalwalk.graphs import PeriodicGraphSpec
+from crystalwalk.spectral import squared_projection_sum
 
 
 def zd_line_spec():
@@ -105,6 +110,97 @@ def test_floquet_matrix_honeycomb():
 def test_floquet_matrix_rejects_nan():
     with pytest.raises(NumericalError, match="Hermitian"):
         build_floquet_matrix(honeycomb_spec(), (math.nan, 0.0))
+
+
+def _crossing_spec():
+    """nu = 3, d = 1: a dimer (eigenvalues -1, 1) beside a chain site with potential 1.
+
+    The chain band 2 cos(2 pi theta) + 1 meets the dimer's eigenvalues at
+    theta = 1/4, 1/2, 3/4, so on a grid of N = 8 some fibers of a block are
+    degenerate and the others are not.
+    """
+    entries = ((0, 1, (0,)), (1, 0, (0,)), (2, 2, (1,)), (2, 2, (-1,)))
+    return PeriodicGraphSpec(d=1, nu=3, offset_edges=entries, potential=(0.0, 0.0, 1.0))
+
+
+def _per_edge_matrix(spec, theta):
+    """H(theta) one offset edge at a time, the builder the stacked fiber matrices replaced."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    h = np.zeros((spec.nu, spec.nu), dtype=complex)
+    for p, q, off in spec.offset_edges:
+        h[p, q] += np.exp(2j * np.pi * float(np.dot(th, off)))
+    h[np.diag_indices(spec.nu)] += np.asarray(spec.potential, dtype=float)
+    return h
+
+
+def _per_fiber_density(spec, N, tol=DEFAULT_CLUSTER_TOL):
+    """The grid quadrature one fiber at a time, the loop the blocked quadrature replaced.
+
+    Also returns each fiber's cluster ends, in grid order.
+    """
+    acc = np.zeros((spec.nu, spec.nu))
+    ends = []
+    for r in np.ndindex(*((N,) * spec.d)):
+        vals, vecs = np.linalg.eigh(_per_edge_matrix(spec, np.asarray(r, dtype=float) / N))
+        ends.append(cluster_eigenvalues(vals, tol))
+        acc += squared_projection_sum(vecs, ends[-1])
+    acc /= N**spec.d
+    return acc, ends
+
+
+def _quadrature_cases():
+    cases = [pytest.param(honeycomb_spec(), N, id=f"honeycomb-{N}") for N in (3, 6, 9, 24, 40, 45)]
+    for family, params, d, N in [("petersen", [], 1, 16), ("petersen", [], 2, 8), ("cycle", [6], 2, 9),
+                                 ("hypercube", [3], 2, 8)]:
+        spec = zd_product_spec(build_named(family, params), d=d)
+        cases.append(pytest.param(spec, N, id=f"{family}{params}-d{d}-{N}"))
+    cases += [pytest.param(_crossing_spec(), N, id=f"crossing-{N}") for N in (8, 24)]
+    return cases
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+@pytest.mark.parametrize("spec,N", _quadrature_cases())
+def test_blocked_quadrature_is_the_per_fiber_loop_bit_for_bit(monkeypatch, spec, N, entries):
+    if entries is not None:
+        monkeypatch.setattr(floquet, "_BLOCK_ENTRIES", entries)
+    want, ends = _per_fiber_density(spec, N)
+    got = general_density(spec, N).values
+    assert np.array_equal(got, want)
+    # blocks on these grids mix cluster patterns: Dirac points when 3 | N, crossings at 1/4, 1/2, 3/4
+    block = max(1, floquet._BLOCK_ENTRIES // spec.nu**2)
+    patterns = [tuple(e) for e in ends]
+    mixed = any(len(set(patterns[i : i + block])) > 1 for i in range(0, len(patterns), block))
+    assert mixed == (block > 1 and (spec.nu == 3 or (spec.nu == 2 and N % 3 == 0)))
+
+
+_STACK_SPECS = [
+    honeycomb_spec(),
+    zd_product_spec(build_named("petersen", []), d=2),
+    _crossing_spec(),
+    zd_product_spec(build_named("path", [3]), d=3, potential=(0.5, -1.0, 0.25)),
+]
+
+
+@pytest.mark.parametrize("spec", _STACK_SPECS)
+def test_floquet_matrix_stack_matches_single_calls(spec):
+    thetas = np.random.default_rng(5).random((7, spec.d))
+    thetas[:2] = [[0.0] * spec.d, [0.5] * spec.d]
+    stack = build_floquet_matrix(spec, thetas)
+    assert stack.shape == (7, spec.nu, spec.nu)
+    assert np.array_equal(stack, np.stack([build_floquet_matrix(spec, t) for t in thetas]))
+    assert np.array_equal(stack, np.stack([_per_edge_matrix(spec, t) for t in thetas]))
+
+
+def test_floquet_matrix_theta_shapes():
+    assert build_floquet_matrix(zd_line_spec(), 0.25).shape == (1, 1)
+    assert build_floquet_matrix(zd_line_spec(), [[0.25], [0.5]]).shape == (2, 1, 1)
+    for bad in (0.25, np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((2, 4, 2))):
+        with pytest.raises(ParameterError, match="component"):
+            build_floquet_matrix(honeycomb_spec(), bad)
+    thetas = np.full((5, 2), 0.25)
+    thetas[3, 1] = math.nan
+    with pytest.raises(NumericalError, match="Hermitian"):
+        build_floquet_matrix(honeycomb_spec(), thetas)
 
 
 def test_floquet_matrix_with_potential():
@@ -368,6 +464,32 @@ def test_quadrature_budget_boundary(monkeypatch):
     assert general_density(honeycomb_spec(), 4).N == 4
     with pytest.raises(ParameterError, match="budget"):
         general_density(honeycomb_spec(), 5)
+
+
+def test_quadrature_eigh_failure_names_the_block(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    # the first block of 16 honeycomb fibers runs from grid point (0, 0) to (1, 7)
+    with pytest.raises(EigenSolverError, match=r"grid points \(0, 0\) to \(1, 7\)"):
+        general_density(honeycomb_spec(), 8)
+
+
+@pytest.mark.parametrize(
+    "spec,N", [(honeycomb_spec(), 45), (zd_product_spec(build_named("petersen", []), d=2), 16)]
+)
+def test_quadrature_memory_stays_within_one_block(spec, N):
+    # about 9 and 11 KB with blocks of K nu^2 <= 64 entries; a larger block
+    # fails here before it moves the benchmark's quadrature peak
+    general_density(spec, N)  # first calls allocate numpy's own caches
+    tracemalloc.start()
+    try:
+        general_density(spec, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**10
 
 
 def test_general_density_line_is_trivial():

@@ -22,7 +22,7 @@ from crystalwalk import (
     from_edge_list,
     limiting_density,
 )
-from crystalwalk.spectral import DensityMatrix, _within, cluster_gap, squared_projection_sum
+from crystalwalk.spectral import DensityMatrix, _cluster_splits, _within, cluster_gap, squared_projection_sum
 
 
 def random_graph_text(rng, max_nu=32):
@@ -389,6 +389,32 @@ def test_squared_projection_sum_matches_per_cluster_sum(dtype, sizes):
     got = squared_projection_sum(v, bounds[1:])
     assert got.dtype == np.float64 and got.shape == (n, n)
     assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_squared_projection_sum_of_a_stack_is_each_matrix_bit_for_bit(dtype):
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((5, 7, 7))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((5, 7, 7))
+    v, _ = np.linalg.qr(a)
+    for ends in ([1, 2, 3, 4, 5, 6, 7], [1, 4, 5, 7], [7]):
+        ends = np.array(ends)
+        got = squared_projection_sum(v, ends)
+        assert got.shape == (5, 7, 7)
+        assert np.array_equal(got, np.stack([squared_projection_sum(m, ends) for m in v]))
+
+
+def test_cluster_splits_use_each_row_gap():
+    # the same steps split or join by each row's own gap, tol * max(1, max|value|)
+    rows = np.array([[0.0, 4e-8, 1.0], [0.0, 4e-8, 5.0], [-6.0, -6.0 + 5e-8, 0.0]])
+    np.testing.assert_array_equal(cluster_gap(rows), [1e-8, 1e-8 * 5.0, 1e-8 * 6.0])
+    split = _cluster_splits(rows, 1e-8)
+    assert split.tolist() == [[True, True], [False, True], [False, True]]
+    for row, s in zip(rows, split):
+        assert cluster_eigenvalues(row).tolist() == (np.flatnonzero(s) + 1).tolist() + [3]
+    with pytest.raises(ValueError, match="ascending"):
+        _cluster_splits(rows[:, ::-1], 1e-8)
 
 
 def test_analytic_spectrum_path_values():
