@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +54,15 @@ def _check_vertex(v: int, nu: int) -> int:
     return v
 
 
+def _edge_array(edges) -> np.ndarray:
+    """The vertex pairs of ``edges`` as an (m, 2) int64 array, in iteration order."""
+    try:
+        flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    except OverflowError as exc:
+        raise ParameterError("vertex id out of the int64 range") from exc
+    return flat.reshape(-1, 2)
+
+
 @dataclass(frozen=True)
 class FiniteGraph:
     """Simple undirected graph on vertices 0..nu-1.
@@ -72,15 +82,29 @@ class FiniteGraph:
         if nu < 1:
             raise ParameterError("vertex count must be >= 1")
         object.__setattr__(self, "nu", nu)
-        norm = set()
-        for edge in self.edges:
-            u, v = (int(x) for x in edge)
-            if u == v:
-                raise ParameterError(f"self-loop at vertex {u}")
-            _check_vertex(u, nu)
-            _check_vertex(v, nu)
-            norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(norm))
+        if not set(map(len, self.edges)) <= {2}:
+            raise ParameterError("every edge must be a pair of vertices")
+        uv = _edge_array(self.edges)
+        u, v = uv.T
+        bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= nu)
+        if bad.any():  # report the first bad edge in iteration order, as a per-edge loop would
+            p, q = uv[bad.argmax()].tolist()
+            if p == q:
+                raise ParameterError(f"self-loop at vertex {p}")
+            _check_vertex(p, nu)
+            _check_vertex(q, nu)
+        edges = self.edges
+        normal = (
+            bool((u < v).all())
+            and set(map(type, edges)) <= {tuple}
+            and set(map(type, chain.from_iterable(edges))) <= {int}
+        )
+        if not normal:  # new tuples only when some pair is not a sorted pair of Python ints
+            uv.sort(axis=1)
+            edges = zip(*uv.T.tolist())
+        # A frozenset copied from a set gets a table sized to its entries, half of
+        # what one built by insertion may hold (1 MB against 2 MB for 22500 edges).
+        object.__setattr__(self, "edges", frozenset(set(edges)))
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != nu:
@@ -91,9 +115,9 @@ class FiniteGraph:
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix (read-only float array)."""
         a = np.zeros((self.nu, self.nu))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        u, v = _edge_array(self.edges).T
+        a[u, v] = 1.0
+        a[v, u] = 1.0
         a.flags.writeable = False
         return a
 

@@ -8,6 +8,12 @@ tol * max(1, spectral radius); each cluster is a contiguous run of the
 ascending order, carried as the exclusive end of that run. The one rule,
 ``_cluster_splits``, works on a stack of spectra row by row, each row with
 its own gap, so one call clusters a whole block of Bloch fibers.
+
+Each term P_s o P_s is the Schur square of a projection, which expands over
+pairs of the cluster's eigenvectors (the average mixing matrix of Godsil,
+JCTA 2013). ``squared_projection_sum`` therefore sums every cluster of at
+most ``_PAIR_MAX`` eigenvalues in two GEMMs over all such clusters at once,
+and forms only the larger clusters' projections block by block.
 """
 
 from __future__ import annotations
@@ -39,6 +45,14 @@ _SYMMETRY_TOL = 1e-12
 _RECONSTRUCTION_REL = 1e-9
 _ORTHONORMALITY_TOL = 1e-10
 _ROW_SUM_TOL = 1e-10
+# Largest cluster whose in-cluster pair products enter the pair GEMM of
+# squared_projection_sum; larger clusters form their projection block by block.
+# Measured crossover of the two (random orthonormal n x n columns in uniform
+# clusters of m, 2-core Xeon, OpenBLAS on 1 thread): the pair GEMM is faster up
+# to m = 5 (real) or 9 (complex) at n = 96, 8 at n = 192, 11 at n = 288, 14
+# at n = 384 to 480 and 17 at n = 768. 12 sits at the crossover of the
+# n = 300 to 500 graphs that degenerate clusters make expensive.
+_PAIR_MAX = 12
 
 
 class NumericalError(RuntimeError):
@@ -209,16 +223,46 @@ def squared_projection_sum(vecs: np.ndarray, ends: np.ndarray) -> np.ndarray:
     ``vecs`` is one n x n matrix V or a stack of them, shape (..., n, n),
     whose matrices all share ``ends``, the cluster ends of
     ``cluster_eigenvalues``: cluster s is the column run
-    V_s = V[..., ends[s-1]:ends[s]]. Simple eigenvalues contribute
-    (|V|^2)(|V|^2)^T in one GEMM per matrix; only degenerate clusters form
+    V_s = V[..., ends[s-1]:ends[s]]. Each term is the Schur square
+    E_s o E_s of the cluster's projection, and with x_ab = v_a o conj(v_b)
+
+        |V_s V_s^H|^2 = sum_(a in s) |v_a|^2 (|v_a|^2)^T + 2 Re sum_(a < b in s) x_ab x_ab^H.
+
+    Clusters of at most ``_PAIR_MAX`` = 12 columns (the measured crossover
+    of the two forms, see the constant) use this identity: all their
+    columns enter one GEMM (|W|^2)(|W|^2)^T, and all their in-cluster pairs
+    a < b one more, 2 Y Y^T, where Y holds the x_ab (a complex x viewed as
+    interleaved real and imaginary parts, so Y Y^T = Re X X^H). A spectrum
+    of simple eigenvalues runs the first GEMM alone. Larger clusters form
     their projection, one block at a time.
     """
-    starts = np.concatenate(([0], ends[:-1]))
-    simple = ends - starts == 1
-    w = np.abs(vecs.take(starts[simple], axis=-1)) ** 2  # take: no indexing buffers for a stack
+    own: list[int] = []
+    first: list[int] = []
+    second: list[int] = []
+    blocks = []
+    lo = 0
+    for hi in ends.tolist():  # lists: numpy index building costs more than a quadrature block's few columns
+        if hi - lo > _PAIR_MAX:
+            blocks.append((lo, hi))
+        else:
+            own.extend(range(lo, hi))
+            for a in range(lo, hi - 1):
+                first.extend([a] * (hi - 1 - a))
+                second.extend(range(a + 1, hi))
+        lo = hi
+    w = np.abs(vecs.take(own, axis=-1)) ** 2  # take: no indexing buffers for a stack
     d = w @ w.swapaxes(-1, -2)
-    del w  # hold at most one projection-sized temporary beside d in the loop below
-    for lo, hi in zip(starts[~simple], ends[~simple]):
+    del w  # hold at most one projection-sized temporary beside d below
+    if first:
+        x = vecs.take(first, axis=-1)
+        x *= vecs.take(second, axis=-1).conj()
+        y = x.view(x.real.dtype)
+        cross = y @ y.swapaxes(-1, -2)
+        del x, y
+        cross *= 2.0  # a power of two: exact
+        d += cross
+        del cross
+    for lo, hi in blocks:
         block = vecs[..., lo:hi]
         d += np.abs(block @ block.conj().swapaxes(-1, -2)) ** 2
     return d

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystalwalk import (
     EdgeListError,
@@ -112,6 +113,42 @@ def test_build_named_rejects(family, params):
 def test_finite_graph_normalizes_edges():
     g = FiniteGraph(4, frozenset({(2, 1), (1, 2), (3, 0)}))
     assert g.edges == frozenset({(1, 2), (0, 3)})
+
+
+@st.composite
+def _raw_edges(draw):
+    """Edges on nu vertices as a caller may write them: numpy or Python ids, either orientation, repeats."""
+    nu = draw(st.integers(2, 12))
+    vertex = st.integers(0, nu - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=40))
+    kind = st.sampled_from([int, np.int64, np.int32, np.intp])
+    kinds = draw(st.lists(kind, min_size=len(pairs), max_size=len(pairs)))
+    return nu, [(kind(u), kind(v)) for kind, (u, v) in zip(kinds, pairs)]
+
+
+@settings(deadline=None)
+@given(_raw_edges(), st.booleans())
+def test_finite_graph_normalizes_any_integer_ids(raw, as_frozenset):
+    nu, pairs = raw
+    g = FiniteGraph(nu, frozenset(pairs) if as_frozenset else pairs)
+    want = {(min(int(u), int(v)), max(int(u), int(v))) for u, v in pairs}
+    assert g.edges == want and isinstance(g.edges, frozenset)
+    assert all(type(u) is int and type(v) is int and u < v for u, v in g.edges)
+    a = np.zeros((nu, nu))
+    for u, v in want:
+        a[u, v] = a[v, u] = 1.0
+    np.testing.assert_array_equal(g.adjacency, a)
+
+
+def test_finite_graph_reports_the_first_bad_edge():
+    with pytest.raises(ParameterError, match="self-loop at vertex 2"):
+        FiniteGraph(3, [(0, 1), (2, 2), (0, 5)])
+    with pytest.raises(ParameterError, match=r"vertex 5 out of range 0\.\.2"):
+        FiniteGraph(3, [(0, 1), (np.int64(5), 0), (2, 2)])
+    with pytest.raises(ParameterError, match=r"vertex -1 out of range"):
+        FiniteGraph(3, [(1, -1)])
+    with pytest.raises(ParameterError, match="pair"):
+        FiniteGraph(3, [(0, 1, 2), (1,)])
 
 
 def test_finite_graph_rejects_bad_input():

@@ -22,7 +22,15 @@ from crystalwalk import (
     from_edge_list,
     limiting_density,
 )
-from crystalwalk.spectral import DensityMatrix, _cluster_splits, _within, cluster_gap, squared_projection_sum
+from crystalwalk.closed_forms import d_cycle_exact
+from crystalwalk.spectral import (
+    _PAIR_MAX,
+    DensityMatrix,
+    _cluster_splits,
+    _within,
+    cluster_gap,
+    squared_projection_sum,
+)
 
 
 def random_graph_text(rng, max_nu=32):
@@ -370,8 +378,8 @@ def test_analytic_spectrum_matches_numeric(family, params):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize(
     "sizes",
-    [[1] * 9, [9], [1, 3, 1, 1, 2, 1], [1]],
-    ids=["singletons", "one-cluster", "mixed", "n=1"],
+    [[1] * 9, [9], [1, 3, 1, 1, 2, 1], [1], [2] * 8, [1, _PAIR_MAX, _PAIR_MAX + 1, 2], [_PAIR_MAX + 1]],
+    ids=["singletons", "one-cluster", "mixed", "n=1", "pairs", "both-sides-of-pair-max", "one-block"],
 )
 def test_squared_projection_sum_matches_per_cluster_sum(dtype, sizes):
     rng = np.random.default_rng(11)
@@ -394,15 +402,25 @@ def test_squared_projection_sum_matches_per_cluster_sum(dtype, sizes):
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_squared_projection_sum_of_a_stack_is_each_matrix_bit_for_bit(dtype):
     rng = np.random.default_rng(12)
-    a = rng.standard_normal((5, 7, 7))
+    n = _PAIR_MAX + 4
+    a = rng.standard_normal((5, n, n))
     if dtype is complex:
-        a = a + 1j * rng.standard_normal((5, 7, 7))
+        a = a + 1j * rng.standard_normal((5, n, n))
     v, _ = np.linalg.qr(a)
-    for ends in ([1, 2, 3, 4, 5, 6, 7], [1, 4, 5, 7], [7]):
-        ends = np.array(ends)
+    for sizes in ([1] * n, [1, 3, 1, 2, 2] + [1] * (n - 9), [2] * (n // 2), [1, _PAIR_MAX + 1, 2], [n]):
+        ends = np.cumsum(sizes)
         got = squared_projection_sum(v, ends)
-        assert got.shape == (5, 7, 7)
+        assert got.shape == (5, n, n)
         assert np.array_equal(got, np.stack([squared_projection_sum(m, ends) for m in v]))
+
+
+def test_limiting_density_of_a_long_cycle_matches_closed_form():
+    # 299 clusters of two: every one of them goes through the pair GEMM
+    nu = 600
+    row = np.array([float(d_cycle_exact(nu, 0, q)) for q in range(nu)])
+    want = row[(np.arange(nu)[None, :] - np.arange(nu)[:, None]) % nu]
+    got = limiting_density(build_named("cycle", [nu])).values
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_cluster_splits_use_each_row_gap():
