@@ -121,8 +121,8 @@ def _raw_edges(draw):
     nu = draw(st.integers(2, 12))
     vertex = st.integers(0, nu - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=40))
-    kind = st.sampled_from([int, np.int64, np.int32, np.intp])
-    kinds = draw(st.lists(kind, min_size=len(pairs), max_size=len(pairs)))
+    id_type = st.sampled_from([int, np.int64, np.int32, np.intp])
+    kinds = draw(st.lists(id_type, min_size=len(pairs), max_size=len(pairs)))
     return nu, [(kind(u), kind(v)) for kind, (u, v) in zip(kinds, pairs)]
 
 
@@ -149,6 +149,8 @@ def test_finite_graph_reports_the_first_bad_edge():
         FiniteGraph(3, [(1, -1)])
     with pytest.raises(ParameterError, match="pair"):
         FiniteGraph(3, [(0, 1, 2), (1,)])
+    with pytest.raises(ParameterError, match="int64 range"):
+        FiniteGraph(3, [(0, 1 << 70)])
 
 
 def test_finite_graph_rejects_bad_input():
