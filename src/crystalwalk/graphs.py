@@ -67,9 +67,10 @@ def _edge_array(edges) -> np.ndarray:
 class FiniteGraph:
     """Simple undirected graph on vertices 0..nu-1.
 
-    Edges are normalized to sorted pairs and deduplicated; self loops are
-    rejected. ``labels``, when present, holds one display name per vertex.
-    Family builders fill it with the conventional numbering of the family
+    ``edges``, any sized collection of vertex pairs, is normalized to a
+    frozenset of sorted pairs of Python ints; self loops are rejected.
+    ``labels``, when present, holds one display name per vertex. Family
+    builders fill it with the conventional numbering of the family
     (paths and stars are 1-based, hypercube vertices are bit strings).
     """
 
@@ -93,18 +94,10 @@ class FiniteGraph:
                 raise ParameterError(f"self-loop at vertex {p}")
             _check_vertex(p, nu)
             _check_vertex(q, nu)
-        edges = self.edges
-        normal = (
-            bool((u < v).all())
-            and set(map(type, edges)) <= {tuple}
-            and set(map(type, chain.from_iterable(edges))) <= {int}
-        )
-        if not normal:  # new tuples only when some pair is not a sorted pair of Python ints
-            uv.sort(axis=1)
-            edges = zip(*uv.T.tolist())
+        uv.sort(axis=1)
         # A frozenset copied from a set gets a table sized to its entries, half of
         # what one built by insertion may hold (1 MB against 2 MB for 22500 edges).
-        object.__setattr__(self, "edges", frozenset(set(edges)))
+        object.__setattr__(self, "edges", frozenset(set(zip(*uv.T.tolist()))))
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != nu:
@@ -178,32 +171,32 @@ def build_named(family: str, params: Sequence[int] = ()) -> FiniteGraph:
         if nu < 3:
             raise ParameterError("cycle needs nu >= 3")
         edges = [(i, (i + 1) % nu) for i in range(nu)]
-        return FiniteGraph(nu, frozenset(edges), tuple(str(i) for i in range(nu)))
+        return FiniteGraph(nu, edges, tuple(str(i) for i in range(nu)))
     if family == "path":
         (nu,) = _arity(family, params, 1)
         if nu < 2:
             raise ParameterError("path needs nu >= 2")
         edges = [(i, i + 1) for i in range(nu - 1)]
-        return FiniteGraph(nu, frozenset(edges), tuple(str(i + 1) for i in range(nu)))
+        return FiniteGraph(nu, edges, tuple(str(i + 1) for i in range(nu)))
     if family == "star":
         (nu,) = _arity(family, params, 1)
         if nu < 1:
             raise ParameterError("star needs nu >= 1 leaves")
         # Leaves are 0..nu-1 (displayed 1..nu), the center is the last index.
         edges = [(i, nu) for i in range(nu)]
-        return FiniteGraph(nu + 1, frozenset(edges), tuple(str(i + 1) for i in range(nu + 1)))
+        return FiniteGraph(nu + 1, edges, tuple(str(i + 1) for i in range(nu + 1)))
     if family == "complete":
         (nu,) = _arity(family, params, 1)
         if nu < 2:
             raise ParameterError("complete needs nu >= 2")
         edges = [(i, j) for i in range(nu) for j in range(i + 1, nu)]
-        return FiniteGraph(nu, frozenset(edges), tuple(str(i + 1) for i in range(nu)))
+        return FiniteGraph(nu, edges, tuple(str(i + 1) for i in range(nu)))
     if family == "complete_bipartite":
         m, n = _arity(family, params, 2)
         if m < 1 or n < 1:
             raise ParameterError("complete_bipartite needs m, n >= 1")
         edges = [(i, m + j) for i in range(m) for j in range(n)]
-        return FiniteGraph(m + n, frozenset(edges), tuple(str(i + 1) for i in range(m + n)))
+        return FiniteGraph(m + n, edges, tuple(str(i + 1) for i in range(m + n)))
     if family == "hypercube":
         (m,) = _arity(family, params, 1)
         if m < 1:
@@ -211,10 +204,10 @@ def build_named(family: str, params: Sequence[int] = ()) -> FiniteGraph:
         nu = 1 << m
         edges = [(x, x ^ (1 << b)) for x in range(nu) for b in range(m) if x < x ^ (1 << b)]
         labels = tuple("".join(str((x >> b) & 1) for b in range(m)) for x in range(nu))
-        return FiniteGraph(nu, frozenset(edges), labels)
+        return FiniteGraph(nu, edges, labels)
     if family == "petersen":
         _arity(family, params, 0)
-        return FiniteGraph(10, frozenset(_PETERSEN_EDGES), tuple(str(i) for i in range(10)))
+        return FiniteGraph(10, _PETERSEN_EDGES, tuple(str(i) for i in range(10)))
     raise ParameterError(f"unknown family {family!r}")
 
 
@@ -246,7 +239,7 @@ def from_edge_list(text: str) -> FiniteGraph:
     if not edges:
         raise EdgeListError("no edges found")
     nu = 1 + max(v for _, v in edges)
-    return FiniteGraph(nu, frozenset(edges))
+    return FiniteGraph(nu, edges)
 
 
 @dataclass(frozen=True)

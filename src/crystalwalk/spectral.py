@@ -12,8 +12,9 @@ its own gap, so one call clusters a whole block of Bloch fibers.
 Each term P_s o P_s is the Schur square of a projection, which expands over
 pairs of the cluster's eigenvectors (the average mixing matrix of Godsil,
 JCTA 2013). ``squared_projection_sum`` therefore sums every cluster of at
-most ``_PAIR_MAX`` eigenvalues in two GEMMs over all such clusters at once,
-and forms only the larger clusters' projections block by block.
+most ``_pair_max(n)`` eigenvalues (a measured crossover that grows with the
+matrix size n) by GEMMs over all such clusters at once, and forms only the
+larger clusters' projections block by block.
 """
 
 from __future__ import annotations
@@ -45,14 +46,6 @@ _SYMMETRY_TOL = 1e-12
 _RECONSTRUCTION_REL = 1e-9
 _ORTHONORMALITY_TOL = 1e-10
 _ROW_SUM_TOL = 1e-10
-# Largest cluster whose in-cluster pair products enter the pair GEMM of
-# squared_projection_sum; larger clusters form their projection block by block.
-# Measured crossover of the two (random orthonormal n x n columns in uniform
-# clusters of m, 2-core Xeon, OpenBLAS on 1 thread): the pair GEMM is faster up
-# to m = 5 (real) or 9 (complex) at n = 96, 8 at n = 192, 11 at n = 288, 14
-# at n = 384 to 480 and 17 at n = 768. 12 sits at the crossover of the
-# n = 300 to 500 graphs that degenerate clusters make expensive.
-_PAIR_MAX = 12
 
 
 class NumericalError(RuntimeError):
@@ -217,6 +210,19 @@ class DensityMatrix:
         return self.values.shape[0]
 
 
+def _pair_max(n: int) -> int:
+    """Largest cluster that ``squared_projection_sum`` sums by pairs, for n x n eigenvectors.
+
+    The measured crossover of its two forms, which grows with n: for
+    random orthonormal columns in uniform clusters of m (timeit, 2-core
+    Xeon, OpenBLAS on 1 thread, real and complex, single matrices and
+    stacks of 32) the pair GEMM is the faster up to m = 3 at n = 8 to 24,
+    5 at n = 48 to 64, 6 to 8 at n = 96, 8 to 10 at n = 192, 12 at
+    n = 384, 13 to 14 at n = 480 and 18 to 19 at n = 768.
+    """
+    return 3 + n // 48
+
+
 def squared_projection_sum(vecs: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """sum_s |V_s V_s^H|^2 entrywise, for real or complex orthonormal columns V.
 
@@ -228,21 +234,24 @@ def squared_projection_sum(vecs: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
         |V_s V_s^H|^2 = sum_(a in s) |v_a|^2 (|v_a|^2)^T + 2 Re sum_(a < b in s) x_ab x_ab^H.
 
-    Clusters of at most ``_PAIR_MAX`` = 12 columns (the measured crossover
-    of the two forms, see the constant) use this identity: all their
+    Clusters of at most ``_pair_max(n)`` = 3 + n // 48 columns (the
+    measured crossover of the two forms) use this identity: all their
     columns enter one GEMM (|W|^2)(|W|^2)^T, and all their in-cluster pairs
-    a < b one more, 2 Y Y^T, where Y holds the x_ab (a complex x viewed as
-    interleaved real and imaginary parts, so Y Y^T = Re X X^H). A spectrum
-    of simple eigenvalues runs the first GEMM alone. Larger clusters form
-    their projection, one block at a time.
+    a < b enter 2 Y Y^T, where Y holds the x_ab (a complex x viewed as
+    interleaved real and imaginary parts, so Y Y^T = Re X X^H), n pairs per
+    GEMM so that no temporary exceeds n x n entries. A spectrum of simple
+    eigenvalues runs the first GEMM alone. Larger clusters form their
+    projection, one block at a time.
     """
+    n = vecs.shape[-1]
+    pair_max = _pair_max(n)
     own: list[int] = []
     first: list[int] = []
     second: list[int] = []
     blocks = []
     lo = 0
     for hi in ends.tolist():  # lists: numpy index building costs more than a quadrature block's few columns
-        if hi - lo > _PAIR_MAX:
+        if hi - lo > pair_max:
             blocks.append((lo, hi))
         else:
             own.extend(range(lo, hi))
@@ -252,10 +261,12 @@ def squared_projection_sum(vecs: np.ndarray, ends: np.ndarray) -> np.ndarray:
         lo = hi
     w = np.abs(vecs.take(own, axis=-1)) ** 2  # take: no indexing buffers for a stack
     d = w @ w.swapaxes(-1, -2)
-    del w  # hold at most one projection-sized temporary beside d below
-    if first:
-        x = vecs.take(first, axis=-1)
-        x *= vecs.take(second, axis=-1).conj()
+    del w
+    for c in range(0, len(first), n):  # n pairs per GEMM: no temporary above n x n entries
+        x = vecs.take(first[c:c + n], axis=-1)
+        x_b = vecs.take(second[c:c + n], axis=-1)
+        x *= np.conjugate(x_b, out=x_b)
+        del x_b
         y = x.view(x.real.dtype)
         cross = y @ y.swapaxes(-1, -2)
         del x, y

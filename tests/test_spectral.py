@@ -1,5 +1,6 @@
 import ast
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from crystalwalk import (
     BandStructure,
     BaseLattice,
     EigenSolverError,
+    FiniteGraph,
     NumericalError,
     ParameterError,
     ProductKind,
@@ -23,10 +25,11 @@ from crystalwalk import (
     limiting_density,
 )
 from crystalwalk.closed_forms import d_cycle_exact
+from crystalwalk import spectral
 from crystalwalk.spectral import (
-    _PAIR_MAX,
     DensityMatrix,
     _cluster_splits,
+    _pair_max,
     _within,
     cluster_gap,
     squared_projection_sum,
@@ -378,8 +381,14 @@ def test_analytic_spectrum_matches_numeric(family, params):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize(
     "sizes",
-    [[1] * 9, [9], [1, 3, 1, 1, 2, 1], [1], [2] * 8, [1, _PAIR_MAX, _PAIR_MAX + 1, 2], [_PAIR_MAX + 1]],
-    ids=["singletons", "one-cluster", "mixed", "n=1", "pairs", "both-sides-of-pair-max", "one-block"],
+    [
+        [1] * 9, [9], [1, 3, 1, 1, 2, 1], [1], [2] * 8, [1, _pair_max(10), _pair_max(10) + 1, 2], [4],
+        [_pair_max(51)] * 12 + [3], [12] * 40,
+    ],
+    ids=[
+        "singletons", "one-cluster", "mixed", "n=1", "pairs", "both-sides-of-pair-max", "one-block",
+        "more-pairs-than-columns", "large-pair-clusters",
+    ],
 )
 def test_squared_projection_sum_matches_per_cluster_sum(dtype, sizes):
     rng = np.random.default_rng(11)
@@ -402,16 +411,39 @@ def test_squared_projection_sum_matches_per_cluster_sum(dtype, sizes):
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_squared_projection_sum_of_a_stack_is_each_matrix_bit_for_bit(dtype):
     rng = np.random.default_rng(12)
-    n = _PAIR_MAX + 4
+    n = 52
+    m = _pair_max(n)
     a = rng.standard_normal((5, n, n))
     if dtype is complex:
         a = a + 1j * rng.standard_normal((5, n, n))
     v, _ = np.linalg.qr(a)
-    for sizes in ([1] * n, [1, 3, 1, 2, 2] + [1] * (n - 9), [2] * (n // 2), [1, _PAIR_MAX + 1, 2], [n]):
+    for sizes in ([1] * n, [1, 3, 1, 2, 2] + [1] * (n - 9), [2] * (n // 2), [1, m + 1, 2] + [1] * (n - m - 4),
+                  [m] * (n // m), [n]):
         ends = np.cumsum(sizes)
         got = squared_projection_sum(v, ends)
         assert got.shape == (5, n, n)
         assert np.array_equal(got, np.stack([squared_projection_sum(m, ends) for m in v]))
+
+
+def test_pair_gemm_memory_stays_within_a_few_projections(monkeypatch):
+    # 12 disjoint copies of one 40-vertex graph: 40 clusters of 12, 2640 in-cluster
+    # pairs on 480 columns, all of them through the pair GEMM
+    rng = np.random.default_rng(5)
+    upper = np.triu(rng.random((40, 40)) < 0.3, 1)
+    base = [(int(u), int(v)) for u, v in zip(*np.nonzero(upper))]
+    graph = FiniteGraph(480, [(u + 40 * k, v + 40 * k) for k in range(12) for u, v in base])
+    dec = eigendecompose_symmetric(graph.adjacency)
+    assert {len(c) for c in dec.clusters} == {12} and len(dec.clusters) == 40 and 12 <= _pair_max(480)
+    vecs = np.array(dec.eigenvectors)
+    tracemalloc.start()
+    try:
+        got = squared_projection_sum(vecs, dec.ends)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * vecs.nbytes  # d and at most three n x n temporaries, as the block loop
+    monkeypatch.setattr(spectral, "_pair_max", lambda n: 1)  # every cluster through the block loop
+    assert np.abs(got - squared_projection_sum(vecs, dec.ends)).max() <= 1e-13
 
 
 def test_limiting_density_of_a_long_cycle_matches_closed_form():
