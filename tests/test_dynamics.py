@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -178,6 +179,18 @@ def test_time_averaged_at_the_pair_sum_limit():
     np.testing.assert_allclose(masses[1:], masses[:0:-1], rtol=0, atol=1e-15)
 
 
+def dense_time_average(g, d, N, start, horizon):
+    """The average over [0, horizon] from the eigenpairs of the dense torus adjacency."""
+    vals, vecs = np.linalg.eigh(dense_product_adjacency(g, d, N))
+    row = vecs[flat_index(start[0], start[1], N, g.nu)]
+    clusters = np.split(np.arange(vals.size), cluster_eigenvalues(vals)[:-1])
+    x = np.stack([vecs[:, c] @ row[c] for c in clusters], axis=1)  # P_c e_start
+    lam = np.array([vals[c].mean() for c in clusters])
+    # the mean of e^(i t (lam_c - lam_c')) over [0, T] has real part sinc(T (lam_c - lam_c'))
+    weights = np.sinc(horizon * (lam[:, None] - lam[None, :]) / np.pi)
+    return np.einsum("wc,ce,we->w", x, weights, x)
+
+
 @pytest.mark.parametrize("horizon", [1e-3, 7.5, 1e4])
 @pytest.mark.parametrize(
     "family,params,d,N,start",
@@ -186,6 +199,8 @@ def test_time_averaged_at_the_pair_sum_limit():
         ("complete_bipartite", [3, 1], 1, 12, ((4,), 3)),  # 2 cos(pi/6) = sqrt 3
         ("cycle", [4], 2, 6, ((1, 3), 2)),
         ("cycle", [3], 3, 3, ((0, 2, 1), 1)),
+        # d = 3: swapped axes hold the same band values only up to rounding
+        ("path", [2], 3, 6, ((1, 4, 2), 1)),
         # odd N: no cell but 0 is its own mirror under r -> -r
         ("cycle", [3], 2, 5, ((1, 3), 2)),
         ("path", [2], 1, 7, ((4,), 1)),
@@ -194,15 +209,7 @@ def test_time_averaged_at_the_pair_sum_limit():
 def test_time_averaged_matches_dense_eigenpairs(family, params, d, N, start, horizon):
     g = build_named(family, params)
     got = time_averaged(build_torus(g, d=d, N=N), start, horizon).values
-    vals, vecs = np.linalg.eigh(dense_product_adjacency(g, d, N))
-    row = vecs[flat_index(start[0], start[1], N, g.nu)]
-    clusters = np.split(np.arange(vals.size), cluster_eigenvalues(vals)[:-1])
-    x = np.stack([vecs[:, c] @ row[c] for c in clusters], axis=1)  # P_c e_start
-    lam = np.array([vals[c].mean() for c in clusters])
-    # the mean of e^(i t (lam_c - lam_c')) over [0, T] has real part sinc(T (lam_c - lam_c'))
-    weights = np.sinc(horizon * (lam[:, None] - lam[None, :]) / np.pi)
-    want = np.einsum("wc,ce,we->w", x, weights, x)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, dense_time_average(g, d, N, start, horizon), rtol=0, atol=1e-12)
 
 
 def test_time_averaged_memory_stays_linear():
@@ -272,14 +279,17 @@ def test_infinite_average_matches_dense_projections(
 
 
 @st.composite
-def _torus_walks(draw):
-    """A factor graph of at most 5 vertices, complete or random, on a 1- or 2-D torus, and a start."""
-    nu = draw(st.integers(1, 5))
+def _torus_walks(draw, max_nu=5, max_d=2):
+    """A factor graph of at most max_nu vertices, complete or random, on a torus of at most max_d axes, and a start.
+
+    A 3-D torus takes N <= 6 (216 cells), which keeps the dense oracle small.
+    """
+    nu = draw(st.integers(1, max_nu))
     pairs = [(u, v) for u in range(nu) for v in range(u + 1, nu)]
     if pairs and not draw(st.booleans()):
         pairs = draw(st.sets(st.sampled_from(pairs)))
-    d = draw(st.integers(1, 2))
-    N = draw(st.integers(3, 8))
+    d = draw(st.integers(1, max_d))
+    N = draw(st.integers(3, 8 if d < 3 else 6))
     cell = tuple(draw(st.integers(0, N - 1)) for _ in range(d))
     return FiniteGraph(nu, frozenset(pairs)), d, N, (cell, draw(st.integers(0, nu - 1)))
 
@@ -295,6 +305,32 @@ def test_infinite_average_matches_dense_projections_on_generated_tori(walk):
     clusters = np.split(np.arange(vals.size), cluster_eigenvalues(vals)[:-1])
     want = sum((vecs[:, c] @ row[c]) ** 2 for c in clusters)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_torus_walks(max_nu=4, max_d=3), st.floats(-3.0, 4.0))
+@example((build_named("path", [2]), 3, 7, ((5, 0, 3), 1)), 1.0)  # odd N, orbits of up to 48 offsets
+def test_time_averaged_matches_dense_eigenpairs_on_generated_tori(walk, log_horizon):
+    g, d, N, start = walk
+    horizon = 10.0**log_horizon
+    got = time_averaged(build_torus(g, d=d, N=N), start, horizon).values
+    np.testing.assert_allclose(got, dense_time_average(g, d, N, start, horizon), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_canonical_offsets_pick_one_offset_per_signed_permutation_orbit(N, d):
+    canon = dynamics._canonical_offsets(N, d)
+    flat = np.arange(N**d)
+    assert canon.shape == flat.shape
+    np.testing.assert_array_equal(canon[canon], canon)  # idempotent
+    # C(m + d, d) orbits: the multisets of d folded digits 0..m
+    assert np.unique(canon).size == math.comb(N // 2 + d, d)
+    digits = np.stack([flat // N ** (d - 1 - axis) % N for axis in range(d)], axis=1)
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1, -1), repeat=d):
+            moved = digits[:, perm] * signs % N
+            np.testing.assert_array_equal(canon[moved @ N ** np.arange(d - 1, -1, -1)], canon)
 
 
 def test_infinite_average_runs_one_inverse_fft(monkeypatch):
