@@ -321,14 +321,16 @@ def infinite_time_averaged(
     c_alpha(q) c_beta(q) with c_(r, j)(q) = w_j(p) w_j(q). So the ordered
     pairs only need counting per Delta = r_alpha - r_beta mod N and band pair:
     S[Delta, j, j'] is the collision scan's count table (``_pair_counts``)
-    under the rule that keeps partner i + t in the cluster of i, plus one
-    count per eigenpair at Delta = 0 for alpha = beta. As in
+    over runs that pair the sorted eigenpair i with its k_i = e - i - 1
+    successors up to its cluster's end e, plus one count per eigenpair at
+    Delta = 0 for alpha = beta. The table counts the pairs of all runs in
+    chunks of at most N^d, in O(nu + sum |C|^2 / N^d) numpy calls. As in
     ``time_averaged``, G[Delta, q] = sum_(j, j') c_j(q) c_j'(q) S[Delta, j, j']
     and one inverse FFT of G over the cell axes gives the sum over all
     clusters: O(sum |C|^2 + N^d nu^3 + dim log N) work. A cluster with
     nu |C|^2 > N^d nu^2 + dim log2(dim) (a flat or highly degenerate band) is
-    projected on its own instead, so a counted cluster walks at most
-    N^d nu + dim log2(dim) / nu pairs. Averages needing more than
+    projected on its own instead, with k_i = 0, so a counted cluster has at
+    most N^d nu + dim log2(dim) / nu pairs. Averages needing more than
     ``AVERAGE_COUNT_BUDGET`` counts are rejected before anything is allocated.
     """
     start = _normalize_start(op, start)
@@ -345,10 +347,11 @@ def infinite_time_averaged(
     order = order % nu * cells + order // nu  # band-major position j * N^d + r of each r * nu + j
     sizes = np.diff(ends, prepend=0)
     alone = nu * sizes**2 > cells * nu**2 + dim * math.log2(dim)
-    # sorted positions from each one to its cluster's end, <= 0 where the cluster is projected alone
-    span = np.repeat(np.where(alone, 0, ends), sizes) - np.arange(dim)
-    counts = _pair_counts(order, cells, N, d, lambda i, t: span[i] > t)
-    counts[0] += np.diag(np.bincount(order[span > 0] // cells, minlength=nu))  # alpha = beta
+    # successors of each sorted position in its cluster, < 0 where the cluster is projected alone
+    k = np.repeat(np.where(alone, 0, ends), sizes) - np.arange(1, dim + 1)
+    same = np.bincount(order[k >= 0] // cells, minlength=nu)  # alpha = beta
+    counts = _pair_counts(order, cells, N, d, np.maximum(k, 0, out=k))
+    counts[0] += np.diag(same)
     w = op.spectrum.eigenvectors
     coef = w[p, :] * w  # coef[q, j] = w_j(p) w_j(q)
     grid = np.einsum("bjk,qj,qk->bq", counts, coef, coef)

@@ -7,12 +7,14 @@ near-collisions E_s(theta + m/N) = E_w(theta) over a finite grid (the
 ergodicity condition for the time average to converge), and accumulating the
 grid approximation of the limiting density from per-point eigenprojections.
 
-The collision scan sorts the nu N^d band values once and walks each value's
-run of close successors, so it costs O(nu N^d log(nu N^d) + close pairs)
-instead of nu^2 N^2d tests, and holds one count per shift and band pair.
-That table, ``_pair_counts``, also serves the infinite-time average in
-``dynamics``: the scan keeps partner i + t while |x[i + t] - x[i]| < delta,
-the average while i + t stays in the eigenvalue cluster of i. The torus
+The collision scan sorts the nu N^d band values once. Each sorted position i
+pairs with the run of its k_i successors closer than delta, so the scan
+costs O(nu N^d log(nu N^d) + close pairs) instead of nu^2 N^2d tests and
+holds one count per shift and band pair. That table, ``_pair_counts``, also
+serves the infinite-time average in ``dynamics``, whose runs end at the end
+of each eigenvalue cluster. It counts the pairs of all runs in chunks of at
+most N^d, with one torus offset and one ``np.add.at`` per chunk, so it
+takes O(nu + pairs / N^d) numpy calls however long the runs are. The torus
 offset rule (``_torus_offset``) serves both time averages.
 
 The grid quadrature walks the grid in blocks of K fibers, K nu^2 <= 64
@@ -26,7 +28,7 @@ fibers in grid order and so gives the per-fiber loop's values bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -286,43 +288,85 @@ def _torus_offset(a: np.ndarray | int, b: np.ndarray, N: int, d: int) -> np.ndar
     return m
 
 
-def _run_pairs(n: int, block: int, within: Callable) -> Iterator[tuple[np.ndarray, int]]:
-    """Walk the pairs (i, i + t) of n sorted positions for which ``within(i, t)`` holds.
+def _close_runs(x: np.ndarray, delta: float, block: int) -> np.ndarray:
+    """k[i] = #{j > i : x[j] - x[i] < delta} of ascending x ending in inf, int64, block positions at a time.
 
-    ``within`` must hold for a run of offsets t = 1, 2, ... at each position
-    and fail by i + t = n. For each t in turn, yields the ascending positions
-    that pass, tested ``block`` at a time, with t.
+    Rounding is monotone, so x[j] - x[i] < delta holds exactly for j below a
+    boundary J_i, and k[i] = J_i - i - 1. ``np.searchsorted(x, x[i] + delta)``
+    guesses J_i; where the rounded sum and difference disagree, the guess
+    steps up while x[J] passes and down while x[J - 1] fails, a whole group of
+    equal values per step, until it sits on the boundary. That is a dozen
+    numpy calls per block while no guess is off.
     """
-    active = np.arange(n - 1)
-    t = 1
-    while active.size:
-        kept = 0
-        for lo in range(0, active.size, block):
-            i = active[lo : lo + block]
-            i = i[within(i, t)]
-            active[kept : kept + i.size] = i
-            kept += i.size
-            yield i, t
-        t += 1
-        active = active[:kept]
+    n = x.size - 1
+    k = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, block):
+        xi = x[lo : min(lo + block, n)]
+        J = np.searchsorted(x, xi + delta)
+        while True:
+            up = x[J] - xi < delta  # x[n] = inf never passes
+            down = ~up & ~(x[J - 1] - xi < delta)  # J = 0 only where x[0] passes
+            if not (up.any() or down.any()):
+                break
+            J[up] = np.searchsorted(x, x[J[up]], side="right")
+            J[down] = np.searchsorted(x, x[J[down] - 1], side="left")
+        J -= np.arange(lo + 1, lo + 1 + xi.size)
+        k[lo : lo + block] = J
+    return k
 
 
-def _pair_counts(order: np.ndarray, cells: int, N: int, d: int, within: Callable) -> np.ndarray:
-    """C[m, s, w] = #{kept pairs of a = (s, r_a), b = (w, r_b) with r_a - r_b = m}.
+def _run_pair_chunk(ends: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j) of the pairs lo .. hi - 1 when each position i pairs with i + 1 .. i + k[i].
 
-    ``order`` holds band-major positions s * N^d + r, and ``_run_pairs``
-    keeps the pairs (order[i], order[i + t]) that ``within(i, t)`` passes.
-    Each counts as (a, b) = (order[i + t], order[i]) and as its mirror (b, a),
-    so no position pairs with itself. int32 counts (each at most N^d), shape (N^d, nu, nu).
+    ``ends`` is the running sum of k, so pairs ends[i] - k[i] .. ends[i] - 1
+    belong to i, pair g with j = i + ends[i] - g. i comes from one
+    ``np.repeat`` of the positions, j from one of i + ends[i] and the ramp g.
     """
-    nu = order.size // cells
+    first, last = ends.searchsorted([lo, hi - 1], side="right")
+    e = ends[first : last + 1]
+    reps = np.minimum(e, hi)
+    reps[1:] -= e[:-1]
+    reps[0] -= lo
+    pos = np.arange(first, last + 1)
+    i = np.repeat(pos, reps)
+    pos += e
+    j = np.repeat(pos, reps)
+    j -= np.arange(lo, hi)
+    return i, j
+
+
+def _pair_counts(order: np.ndarray, cells: int, N: int, d: int, k: np.ndarray) -> np.ndarray:
+    """C[m, s, w] = #{counted pairs of a = (s, r_a), b = (w, r_b) with r_a - r_b = m}.
+
+    ``order`` holds band-major positions s * N^d + r, and sorted position i
+    pairs with its k[i] successors: (a, b) = (order[i + t], order[i]) for
+    t = 1 .. k[i] counts, and so does its mirror (b, a); no position pairs
+    with itself. The pairs are counted in chunks of at most N^d pairs from one
+    block of N^d positions, each chunk with one ``_run_pair_chunk``, one
+    ``_torus_offset`` and one ``np.add.at``: O(nu + pairs / N^d) numpy calls
+    and chunk temporaries of at most N^d entries. ``k`` is overwritten with
+    its running sum. int32 counts (each at most N^d), shape (N^d, nu, nu).
+    """
+    n = order.size
+    nu = n // cells
+    ends = np.cumsum(k, out=k)
     counts = np.zeros((cells, nu, nu), dtype=np.int32)
     flat = counts.reshape(-1)
-    # blocks of at most N^d positions keep each step's temporaries at N^d entries
-    for i, t in _run_pairs(order.size, cells, within):
-        a, b = order[i + t], order[i]
-        # an increment of the counts' own dtype keeps add.at on its fast path
-        np.add.at(flat, (_torus_offset(a, b, N, d) * nu + a // cells) * nu + b // cells, np.int32(1))
+    for block in range(0, n, cells):
+        start = int(ends[block - 1]) if block else 0
+        stop = int(ends[min(block + cells, n) - 1])
+        for lo in range(start, stop, cells):
+            i, j = _run_pair_chunk(ends, lo, min(lo + cells, stop))
+            a, b = order.take(j), order.take(i)
+            del i, j
+            m = _torus_offset(a, b, N, d)
+            m *= nu
+            m += np.floor_divide(a, cells, out=a)
+            m *= nu
+            m += np.floor_divide(b, cells, out=b)
+            # an increment of the counts' own dtype keeps add.at on its fast path
+            np.add.at(flat, m, np.int32(1))
+            del a, b, m
     counts += counts[_torus_offset(0, np.arange(cells), N, d)].swapaxes(1, 2)
     return counts
 
@@ -331,14 +375,17 @@ def _collision_counts(grid: np.ndarray, N: int, d: int, delta: float) -> np.ndar
     """C[m, s, w] = #{r : |E_s(r + m) - E_w(r)| < delta} from one sorted sweep.
 
     ``grid`` holds E_s(r) at [s, r] with r flat in C order over (N,)*d.
-    Returns C of shape (N,)*d + (nu, nu). Sorted ascending, x[i + t] - x[i]
-    rounds to a nondecreasing function of t (rounding is monotone), so the
-    hits of position i form the run that ``_pair_counts`` walks.
+    Returns C of shape (N,)*d + (nu, nu). Sorted ascending, the hits of
+    position i are the run of its successors closer than delta; ``_close_runs``
+    finds each run's length N^d positions at a time, and ``_pair_counts``
+    counts the runs' pairs. That is O(nu + pairs / N^d) numpy calls.
     """
     nu, cells = grid.shape
     order = np.argsort(grid, axis=None, kind="stable")
     x = np.append(grid.reshape(-1)[order], np.inf)  # the inf ends every run at the last position
-    counts = _pair_counts(order, cells, N, d, lambda i, t: np.abs(x[i + t] - x[i]) < delta)
+    k = _close_runs(x, delta, cells)
+    del x  # the pair counts need the run lengths only
+    counts = _pair_counts(order, cells, N, d, k)
     return counts.reshape((N,) * d + (nu, nu))
 
 

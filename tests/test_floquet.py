@@ -450,6 +450,26 @@ def test_scan_budget_boundary(monkeypatch):
         floquet_condition_fraction(bands, 9)
 
 
+def test_scan_pair_count_memory_stays_within_the_walks():
+    # strong star3 x Z^3 at N = 12: 249306 close pairs over 5184 band values.
+    # Counting them one offset at a time peaked at the int32 table plus 16.1
+    # N^d int64 entries; N^d-pair chunks peak at 13.0, in the mirror fill. A
+    # bound one N^d array above the walk, about 5% of this peak, fails before
+    # the benchmark's peak_alloc_mb moves by its bound.
+    bands = product_spec(BaseLattice.zd(3), build_named("star", [2]), ProductKind.STRONG)
+    N, nu = 12, bands.nu
+    grid = floquet._band_grid(bands, N).reshape(nu, N**3)
+    floquet._collision_counts(grid, N, 3, DEFAULT_COLLISION_DELTA)  # first calls allocate numpy's own caches
+    tracemalloc.start()
+    try:
+        counts = floquet._collision_counts(grid, N, 3, DEFAULT_COLLISION_DELTA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 2 * 249306
+    assert peak <= counts.nbytes + 17 * 8 * N**3
+
+
 def test_quadrature_budget_rejects_before_allocating():
     assert 1025**2 > FIBER_BUDGET
     with pytest.raises(ParameterError, match="budget"):
@@ -572,21 +592,23 @@ def test_grid_density_rejects_nan():
         floquet.GridDensityResult(values=np.array([[np.nan, 0.0], [0.0, 1.0]]), N=4)
 
 
-def _walked_pairs(n, block, within):
-    """(t, i) of every pair the walk yields, in the order it yields them."""
-    steps = []
-    for i, t in floquet._run_pairs(n, block, within):
-        assert i.size <= block
-        steps += [(t, int(k)) for k in i]
-    return steps
+def _chunked_pairs(k, chunk):
+    """(i, j) of every pair of the runs k, from chunks of at most ``chunk`` pairs."""
+    ends = np.cumsum(k)
+    total = int(ends[-1]) if ends.size else 0
+    pairs = []
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        i, j = floquet._run_pair_chunk(ends, lo, hi)
+        assert i.size == j.size == hi - lo
+        pairs += zip(i.tolist(), j.tolist())
+    return sorted(pairs)
 
 
-def _assert_walk_matches(n, within, brute):
-    # brute: every pair (i, j), i < j, that the walk must visit
-    want = sorted((j - i, i) for i, j in brute)
-    for block in (1, 3, max(n, 1)):
-        got = _walked_pairs(n, block, within)
-        assert got == want, f"block {block}"  # each pair once, by offset, then by position
+def _assert_runs_match(k, brute):
+    # brute: every pair (i, j), i < j, that the runs k must hold
+    for chunk in (1, 3, max(k.size, 1)):
+        assert _chunked_pairs(k, chunk) == sorted(brute), f"chunk {chunk}"  # each pair once
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -606,7 +628,49 @@ def test_run_pairs_covers_each_cluster_pair_once(seed):
         for i in range(lo, hi)
         for j in range(i + 1, hi)
     ]
-    _assert_walk_matches(n, lambda i, t: span[i] > t, brute)
+    _assert_runs_match(np.maximum(span - 1, 0), brute)
+
+
+def _assert_close_runs_match(x, delta):
+    # x: ascending values ending in the inf sentinel
+    n = x.size - 1
+    brute = [(i, j) for i in range(n) for j in range(i + 1, n) if abs(x[j] - x[i]) < delta]
+    want = np.bincount([i for i, _ in brute], minlength=n).astype(np.int64)
+    for block in (1, 3, max(n, 1)):
+        got = floquet._close_runs(x, delta, block)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want, err_msg=f"delta {delta!r}, block {block}")
+    _assert_runs_match(want, brute)
+    return want
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.5])
+def test_run_pairs_covers_each_close_pair_once(seed, delta):
+    # the scan's rule on sorted values with ties: delta 1.0 pairs only equal
+    # values, as 1 apart does not count
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 30))
+    _assert_close_runs_match(np.append(np.sort(rng.integers(0, 8, n)).astype(float), np.inf), delta)
+
+
+def test_close_runs_exact_at_the_rounded_boundary():
+    # bit-equal groups, values exactly delta apart and one ulp either side of
+    # x + delta: the searchsorted guess of each run's end is off both ways
+    rng = np.random.default_rng(3)
+    off = np.zeros(2, dtype=int)
+    for _ in range(30):
+        delta = float(rng.choice([1e-9, 0.1, 0.5, 1.0]))
+        n = int(rng.integers(2, 30))
+        base = rng.choice([0.0, -1e-12, 1.0, -3.0, 1e6], n) + rng.integers(-3, 4, n) * delta
+        near = np.stack([base, base + delta, np.nextafter(base + delta, np.inf), np.nextafter(base + delta, -np.inf)])
+        x = np.append(np.sort(rng.choice(near.reshape(-1), n)), np.inf)
+        want = _assert_close_runs_match(x, delta)
+        guess = np.searchsorted(x, x[:n] + delta) - np.arange(1, n + 1)
+        off += [(guess < want).sum(), (guess > want).sum()]
+    assert off.min() > 0
+    for n in (0, 1):
+        assert floquet._close_runs(np.append(np.zeros(n), np.inf), 1e-9, 1).tolist() == [0] * n
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -627,7 +691,7 @@ def test_pair_counts_match_cluster_pair_enumeration(d, N, seed):
     alone = rng.random(sizes.size) < 0.3
     alone[np.argmax(sizes)] = False
     span = np.repeat(np.where(alone, 0, ends), sizes) - np.arange(n)
-    got = floquet._pair_counts(order, cells, N, d, lambda i, t: span[i] > t)
+    got = floquet._pair_counts(order, cells, N, d, np.maximum(span - 1, 0))
     want = np.zeros((cells, nu, nu), dtype=int)
     for lo, hi, skip in zip(ends - sizes, ends, alone):
         run = [] if skip else order[lo:hi].tolist()
@@ -639,18 +703,6 @@ def test_pair_counts_match_cluster_pair_enumeration(d, N, seed):
     assert got.dtype == np.int32
     assert want.max() > 1  # some offset and band pair is hit more than once
     np.testing.assert_array_equal(got, want)
-
-
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("delta", [0.5, 1.0, 2.5])
-def test_run_pairs_covers_each_close_pair_once(seed, delta):
-    # the scan's rule on sorted values with ties: delta 1.0 pairs only equal
-    # values, as 1 apart does not count
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(0, 30))
-    x = np.append(np.sort(rng.integers(0, 8, n)).astype(float), np.inf)
-    brute = [(i, j) for i in range(n) for j in range(i + 1, n) if abs(x[j] - x[i]) < delta]
-    _assert_walk_matches(n, lambda i, t: np.abs(x[i + t] - x[i]) < delta, brute)
 
 
 @pytest.mark.parametrize("d,N", [(1, 7), (2, 5), (3, 4)])
