@@ -453,9 +453,8 @@ def test_scan_budget_boundary(monkeypatch):
 def test_scan_pair_count_memory_stays_within_the_walks():
     # strong star3 x Z^3 at N = 12: 249306 close pairs over 5184 band values.
     # Counting them one offset at a time peaked at the int32 table plus 16.1
-    # N^d int64 entries; N^d-pair chunks peak at 13.0, in the mirror fill. A
-    # bound one N^d array above the walk, about 5% of this peak, fails before
-    # the benchmark's peak_alloc_mb moves by its bound.
+    # N^d int64 entries, N^d-pair chunks peak at 13.0 (in the mirror fill).
+    # The bound sits one N^d array, about 5% of that peak, above the walk's.
     bands = product_spec(BaseLattice.zd(3), build_named("star", [2]), ProductKind.STRONG)
     N, nu = 12, bands.nu
     grid = floquet._band_grid(bands, N).reshape(nu, N**3)
