@@ -4,6 +4,10 @@ Subcommands: density, closed-form, floquet-check, simulate, classical,
 compare. Output is deterministic: identical invocations produce identical
 bytes. Exit status is 0 on success, 2 for argument or input errors, 1 when a
 numeric tolerance or invariant fails.
+
+The argument parser is built once, at import, and every call of ``main``
+in the process parses with it; a call's arguments live in the namespace it
+returns, so nothing carries over from one call to the next.
 """
 
 from __future__ import annotations
@@ -240,10 +244,14 @@ _COMMANDS = {
 }
 
 
+# Built once per process: parse_args leaves the parser as it was, so every
+# in-process call of main reuses it.
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,11 +1,14 @@
 """Deterministic JSON and CSV emitters with fixed float formatting.
 
 Machine-facing JSON carries 17 significant digits (round-trip exact for
-float64); human-facing tables carry 12. JSON float lists go through
-``_float_rows`` and every CSV table through ``_table``; each fills one
-%-template with ``%.<digits>g``, which is what ``format_float`` prints, so
-identical inputs always produce identical bytes. ``density_json`` formats
-each distinct value once when few are distinct (``_density_rows``).
+float64); human-facing tables carry 12. Every float is printed with
+``%.<digits>g``, which is what ``format_float`` prints, so identical inputs
+always produce identical bytes. When at most a quarter of the values are
+distinct, ``_distinct_strings`` formats each distinct bit pattern once and
+the text is looked up from those strings: ``density_json`` row by row
+(``_density_rows``) and every CSV table (``_table``) in chunks of lines.
+Otherwise JSON rows go through ``_float_rows`` and a CSV table fills one
+%-template.
 
 A 12-digit table entry can sit on an exact rounding tie, such as hypercube
 m=9's d = 35/65536 = 0.0005340576171875; its last digit then follows the
@@ -54,32 +57,59 @@ def _float_list(values: Iterable[float]) -> str:
     return _float_rows(np.asarray(values, dtype=float).reshape(1, -1))[0]
 
 
-def _table(header: str, keys: Iterable[str], *columns: np.ndarray) -> str:
-    """CSV text: the header, then one line ``key,columns[0][i],columns[1][i],...`` per key i."""
-    row = f",%.{TABLE_DIGITS}g" * len(columns) + "\n"
-    # keys are escaped because labels are arbitrary strings
-    template = "%s\n" + "".join(key.replace("%", "%%") + row for key in keys)
-    return template % (header, *np.column_stack(columns).reshape(-1).tolist())
+_CHUNK_LINES = 2048  # table lines assembled at a time on the distinct-value path
 
 
-def _density_rows(values: np.ndarray) -> list[str]:
-    """``_float_rows`` of a square matrix.
+def _distinct_strings(bits: np.ndarray, digits: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sorted distinct bit patterns of ``bits`` and each one formatted once.
 
-    When the distinct values are at most a quarter of the entries, each is
-    formatted once and every row is looked up from those strings with one
-    ``searchsorted``; above that, the distinct strings cost more time and
-    memory than they save. Values are compared by bit pattern, so -0.0 stays
-    apart from 0.0.
+    ``bits`` is a float64 array viewed as int64, so -0.0 stays apart from
+    0.0. Returns None when the distinct values are more than a quarter of the
+    entries: above that, the distinct strings cost more time and memory than
+    they save.
     """
-    bits = np.ascontiguousarray(values).view(np.int64)
     keys = np.sort(bits, axis=None)
     first = np.concatenate(([True], keys[1:] != keys[:-1]))
     if 4 * np.count_nonzero(first) > keys.size:
-        del keys, first  # release before the row strings are built
-        return _float_rows(values)
+        return None
     keys = keys[first]
-    del first
-    words = np.array(_float_list(keys.view(np.float64))[1:-1].split(","), dtype=object)
+    text = ",".join([f"%.{digits}g"] * keys.size) % tuple(keys.view(np.float64).tolist())
+    return keys, np.array(text.split(","), dtype=object)
+
+
+def _table(header: str, keys: Iterable[str], *columns: np.ndarray) -> str:
+    """CSV text: the header, then one line ``key,columns[0][i],columns[1][i],...`` per key i.
+
+    With few distinct values (``_distinct_strings``) each line is joined
+    from the formatted strings, ``_CHUNK_LINES`` lines at a time, so no list
+    of every line exists at once. Otherwise the whole table fills one
+    %-template.
+    """
+    bits = [np.ascontiguousarray(column, dtype=np.float64).view(np.int64) for column in columns]
+    found = _distinct_strings(np.concatenate(bits), TABLE_DIGITS)
+    if found is None:
+        row = f",%.{TABLE_DIGITS}g" * len(columns) + "\n"
+        # keys are escaped because labels are arbitrary strings
+        template = "%s\n" + "".join(key.replace("%", "%%") + row for key in keys)
+        return template % (header, *np.column_stack(columns).reshape(-1).tolist())
+    sorted_bits, words = found
+    keys = iter(keys)
+    parts = [header + "\n"]
+    for start in range(0, len(bits[0]), _CHUNK_LINES):
+        cells = [words.take(np.searchsorted(sorted_bits, b[start:start + _CHUNK_LINES])).tolist() for b in bits]
+        # islice takes exactly one key per line, so none is lost at a chunk boundary
+        lines = map(",".join, zip(itertools.islice(keys, len(cells[0])), *cells))
+        parts.append("\n".join(lines) + "\n")
+    return "".join(parts)
+
+
+def _density_rows(values: np.ndarray) -> list[str]:
+    """``_float_rows`` of a square matrix, from ``_distinct_strings`` when few values are distinct."""
+    bits = np.ascontiguousarray(values).view(np.int64)
+    found = _distinct_strings(bits, JSON_DIGITS)
+    if found is None:
+        return _float_rows(values)
+    keys, words = found
     return ["[" + ",".join(words.take(np.searchsorted(keys, row)).tolist()) + "]" for row in bits]
 
 

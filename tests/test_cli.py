@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import crystalwalk
-from crystalwalk import NumericalError
+from crystalwalk import NumericalError, cli
 from crystalwalk.cli import main
 
 
@@ -202,6 +202,19 @@ def test_csv_tables_exact_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_simulate_csv_longer_than_a_chunk_exact_bytes(capsys):
+    # 3072 lines over 24 distinct masses: the table crosses a 2048-line chunk boundary
+    code, out, err = run_cli(
+        capsys, "simulate", "--family", "cycle", "--nu", "3", "--d", "2", "--N", "32", "--T", "inf"
+    )
+    assert code == 0
+    assert out.count("\n") == 1 + 3 * 32**2
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a5e2846b9a8df2b4541f543b4d553c09f8cdf55eee2611baf2735144c3a5cff9"
+    )
+    assert err == "tv_to_prediction = 0.176345825195\n"
+
+
 def test_floquet_check_rejects_scan_over_budget(capsys):
     code, out, err = run_cli(
         capsys, "floquet-check", "--family", "cycle", "--nu", "3", "--d", "3", "--N", "128"
@@ -385,7 +398,41 @@ def test_numeric_failures_exit_1(capsys, monkeypatch):
 
 
 def test_help_exits_zero(capsys):
+    for flag in ("--help", "-h"):
+        code, out, _ = run_cli(capsys, flag)
+        assert code == 0
+        for command in ("density", "closed-form", "floquet-check", "simulate", "classical", "compare"):
+            assert command in out
+
+
+def test_main_reuses_the_parser_built_at_import(capsys, monkeypatch):
+    def rebuild():
+        raise AssertionError("main built a new parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    assert run_cli(capsys, "closed-form", "--family", "cycle", "--nu", "5")[0] == 0
+    assert run_cli(capsys, "density", "--family", "cycle")[0] == 2
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_back_to_back_calls_share_no_arguments(capsys, tmp_path):
+    simulate = ("simulate", "--family", "path", "--nu", "2", "--N", "8", "--T", "inf")
+    origin = run_cli(capsys, *simulate)
+    moved = run_cli(capsys, *simulate, "--start-cell", "3")
+    assert moved[1] != origin[1]
+    assert run_cli(capsys, *simulate) == origin
+
+    target = tmp_path / "dist.csv"
+    code, out, err = run_cli(capsys, *simulate, "-o", str(target))
+    assert (code, out, err) == (0, origin[2], "")
+    assert target.read_text() == origin[1]
+    target.unlink()
+    assert run_cli(capsys, *simulate) == origin
+    assert not target.exists()
+
+    code, out, err = run_cli(capsys, *simulate, "--start-p", "x")
+    assert code == 2 and out == "" and "invalid int value" in err
+    assert run_cli(capsys, *simulate) == origin
 
 
 def test_module_entry_point_matches_in_process(capsys):

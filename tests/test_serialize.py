@@ -14,6 +14,7 @@ from crystalwalk import (
     build_torus,
     closed_form_density,
     floquet_condition_fraction,
+    infinite_time_averaged,
     limiting_density,
     product_spec,
     stationary_distribution,
@@ -119,19 +120,131 @@ def test_density_json_matches_row_by_row_formatting(density):
     assert density_json(density) == _json_row_by_row(density)
 
 
-@pytest.mark.parametrize("moved, formatted_rows", [(15, 1), (16, 8)])
-def test_density_json_formats_each_distinct_value_once_up_to_a_quarter(monkeypatch, moved, formatted_rows):
-    # 1/8 everywhere, then `moved` symmetric pairs each one more ulp above it:
-    # 16 distinct values of 64 is a quarter, formatted once; 17 goes row by row
+def _eighth_with_moved_pairs(moved):
+    """1/8 everywhere, then `moved` symmetric pairs each one more ulp above it."""
     values = np.full((8, 8), 0.125)
     for k, (i, j) in enumerate(itertools.islice(itertools.combinations(range(8), 2), moved), 1):
         values[i, j] = values[j, i] = 0.125 + k * np.spacing(0.125)
-    density = DensityMatrix(values, "numeric")
+    return values
+
+
+def _record_distinct_strings(monkeypatch, found):
+    """Append what ``_distinct_strings`` returns to ``found``: the number of strings it formats, or None."""
+    real = serialize._distinct_strings
+
+    def record(bits, digits):
+        result = real(bits, digits)
+        found.append(None if result is None else len(result[1]))
+        return result
+
+    monkeypatch.setattr(serialize, "_distinct_strings", record)
+
+
+@pytest.mark.parametrize("moved, formatted_rows", [(15, 1), (16, 8)])
+def test_density_json_formats_each_distinct_value_once_up_to_a_quarter(monkeypatch, moved, formatted_rows):
+    # 16 distinct values of 64 is a quarter, formatted once as one row; 17 goes row by row
+    density = DensityMatrix(_eighth_with_moved_pairs(moved), "numeric")
     want = _json_row_by_row(density)
-    rows = []
+    found, rows = [], []
+    _record_distinct_strings(monkeypatch, found)
     monkeypatch.setattr(serialize, "_float_rows", lambda v: rows.extend(v) or _float_rows(v))
     assert density_json(density) == want
-    assert len(rows) == formatted_rows
+    assert len(rows) + (found != [None]) == formatted_rows
+    assert found == ([16] if formatted_rows == 1 else [None])
+
+
+def _table_line_by_line(header, keys, *columns):
+    """A CSV table with every entry formatted on its own."""
+    lines = [",".join([key, *(format_float(c[i], TABLE_DIGITS) for c in columns)]) for i, key in enumerate(keys)]
+    return "\n".join([header, *lines]) + "\n"
+
+
+def _distribution(values, N, d, nu):
+    return TimeAveragedDistribution(values=values, horizon=1.0, start=((0,) * d, 0), N=N, d=d, nu=nu)
+
+
+def _distribution_keys(N, d, nu):
+    return [",".join(map(str, (*cell, q))) for cell in itertools.product(range(N), repeat=d) for q in range(nu)]
+
+
+@pytest.mark.parametrize("moved, distinct", [(15, 16), (16, None)])
+@pytest.mark.parametrize("table", ["density_csv", "distribution_csv"])
+def test_tables_format_each_distinct_value_once_up_to_a_quarter(monkeypatch, table, moved, distinct):
+    # the JSON cutoff: 16 distinct values of 64 are formatted once, 17 fill the table template
+    values = _eighth_with_moved_pairs(moved)
+    labels = [str(q) for q in range(8)]
+    found = []
+    _record_distinct_strings(monkeypatch, found)
+    if table == "density_csv":
+        keys = [f"{p},{q}" for p in labels for q in labels]
+        assert density_csv(values, labels) == _table_line_by_line("p,q,d", keys, values.reshape(-1))
+    else:
+        flat = values.reshape(-1) / 8  # 64 masses summing to 1, no new distinct values
+        text = distribution_csv(_distribution(flat, 8, 1, 8))
+        assert text == _table_line_by_line("cell_0,q,mass", _distribution_keys(8, 1, 8), flat)
+    assert found == [distinct]
+
+
+_LABEL_CHARS = st.sampled_from("%sd0ab,")
+
+
+@st.composite
+def _table_values(draw, size, nonnegative=False):
+    """`size` floats with few (at most an eighth of `size`, from 8 on) or many distinct values.
+
+    The values come from a pool that starts with both zeros and the other
+    near-zero values of the density check, then holds pairs one ulp apart;
+    nonnegative pools hold masses of at most 1e-7. Both zeros are always
+    drawn when two entries fit.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.random(size) * 10.0 ** rng.integers(-12, 1, size)
+    pool[1::2] = np.nextafter(pool[:-1:2], 1.0)
+    pool = np.concatenate([_NEAR_ZERO, pool])
+    if nonnegative:
+        pool = np.abs(pool) * 1e-7
+        pool[1] = -0.0
+    pool = pool[:max(2, size // 8) if draw(st.booleans()) else size]
+    values = pool[rng.integers(0, len(pool), size)]
+    values[rng.permutation(size)[:2]] = pool[:min(size, 2)]
+    return values
+
+
+# Line counts on both sides of one and two _CHUNK_LINES = 2048 lines
+_LINES = (1, 2, 5, 2047, 2049, 4096, 4100)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_tables_match_line_by_line_formatting(data):
+    lines = data.draw(st.sampled_from(_LINES))
+    table = data.draw(st.sampled_from(["density_csv", "distribution_csv", "comparison_csv", "_table"]))
+    if table == "density_csv":
+        n = data.draw(st.sampled_from([1, 2, 3, 46, 64, 65]))
+        labels = data.draw(st.lists(st.text(_LABEL_CHARS, max_size=3), min_size=n, max_size=n))
+        values = data.draw(_table_values(n * n))
+        keys = [f"{p},{q}" for p in labels for q in labels]
+        assert density_csv(values.reshape(n, n), labels) == _table_line_by_line("p,q,d", keys, values)
+    elif table == "distribution_csv":
+        nu = data.draw(st.integers(1, 3))
+        d = data.draw(st.integers(1, 2))
+        N = max(1, round((lines / nu) ** (1 / d)))
+        masses = data.draw(_table_values(nu * N**d, nonnegative=True))
+        masses[-1] = 1.0 - masses[:-1].sum()
+        header = ",".join(f"cell_{i}" for i in range(d)) + ",q,mass"
+        want = _table_line_by_line(header, _distribution_keys(N, d, nu), masses)
+        assert distribution_csv(_distribution(masses, N, d, nu)) == want
+    elif table == "comparison_csv":
+        labels = data.draw(st.lists(st.text(_LABEL_CHARS, max_size=3), min_size=lines, max_size=lines))
+        quantum, stationary = data.draw(_table_values(2 * lines)).reshape(2, lines)
+        header = "q,quantum_density,classical_stationary,uniform"
+        want = _table_line_by_line(header, labels, quantum, stationary, np.full(lines, 1.0 / lines))
+        assert comparison_csv(labels, quantum, stationary) == want
+    else:
+        width = data.draw(st.integers(1, 3))
+        keys = [f"k%{i}%s" for i in range(lines)]
+        columns = data.draw(_table_values(width * lines)).reshape(width, lines)
+        assert serialize._table("h%d", iter(keys), *columns) == _table_line_by_line("h%d", keys, *columns)
 
 
 def test_density_json_keeps_negative_zero_apart():
@@ -241,6 +354,24 @@ def test_comparison_csv():
     assert lines[0] == "q,quantum_density,classical_stationary,uniform"
     assert lines[1] == "1,0.625,0.25,0.25"
     assert lines[2] == "2,0.125,0.25,0.25"
+
+
+def test_every_emitter_returns_one_str():
+    # the benchmark's emit meter encodes each result, so none may be a list or an iterator of chunks
+    g = build_named("cycle", [3])
+    op = build_torus(g, d=2, N=32)
+    bands = product_spec(BaseLattice.zd(1), g, ProductKind.CARTESIAN)
+    density = limiting_density(g)
+    texts = [
+        density_json(density),
+        density_csv(density.values, g.vertex_labels()),
+        scan_report_json(floquet_condition_fraction(bands, 8)),
+        distribution_csv(time_averaged(op, ((0, 0), 0), 10.0)),
+        distribution_csv(infinite_time_averaged(op, ((0, 0), 0))),  # 3072 lines, few distinct
+        walk_report_json(walk_report(g, start=0, steps=2)),
+        comparison_csv(g.vertex_labels(), density.values[0], stationary_distribution(g)),
+    ]
+    assert [type(text) for text in texts] == [str] * len(texts)
 
 
 def test_outputs_are_deterministic():
