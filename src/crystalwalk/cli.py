@@ -170,6 +170,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         graph = _resolve_graph(args)
         density = spectral.limiting_density(graph, tol=args.tol)
         labels = graph.vertex_labels()
+        del graph  # frees the cached n x n adjacency before the payload is built
     text = serialize.density_csv(density.values, labels) if args.csv else serialize.density_json(density)
     _emit(text, args.output)
     return 0

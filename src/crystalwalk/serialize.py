@@ -7,8 +7,9 @@ always produce identical bytes. When at most a quarter of the values are
 distinct, ``_distinct_strings`` formats each distinct bit pattern once and
 the text is looked up from those strings: ``density_json`` row by row
 (``_density_rows``) and every CSV table (``_table``) in chunks of lines.
-Otherwise JSON rows go through ``_float_rows`` and a CSV table fills one
-%-template.
+Otherwise a bitwise-symmetric density formats its upper triangle once and
+mirrors those strings (``_symmetric_rows``), any other JSON rows go through
+``_float_rows``, and a CSV table fills one %-template.
 
 A 12-digit table entry can sit on an exact rounding tie, such as hypercube
 m=9's d = 35/65536 = 0.0005340576171875; its last digit then follows the
@@ -103,14 +104,48 @@ def _table(header: str, keys: Iterable[str], *columns: np.ndarray) -> str:
     return "".join(parts)
 
 
+def _symmetric_rows(values: np.ndarray) -> list[str]:
+    """``_float_rows`` of a bitwise-symmetric square matrix, formatting only its upper triangle.
+
+    Row i formats ``values[i, i:]`` through one template and hands each
+    string right of the diagonal to the list of its column. Row i is then
+    its own list, filled by the rows above, followed by its upper strings;
+    the list is dropped as soon as the row is built, so at most about n^2/4
+    strings wait at a time.
+    """
+    n = len(values)
+    template = f"%.{JSON_DIGITS}g,"
+    columns: list[list[str] | None] = [[] for _ in range(n)]
+    rows = []
+    for i in range(n):
+        upper = (template * (n - i)) % tuple(values[i, i:].tolist())
+        # upper ends in a comma: its split ends in "", which zip leaves out
+        for column, word in zip(columns[i + 1:], upper.split(",")[1:]):
+            column.append(word)
+        left = columns[i]
+        columns[i] = None
+        left.append(upper[:-1])
+        rows.append("[" + ",".join(left) + "]")
+    return rows
+
+
 def _density_rows(values: np.ndarray) -> list[str]:
-    """``_float_rows`` of a square matrix, from ``_distinct_strings`` when few values are distinct."""
+    """``_float_rows`` of a square matrix.
+
+    With few distinct values (``_distinct_strings``) each row is looked up
+    from their strings; otherwise a bitwise-symmetric matrix formats its
+    upper triangle alone (``_symmetric_rows``). Symmetry is tested on the
+    int64 views, so a 0.0 mirrored by -0.0 keeps a matrix on the
+    ``_float_rows`` path.
+    """
     bits = np.ascontiguousarray(values).view(np.int64)
     found = _distinct_strings(bits, JSON_DIGITS)
-    if found is None:
-        return _float_rows(values)
-    keys, words = found
-    return ["[" + ",".join(words.take(np.searchsorted(keys, row)).tolist()) + "]" for row in bits]
+    if found is not None:
+        keys, words = found
+        return ["[" + ",".join(words.take(np.searchsorted(keys, row)).tolist()) + "]" for row in bits]
+    if np.array_equal(bits, bits.T):
+        return _symmetric_rows(values)
+    return _float_rows(values)
 
 
 def density_json(density: DensityMatrix) -> str:

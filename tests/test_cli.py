@@ -3,14 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import crystalwalk
-from crystalwalk import NumericalError, cli
+from crystalwalk import NumericalError, cli, from_edge_list, limiting_density, serialize
 from crystalwalk.cli import main
+from test_serialize import _json_row_by_row
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +53,45 @@ def test_density_from_edge_list(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["nu"] == 3
     assert obj["d"][0][0] == pytest.approx(5 / 9, abs=1e-12)
+
+
+def test_density_json_of_a_random_graph_is_the_row_by_row_reference(capsys, monkeypatch, tmp_path):
+    # a Hamiltonian cycle plus chords: n = 100, mean degree 8, a mostly simple spectrum
+    rng = np.random.default_rng(19)
+    n = 100
+    cycle = rng.permutation(n)
+    edges = {tuple(sorted(pair)) for pair in zip(cycle.tolist(), np.roll(cycle, 1).tolist())}
+    while len(edges) < 4 * n:
+        a, b = sorted(rng.integers(0, n, 2).tolist())
+        if a != b:
+            edges.add((a, b))
+    text = "".join(f"{a} {b}\n" for a, b in sorted(edges))
+    path = tmp_path / "random.txt"
+    path.write_text(text)
+    symmetric = []
+    real = serialize._symmetric_rows
+    monkeypatch.setattr(serialize, "_symmetric_rows", lambda v: symmetric.append(len(v)) or real(v))
+    code, out, _ = run_cli(capsys, "density", "--edge-list", str(path))
+    assert code == 0
+    # the reference formats every entry on its own, so no digest depends on the BLAS build
+    assert out == _json_row_by_row(limiting_density(from_edge_list(text)))
+    assert symmetric == [n]
+
+
+def test_density_releases_the_graph_before_serializing(capsys, monkeypatch):
+    refs, alive = [], []
+    resolve, emit = cli._resolve_graph, serialize.density_json
+
+    def resolve_and_watch(args):
+        graph = resolve(args)
+        graph.adjacency  # the cached n x n matrix goes with the graph
+        refs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(cli, "_resolve_graph", resolve_and_watch)
+    monkeypatch.setattr(serialize, "density_json", lambda density: alive.append(refs[0]() is not None) or emit(density))
+    assert run_cli(capsys, "density", "--family", "petersen")[0] == 0
+    assert alive == [False]
 
 
 def test_density_periodic_honeycomb(capsys):

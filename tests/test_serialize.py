@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,17 +141,72 @@ def _record_distinct_strings(monkeypatch, found):
     monkeypatch.setattr(serialize, "_distinct_strings", record)
 
 
-@pytest.mark.parametrize("moved, formatted_rows", [(15, 1), (16, 8)])
-def test_density_json_formats_each_distinct_value_once_up_to_a_quarter(monkeypatch, moved, formatted_rows):
-    # 16 distinct values of 64 is a quarter, formatted once as one row; 17 goes row by row
+def _record_rows(monkeypatch, name, rows):
+    """Extend ``rows`` by the matrix rows that ``serialize.<name>`` is called on."""
+    real = getattr(serialize, name)
+    monkeypatch.setattr(serialize, name, lambda v: rows.extend(v) or real(v))
+
+
+@pytest.mark.parametrize("moved, symmetric_rows", [(15, 0), (16, 8)])
+def test_density_json_formats_each_distinct_value_once_up_to_a_quarter(monkeypatch, moved, symmetric_rows):
+    # 16 distinct values of 64 is a quarter, formatted once as one row; 17 take the symmetric path
     density = DensityMatrix(_eighth_with_moved_pairs(moved), "numeric")
     want = _json_row_by_row(density)
-    found, rows = [], []
+    found, symmetric, rows = [], [], []
     _record_distinct_strings(monkeypatch, found)
-    monkeypatch.setattr(serialize, "_float_rows", lambda v: rows.extend(v) or _float_rows(v))
+    _record_rows(monkeypatch, "_symmetric_rows", symmetric)
+    _record_rows(monkeypatch, "_float_rows", rows)
     assert density_json(density) == want
     # the distinct path formats its 16 values as one row, in the shared helper
-    assert (found, len(rows)) == (([16], 0) if formatted_rows == 1 else ([None], formatted_rows))
+    want_found = [16] if symmetric_rows == 0 else [None]
+    assert (found, len(symmetric), len(rows)) == (want_found, symmetric_rows, 0)
+
+
+def _random_density(n, rng):
+    """A bitwise-symmetric density with n(n+1)/2 distinct values, as the random graphs give."""
+    upper = np.triu(rng.random((n, n)) / n, 1)
+    values = upper + upper.T
+    values[np.diag_indices(n)] = 1.0 - values.sum(axis=1)
+    return values
+
+
+_SIZES = (1, 2, 3, 5, 17, 64, 101)
+
+
+@pytest.mark.parametrize(
+    "n, change",
+    [(n, "none") for n in _SIZES] + [(n, change) for n in _SIZES[1:] for change in ("one ulp", "signed zero")],
+)
+def test_density_json_formats_a_symmetric_density_from_its_upper_triangle(monkeypatch, n, change):
+    values = _random_density(n, np.random.default_rng(n))
+    if change != "none":
+        i, j = n // 3, n - 1
+        if change == "one ulp":
+            values[i, j] = np.nextafter(values[i, j], 1.0)
+        else:
+            values[i, j], values[j, i] = 0.0, -0.0
+            values[np.diag_indices(n)] = 0.0
+            values[np.diag_indices(n)] = 1.0 - values.sum(axis=1)
+    density = DensityMatrix(values, "numeric")
+    symmetric, rows = [], []
+    _record_rows(monkeypatch, "_symmetric_rows", symmetric)
+    _record_rows(monkeypatch, "_float_rows", rows)
+    assert density_json(density) == _json_row_by_row(density)
+    # symmetry is bitwise: one ulp, or 0.0 against -0.0, keeps every row formatted in full
+    assert (len(symmetric), len(rows)) == ((n, 0) if change == "none" else (0, n))
+
+
+def test_density_json_peak_stays_at_twice_the_payload():
+    # Measured at n = 200: a peak of 1.78 MB against a 0.88 MB payload and a
+    # 0.32 MB matrix; holding every triangle string until the end reached 2.49 MB.
+    density = DensityMatrix(_random_density(200, np.random.default_rng(200)), "numeric")
+    tracemalloc.start()
+    try:
+        text = density_json(density)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text) + density.values.nbytes
 
 
 def _table_line_by_line(header, keys, *columns):
