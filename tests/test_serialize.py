@@ -26,7 +26,6 @@ from crystalwalk import serialize
 from crystalwalk.serialize import (
     JSON_DIGITS,
     TABLE_DIGITS,
-    _float_rows,
     comparison_csv,
     density_csv,
     density_json,
@@ -147,8 +146,8 @@ def _record_rows(monkeypatch, name, rows):
     monkeypatch.setattr(serialize, name, lambda v: rows.extend(v) or real(v))
 
 
-@pytest.mark.parametrize("moved, symmetric_rows", [(15, 0), (16, 8)])
-def test_density_json_formats_each_distinct_value_once_up_to_a_quarter(monkeypatch, moved, symmetric_rows):
+@pytest.mark.parametrize("moved, formatted_rows", [(15, 1), (16, 8)])
+def test_density_json_formats_each_distinct_value_once_up_to_a_quarter(monkeypatch, moved, formatted_rows):
     # 16 distinct values of 64 is a quarter, formatted once as one row; 17 take the symmetric path
     density = DensityMatrix(_eighth_with_moved_pairs(moved), "numeric")
     want = _json_row_by_row(density)
@@ -158,8 +157,8 @@ def test_density_json_formats_each_distinct_value_once_up_to_a_quarter(monkeypat
     _record_rows(monkeypatch, "_float_rows", rows)
     assert density_json(density) == want
     # the distinct path formats its 16 values as one row, in the shared helper
-    want_found = [16] if symmetric_rows == 0 else [None]
-    assert (found, len(symmetric), len(rows)) == (want_found, symmetric_rows, 0)
+    want = ([16], 0) if formatted_rows == 1 else ([None], formatted_rows)
+    assert (found, len(symmetric), len(rows)) == (*want, 0)
 
 
 def _random_density(n, rng):
