@@ -47,7 +47,7 @@ def is_bipartite(graph: FiniteGraph) -> bool:
     """Two-colorability by breadth-first search over every component."""
     color = np.full(graph.nu, -1, dtype=int)
     neighbors: list[list[int]] = [[] for _ in range(graph.nu)]
-    for u, v in graph.edges:
+    for u, v in graph.edges.tolist():
         neighbors[u].append(v)
         neighbors[v].append(u)
     for root in range(graph.nu):

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -54,28 +53,25 @@ def _check_vertex(v: int, nu: int) -> int:
     return v
 
 
-def _edge_array(edges) -> np.ndarray:
-    """The vertex pairs of ``edges`` as an (m, 2) int64 array, in iteration order."""
-    try:
-        flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
-    except OverflowError as exc:
-        raise ParameterError("vertex id out of the int64 range") from exc
-    return flat.reshape(-1, 2)
+def _pairs(u, v) -> np.ndarray:
+    """The broadcast pairs (u, v) as an (m, 2) array."""
+    return np.stack(np.broadcast_arrays(u, v), axis=-1).reshape(-1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGraph:
     """Simple undirected graph on vertices 0..nu-1.
 
-    ``edges``, any sized collection of vertex pairs, is normalized to a
-    frozenset of sorted pairs of Python ints; self loops are rejected.
-    ``labels``, when present, holds one display name per vertex. Family
-    builders fill it with the conventional numbering of the family
-    (paths and stars are 1-based, hypercube vertices are bit strings).
+    ``edges``, any sized collection of vertex pairs, is normalized to one
+    read-only (m, 2) int64 array of ascending rows u < v, so repeats and
+    reversed pairs merge; self loops are rejected. ``labels``, when present,
+    holds one display name per vertex. Family builders fill it with the
+    conventional numbering of the family (paths and stars are 1-based,
+    hypercube vertices are bit strings). Graphs compare by identity.
     """
 
     nu: int
-    edges: frozenset[tuple[int, int]] = frozenset()
+    edges: np.ndarray = ()
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -83,9 +79,16 @@ class FiniteGraph:
         if nu < 1:
             raise ParameterError("vertex count must be >= 1")
         object.__setattr__(self, "nu", nu)
-        if not set(map(len, self.edges)) <= {2}:
+        edges = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
+        try:
+            uv = np.array(edges, dtype=np.int64)
+        except OverflowError as exc:
+            raise ParameterError("vertex id out of the int64 range") from exc
+        except ValueError as exc:  # pairs and other lengths mixed
+            raise ParameterError("every edge must be a pair of vertices") from exc
+        if len(uv) and uv.shape[1:] != (2,):
             raise ParameterError("every edge must be a pair of vertices")
-        uv = _edge_array(self.edges)
+        uv = uv.reshape(-1, 2)
         u, v = uv.T
         bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= nu)
         if bad.any():  # report the first bad edge in iteration order, as a per-edge loop would
@@ -95,9 +98,10 @@ class FiniteGraph:
             _check_vertex(p, nu)
             _check_vertex(q, nu)
         uv.sort(axis=1)
-        # A frozenset copied from a set gets a table sized to its entries, half of
-        # what one built by insertion may hold (1 MB against 2 MB for 22500 edges).
-        object.__setattr__(self, "edges", frozenset(set(zip(*uv.T.tolist()))))
+        uv = uv[np.lexsort((v, u))]
+        uv = uv[np.diff(uv, axis=0, prepend=-1).any(axis=1)]  # the -1 row keeps row 0: ids are >= 0
+        uv.flags.writeable = False
+        object.__setattr__(self, "edges", uv)
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != nu:
@@ -108,7 +112,7 @@ class FiniteGraph:
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix (read-only float array)."""
         a = np.zeros((self.nu, self.nu))
-        u, v = _edge_array(self.edges).T
+        u, v = self.edges.T
         a[u, v] = 1.0
         a[v, u] = 1.0
         a.flags.writeable = False
@@ -116,9 +120,6 @@ class FiniteGraph:
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(int(u), int(v)), max(int(u), int(v))) in self.edges
 
     def vertex_labels(self) -> tuple[str, ...]:
         if self.labels is not None:
@@ -135,16 +136,6 @@ FAMILIES = (
     "hypercube",
     "petersen",
 )
-
-# Standard drawing of the Petersen graph: outer 5-cycle, five spokes, inner
-# 5-cycle taken with step 2. Isomorphic to the usual disjointness graph on
-# 2-element subsets of a 5-element set.
-_PETERSEN_EDGES = (
-    (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-    (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-    (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
-)
-
 
 def _arity(family: str, params: Sequence[int], n: int) -> list[int]:
     if len(params) != n:
@@ -170,44 +161,49 @@ def build_named(family: str, params: Sequence[int] = ()) -> FiniteGraph:
         (nu,) = _arity(family, params, 1)
         if nu < 3:
             raise ParameterError("cycle needs nu >= 3")
-        edges = [(i, (i + 1) % nu) for i in range(nu)]
+        edges = _pairs(np.arange(nu), np.arange(1, nu + 1) % nu)
         return FiniteGraph(nu, edges, tuple(str(i) for i in range(nu)))
     if family == "path":
         (nu,) = _arity(family, params, 1)
         if nu < 2:
             raise ParameterError("path needs nu >= 2")
-        edges = [(i, i + 1) for i in range(nu - 1)]
+        edges = _pairs(np.arange(nu - 1), np.arange(1, nu))
         return FiniteGraph(nu, edges, tuple(str(i + 1) for i in range(nu)))
     if family == "star":
         (nu,) = _arity(family, params, 1)
         if nu < 1:
             raise ParameterError("star needs nu >= 1 leaves")
         # Leaves are 0..nu-1 (displayed 1..nu), the center is the last index.
-        edges = [(i, nu) for i in range(nu)]
+        edges = _pairs(np.arange(nu), nu)
         return FiniteGraph(nu + 1, edges, tuple(str(i + 1) for i in range(nu + 1)))
     if family == "complete":
         (nu,) = _arity(family, params, 1)
         if nu < 2:
             raise ParameterError("complete needs nu >= 2")
-        edges = [(i, j) for i in range(nu) for j in range(i + 1, nu)]
+        edges = _pairs(*np.triu_indices(nu, 1))
         return FiniteGraph(nu, edges, tuple(str(i + 1) for i in range(nu)))
     if family == "complete_bipartite":
         m, n = _arity(family, params, 2)
         if m < 1 or n < 1:
             raise ParameterError("complete_bipartite needs m, n >= 1")
-        edges = [(i, m + j) for i in range(m) for j in range(n)]
+        edges = _pairs(np.arange(m)[:, None], np.arange(m, m + n))
         return FiniteGraph(m + n, edges, tuple(str(i + 1) for i in range(m + n)))
     if family == "hypercube":
         (m,) = _arity(family, params, 1)
         if m < 1:
             raise ParameterError("hypercube needs dimension m >= 1")
         nu = 1 << m
-        edges = [(x, x ^ (1 << b)) for x in range(nu) for b in range(m) if x < x ^ (1 << b)]
-        labels = tuple("".join(str((x >> b) & 1) for b in range(m)) for x in range(nu))
+        x = np.arange(nu)[:, None]
+        edges = _pairs(x, x ^ (1 << np.arange(m)))  # each edge twice, merged by FiniteGraph
+        labels = tuple(format(x, f"0{m}b")[::-1] for x in range(nu))
         return FiniteGraph(nu, edges, labels)
     if family == "petersen":
         _arity(family, params, 0)
-        return FiniteGraph(10, _PETERSEN_EDGES, tuple(str(i) for i in range(10)))
+        # Standard drawing: outer 5-cycle, five spokes, inner 5-cycle taken with step 2.
+        # Isomorphic to the usual disjointness graph on 2-element subsets of a 5-element set.
+        i = np.arange(5)
+        edges = _pairs(np.r_[i, i, i + 5], np.r_[(i + 1) % 5, i + 5, (i + 2) % 5 + 5])
+        return FiniteGraph(10, edges, tuple(str(i) for i in range(10)))
     raise ParameterError(f"unknown family {family!r}")
 
 
@@ -322,7 +318,7 @@ def zd_product_spec(
         raise ParameterError("periodic dimension d must be >= 1")
     zero = (0,) * d
     entries: list[tuple[int, int, tuple[int, ...]]] = []
-    for u, v in sorted(graph.edges):
+    for u, v in graph.edges.tolist():
         entries.append((u, v, zero))
         entries.append((v, u, zero))
     for p in range(graph.nu):

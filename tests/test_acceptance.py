@@ -85,7 +85,7 @@ def test_criterion_2_golden_values():
             for q in range(10):
                 if p == q:
                     continue
-                want = 49 / 450 if petersen.has_edge(p, q) else 19 / 450
+                want = 49 / 450 if petersen.adjacency[p, q] else 19 / 450
                 assert abs(d[p, q] - want) <= 1e-9
 
         by_distance = {3: {0: 5 / 16, 1: 1 / 16}, 4: {0: 35 / 128, 1: 5 / 128, 2: 3 / 128}}

@@ -11,9 +11,13 @@ import re
 import sys
 from pathlib import Path
 
-from crystalwalk import FiniteGraph, cli, dynamics
+import numpy as np
+import pytest
+
+from crystalwalk import FiniteGraph, build_named, cli, dynamics
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import oracles  # noqa: E402
 import spans  # noqa: E402
 
 
@@ -64,3 +68,14 @@ def test_tracer_installs_records_and_uninstalls(tmp_path):
     assert recorder.counters["dynamics.torus_clusters"] > 0
     assert recorder.counters["dynamics.pair_terms"] == 12**2
     assert not spans.faithfulness(recorder, {"floquet.scan": 1, "dynamics.average_inf": 1})
+
+
+@pytest.mark.parametrize("family,params", [("petersen", []), ("cycle", [6]), ("hypercube", [3])])
+def test_relabelled_edges_fit_the_quadrature_ladder(family, params):
+    """The quadrature ladder relabels ``base.edges`` pair by pair, rebuilds the graph,
+    and checks it against an adjacency built from ``g.edges``."""
+    base = build_named(family, params)
+    perm = np.random.default_rng(7).permutation(base.nu)
+    g = FiniteGraph(base.nu, frozenset((int(perm[u]), int(perm[v])) for u, v in base.edges))
+    np.testing.assert_array_equal(oracles.adjacency_from_edges(g.nu, g.edges), g.adjacency)
+    np.testing.assert_array_equal(g.adjacency[np.ix_(perm, perm)], base.adjacency)

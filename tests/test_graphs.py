@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crystalwalk
 from crystalwalk import (
     EdgeListError,
     FiniteGraph,
@@ -63,8 +68,8 @@ def test_star_center_is_last_index():
 def test_path_labels_one_based():
     g = build_named("path", [4])
     assert g.labels == ("1", "2", "3", "4")
-    assert g.has_edge(0, 1) and g.has_edge(2, 3)
-    assert not g.has_edge(0, 3)
+    assert g.adjacency[0, 1] and g.adjacency[2, 3]
+    assert not g.adjacency[0, 3]
 
 
 def test_hypercube_bit_convention():
@@ -72,7 +77,7 @@ def test_hypercube_bit_convention():
     for x in range(8):
         for y in range(8):
             expected = bin(x ^ y).count("1") == 1
-            assert g.has_edge(x, y) == expected or x == y
+            assert bool(g.adjacency[x, y]) == expected
     # bit b of the vertex integer is coordinate b of the label
     assert g.labels[0] == "000"
     assert g.labels[1] == "100"
@@ -110,9 +115,95 @@ def test_build_named_rejects(family, params):
         build_named(family, params)
 
 
+def _family_oracle(family, params):
+    """Vertex count, edge set and labels of a named family, written out pair by pair."""
+    if family == "cycle":
+        (nu,) = params
+        return nu, {(i, (i + 1) % nu) for i in range(nu)}, tuple(str(i) for i in range(nu))
+    if family == "path":
+        (nu,) = params
+        return nu, {(i, i + 1) for i in range(nu - 1)}, tuple(str(i + 1) for i in range(nu))
+    if family == "star":
+        (nu,) = params
+        return nu + 1, {(i, nu) for i in range(nu)}, tuple(str(i + 1) for i in range(nu + 1))
+    if family == "complete":
+        (nu,) = params
+        edges = {(i, j) for i in range(nu) for j in range(i + 1, nu)}
+        return nu, edges, tuple(str(i + 1) for i in range(nu))
+    if family == "complete_bipartite":
+        m, n = params
+        edges = {(i, m + j) for i in range(m) for j in range(n)}
+        return m + n, edges, tuple(str(i + 1) for i in range(m + n))
+    if family == "hypercube":
+        (m,) = params
+        nu = 1 << m
+        edges = {(x, x ^ (1 << b)) for x in range(nu) for b in range(m) if x < x ^ (1 << b)}
+        return nu, edges, tuple("".join(str((x >> b) & 1) for b in range(m)) for x in range(nu))
+    assert family == "petersen" and not params
+    edges = {
+        (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+        (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+        (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
+    }
+    return 10, edges, tuple(str(i) for i in range(10))
+
+
+def _adjacency_oracle(nu, edges):
+    a = np.zeros((nu, nu))
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def _assert_edge_array(edges):
+    """The edge contract: a read-only (m, 2) int64 array of strictly ascending rows u < v."""
+    assert isinstance(edges, np.ndarray) and edges.dtype == np.int64
+    assert edges.ndim == 2 and edges.shape[1] == 2
+    assert not edges.flags.writeable
+    rows = edges.tolist()
+    assert all(u < v for u, v in rows)
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("cycle", [3]), ("cycle", [9]),
+        ("path", [2]), ("path", [9]),
+        ("star", [1]), ("star", [7]),
+        ("complete", [2]), ("complete", [8]),
+        ("complete_bipartite", [1, 1]), ("complete_bipartite", [3, 5]),
+        ("hypercube", [1]), ("hypercube", [5]),
+        ("petersen", []),
+    ],
+)
+def test_families_match_the_pairwise_oracle(family, params):
+    nu, edges, labels = _family_oracle(family, params)
+    g = build_named(family, params)
+    _assert_edge_array(g.edges)
+    assert g.nu == nu
+    assert g.edges.tolist() == sorted([min(e), max(e)] for e in edges)
+    assert g.labels == labels
+    np.testing.assert_array_equal(g.adjacency, _adjacency_oracle(nu, edges))
+
+
 def test_finite_graph_normalizes_edges():
     g = FiniteGraph(4, frozenset({(2, 1), (1, 2), (3, 0)}))
-    assert g.edges == frozenset({(1, 2), (0, 3)})
+    _assert_edge_array(g.edges)
+    assert g.edges.tolist() == [[0, 3], [1, 2]]
+    # an array argument is copied, never sorted or frozen in place
+    given_edges = np.array([[3, 2], [1, 0], [2, 3]])
+    g = FiniteGraph(4, given_edges)
+    assert g.edges.tolist() == [[0, 1], [2, 3]]
+    assert given_edges.tolist() == [[3, 2], [1, 0], [2, 3]] and given_edges.flags.writeable
+
+
+@pytest.mark.parametrize("edges", [(), [], frozenset(), np.empty((0, 2), dtype=int)])
+def test_edgeless_graph_has_an_empty_edge_array(edges):
+    g = FiniteGraph(3, edges)
+    _assert_edge_array(g.edges)
+    assert g.edges.shape == (0, 2)
+    np.testing.assert_array_equal(g.adjacency, np.zeros((3, 3)))
 
 
 @st.composite
@@ -127,17 +218,14 @@ def _raw_edges(draw):
 
 
 @settings(deadline=None)
-@given(_raw_edges(), st.booleans())
-def test_finite_graph_normalizes_any_integer_ids(raw, as_frozenset):
+@given(_raw_edges(), st.sampled_from([list, frozenset, np.array]))
+def test_finite_graph_normalizes_any_integer_ids(raw, container):
     nu, pairs = raw
-    g = FiniteGraph(nu, frozenset(pairs) if as_frozenset else pairs)
+    g = FiniteGraph(nu, container(pairs))
     want = {(min(int(u), int(v)), max(int(u), int(v))) for u, v in pairs}
-    assert g.edges == want and isinstance(g.edges, frozenset)
-    assert all(type(u) is int and type(v) is int and u < v for u, v in g.edges)
-    a = np.zeros((nu, nu))
-    for u, v in want:
-        a[u, v] = a[v, u] = 1.0
-    np.testing.assert_array_equal(g.adjacency, a)
+    _assert_edge_array(g.edges)
+    assert g.edges.tolist() == sorted(map(list, want))
+    np.testing.assert_array_equal(g.adjacency, _adjacency_oracle(nu, want))
 
 
 def test_finite_graph_reports_the_first_bad_edge():
@@ -149,6 +237,10 @@ def test_finite_graph_reports_the_first_bad_edge():
         FiniteGraph(3, [(1, -1)])
     with pytest.raises(ParameterError, match="pair"):
         FiniteGraph(3, [(0, 1, 2), (1,)])
+    with pytest.raises(ParameterError, match="pair"):
+        FiniteGraph(3, [(0, 1, 2), (1, 2, 0)])
+    with pytest.raises(ParameterError, match="pair"):
+        FiniteGraph(3, [()])
     with pytest.raises(ParameterError, match="int64 range"):
         FiniteGraph(3, [(0, 1 << 70)])
 
@@ -184,7 +276,7 @@ def test_from_edge_list_basic():
     """
     g = from_edge_list(text)
     assert g.nu == 4
-    assert g.edges == frozenset({(0, 1), (1, 2), (0, 2), (2, 3)})
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2], [2, 3]]
 
 
 @pytest.mark.parametrize(
@@ -255,3 +347,21 @@ def test_periodic_spec_rejects_non_finite_potential(value):
         PeriodicGraphSpec(
             d=1, nu=1, offset_edges=((0, 0, (1,)), (0, 0, (-1,))), potential=(value,)
         )
+
+
+def test_first_graph_builds_in_a_process_allocate_little():
+    """No first-call allocation in edge normalization (np.unique's first call takes 1.16 MB)."""
+    code = (
+        "import tracemalloc, crystalwalk\n"
+        "tracemalloc.start()\n"
+        "for family, params in (('path', [2]), ('cycle', [3]), ('petersen', [])):\n"
+        "    crystalwalk.build_named(family, params)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    # The child must import the same package copy as this process, installed or not.
+    src = str(Path(crystalwalk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env, check=True
+    )
+    assert int(proc.stdout) < 100_000

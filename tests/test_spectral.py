@@ -213,7 +213,7 @@ def test_limiting_density_petersen_golden():
         for q in range(10):
             if q == p:
                 continue
-            want = 49 / 450 if g.has_edge(p, q) else 19 / 450
+            want = 49 / 450 if g.adjacency[p, q] else 19 / 450
             assert d[p, q] == pytest.approx(want, abs=1e-9)
 
 
