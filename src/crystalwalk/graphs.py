@@ -318,7 +318,7 @@ def zd_product_spec(
         raise ParameterError("periodic dimension d must be >= 1")
     zero = (0,) * d
     entries: list[tuple[int, int, tuple[int, ...]]] = []
-    for u, v in graph.edges.tolist():
+    for u, v in zip(*graph.edges.T.tolist()):  # two int lists, not a list per edge
         entries.append((u, v, zero))
         entries.append((v, u, zero))
     for p in range(graph.nu):
