@@ -54,8 +54,10 @@ def _check_vertex(v: int, nu: int) -> int:
 
 
 def _pairs(u, v) -> np.ndarray:
-    """The broadcast pairs (u, v) as an (m, 2) array."""
-    return np.stack(np.broadcast_arrays(u, v), axis=-1).reshape(-1, 2)
+    """The broadcast pairs (u, v) as an (m, 2) int64 array."""
+    uv = np.empty((*np.broadcast(u, v).shape, 2), dtype=np.int64)
+    uv[..., 0], uv[..., 1] = u, v
+    return uv.reshape(-1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +101,7 @@ class FiniteGraph:
             _check_vertex(q, nu)
         uv.sort(axis=1)
         uv = uv[np.lexsort((v, u))]
-        uv = uv[np.diff(uv, axis=0, prepend=-1).any(axis=1)]  # the -1 row keeps row 0: ids are >= 0
+        uv = np.concatenate((uv[:1], uv[1:][(uv[1:] != uv[:-1]).any(axis=1)]))
         uv.flags.writeable = False
         object.__setattr__(self, "edges", uv)
         if self.labels is not None:
@@ -180,7 +182,7 @@ def build_named(family: str, params: Sequence[int] = ()) -> FiniteGraph:
         (nu,) = _arity(family, params, 1)
         if nu < 2:
             raise ParameterError("complete needs nu >= 2")
-        edges = _pairs(*np.triu_indices(nu, 1))
+        edges = np.argwhere(np.less.outer(np.arange(nu), np.arange(nu)))
         return FiniteGraph(nu, edges, tuple(str(i + 1) for i in range(nu)))
     if family == "complete_bipartite":
         m, n = _arity(family, params, 2)
@@ -195,14 +197,15 @@ def build_named(family: str, params: Sequence[int] = ()) -> FiniteGraph:
         nu = 1 << m
         x = np.arange(nu)[:, None]
         edges = _pairs(x, x ^ (1 << np.arange(m)))  # each edge twice, merged by FiniteGraph
-        labels = tuple(format(x, f"0{m}b")[::-1] for x in range(nu))
+        labels = tuple(format(v, f"0{m}b")[::-1] for v in range(nu))
         return FiniteGraph(nu, edges, labels)
     if family == "petersen":
         _arity(family, params, 0)
-        # Standard drawing: outer 5-cycle, five spokes, inner 5-cycle taken with step 2.
-        # Isomorphic to the usual disjointness graph on 2-element subsets of a 5-element set.
+        # Standard drawing, one broadcast row each: the outer 5-cycle i ~ i + 1, the spokes
+        # i ~ i + 5 and the inner 5-cycle taken with step 2. Isomorphic to the usual
+        # disjointness graph on 2-element subsets of a 5-element set.
         i = np.arange(5)
-        edges = _pairs(np.r_[i, i, i + 5], np.r_[(i + 1) % 5, i + 5, (i + 2) % 5 + 5])
+        edges = _pairs(i + [[0], [0], [5]], (i + [[1], [0], [2]]) % 5 + [[0], [5], [5]])
         return FiniteGraph(10, edges, tuple(str(i) for i in range(10)))
     raise ParameterError(f"unknown family {family!r}")
 
