@@ -24,6 +24,7 @@ from .closed_forms import (
 )
 from .dynamics import (
     AVERAGE_COUNT_BUDGET,
+    HORIZON_LIMIT,
     PAIR_SUM_LIMIT,
     STATE_BUDGET,
     TimeAveragedDistribution,
@@ -95,7 +96,7 @@ __all__ = [
     "build_floquet_matrix", "product_spec", "flat_band_check",
     "floquet_condition_fraction", "general_density",
     # dynamics
-    "STATE_BUDGET", "PAIR_SUM_LIMIT", "AVERAGE_COUNT_BUDGET", "TorusOperator",
+    "STATE_BUDGET", "PAIR_SUM_LIMIT", "HORIZON_LIMIT", "AVERAGE_COUNT_BUDGET", "TorusOperator",
     "TimeAveragedDistribution", "build_torus", "evolve", "time_averaged",
     "infinite_time_averaged", "total_variation", "limit_prediction",
     # classical

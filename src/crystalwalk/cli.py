@@ -13,7 +13,6 @@ returns, so nothing carries over from one call to the next.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Sequence
 
@@ -206,8 +205,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             horizon = float(horizon_text)
         except ValueError as exc:
             raise ParameterError(f"invalid horizon {args.T!r}") from exc
-        if not (math.isfinite(horizon) and horizon > 0):
-            raise ParameterError("horizon must be positive and finite, or 'inf'")
         dist = dynamics.time_averaged(op, start, horizon)
     tv = dynamics.total_variation(dist.values, dynamics.limit_prediction(op, start))
     summary = f"tv_to_prediction = {serialize.format_float(tv, serialize.TABLE_DIGITS)}"

@@ -44,6 +44,7 @@ from .spectral import (
 __all__ = [
     "STATE_BUDGET",
     "PAIR_SUM_LIMIT",
+    "HORIZON_LIMIT",
     "AVERAGE_COUNT_BUDGET",
     "TorusOperator",
     "TimeAveragedDistribution",
@@ -62,6 +63,11 @@ STATE_BUDGET = 1 << 20
 # than vector evolution: 4096 states take about 0.2 s on a 1-D torus and 50 ms
 # on a 2-D one (2-core Xeon, one BLAS thread), in memory linear in the states.
 PAIR_SUM_LIMIT = 4096
+# Its pair weights are sin(x)/x at x = T (lambda_alpha - lambda_beta). Within
+# PAIR_SUM_LIMIT, nu N^d <= 4096 and N >= 3 give d <= 7 and nu <= 1365, so
+# |lambda| <= 2d + nu < 1400 and |x| < 3000 T: below this horizon ceiling every
+# x, and so every weight, stays finite (doubles end near 1.8e308).
+HORIZON_LIMIT = 1e300
 # The infinite-time average fills one int32 count per (cell offset, band pair):
 # nu^2 N^d counts, 16 MB at this budget. C3 on a 512 x 512 torus needs 2.4M.
 AVERAGE_COUNT_BUDGET = 1 << 22
@@ -232,18 +238,11 @@ def _canonical_offsets(N: int, d: int) -> np.ndarray:
     offsets in one orbit of the signed axis permutations share one canonical
     offset, which is its own canonical offset.
     """
-    flat = np.arange(N**d)
-    digits = np.empty((d, flat.size), dtype=flat.dtype)
-    stride = N**d
-    for axis in range(d):
-        stride //= N
-        k = flat // stride % N
-        digits[axis] = np.minimum(k, N - k)
-    digits.sort(axis=0)
-    canon = digits[0]
-    for axis in range(1, d):
-        canon = canon * N + digits[axis]
-    return canon
+    shape = (N,) * d
+    k = np.array(np.unravel_index(np.arange(N**d), shape))
+    k = np.minimum(k, N - k)
+    k.sort(axis=0)
+    return np.ravel_multi_index(k, shape)
 
 
 def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAveragedDistribution:
@@ -270,8 +269,8 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
     O(dim nu) memory.
     """
     horizon = float(horizon)
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ParameterError("averaging horizon must be positive and finite")
+    if not 0 < horizon <= HORIZON_LIMIT:  # NaN fails too
+        raise ParameterError(f"averaging horizon must be in (0, {HORIZON_LIMIT:g}], got {horizon!r}")
     start = _normalize_start(op, start)
     if op.dim > PAIR_SUM_LIMIT:
         raise ParameterError(

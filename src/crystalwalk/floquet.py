@@ -27,6 +27,7 @@ fibers in grid order and so gives the per-fiber loop's values bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -249,8 +250,8 @@ def floquet_condition_fraction(
     N = int(N)
     if N < 2:
         raise ParameterError("grid size N must be >= 2")
-    if not delta > 0:
-        raise ParameterError("collision width delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ParameterError(f"collision width delta must be positive and finite, got {delta!r}")
     d = bands.base.d
     nu = bands.nu
     cells = N**d

@@ -46,11 +46,39 @@ class ProductKind(Enum):
     STRONG = "strong"
 
 
-def _check_vertex(v: int, nu: int) -> int:
-    v = int(v)
+def _check_vertex(v: int, nu: int) -> None:
     if not 0 <= v < nu:
         raise ParameterError(f"vertex {v} out of range 0..{nu - 1}")
-    return v
+
+
+def _int_rows(rows, width: int, what: str, shape_error: str) -> np.ndarray:
+    """Any sized collection of rows of ``width`` integers as a new (m, width) int64 array.
+
+    ParameterError names the first row holding a float, text or other object, which a cast would mangle.
+    """
+    rows = rows if isinstance(rows, np.ndarray) else list(rows)
+    try:
+        a = np.array(rows)
+    except ValueError as exc:  # rows of mixed lengths
+        raise ParameterError(shape_error) from exc
+    if len(a) and a.shape[1:] != (width,):
+        raise ParameterError(shape_error)
+    if a.dtype.kind != "i":  # also integers that numpy promoted to float or object
+        for row in rows:
+            if not all(isinstance(x, (int, np.integer)) for x in row):
+                raise ParameterError(f"{what} {tuple(np.asarray(row).tolist())} has a non-integer entry")
+        try:
+            a = np.array(rows, dtype=np.int64)
+        except OverflowError as exc:
+            raise ParameterError(f"{what} entry out of the int64 range") from exc
+    return a.astype(np.int64, copy=False).reshape(-1, width)  # np.array copied the rows already
+
+
+def _sorted_rows(rows: np.ndarray, keys: Sequence[int]) -> np.ndarray:
+    """``rows`` sorted by the columns ``keys``, which name every column, first key first, repeats dropped."""
+    for k in reversed(keys):
+        rows = rows.take(rows[:, k].argsort(kind="stable"), axis=0)
+    return np.concatenate((rows[:1], rows[1:].compress((rows[1:] != rows[:-1]).any(axis=1), axis=0)))
 
 
 def _pairs(u, v) -> np.ndarray:
@@ -64,12 +92,13 @@ def _pairs(u, v) -> np.ndarray:
 class FiniteGraph:
     """Simple undirected graph on vertices 0..nu-1.
 
-    ``edges``, any sized collection of vertex pairs, is normalized to one
-    read-only (m, 2) int64 array of ascending rows u < v, so repeats and
-    reversed pairs merge; self loops are rejected. ``labels``, when present,
-    holds one display name per vertex. Family builders fill it with the
-    conventional numbering of the family (paths and stars are 1-based,
-    hypercube vertices are bit strings). Graphs compare by identity.
+    ``edges``, any sized collection of integer vertex pairs, is normalized
+    to one read-only (m, 2) int64 array of ascending rows u < v, so repeats
+    and reversed pairs merge; self loops and ids that are not integers are
+    rejected. ``labels``, when present, holds one display name per vertex.
+    Family builders fill it with the conventional numbering of the family
+    (paths and stars are 1-based, hypercube vertices are bit strings).
+    Graphs compare by identity.
     """
 
     nu: int
@@ -81,16 +110,7 @@ class FiniteGraph:
         if nu < 1:
             raise ParameterError("vertex count must be >= 1")
         object.__setattr__(self, "nu", nu)
-        edges = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
-        try:
-            uv = np.array(edges, dtype=np.int64)
-        except OverflowError as exc:
-            raise ParameterError("vertex id out of the int64 range") from exc
-        except ValueError as exc:  # pairs and other lengths mixed
-            raise ParameterError("every edge must be a pair of vertices") from exc
-        if len(uv) and uv.shape[1:] != (2,):
-            raise ParameterError("every edge must be a pair of vertices")
-        uv = uv.reshape(-1, 2)
+        uv = _int_rows(self.edges, 2, "edge", "every edge must be a pair of vertices")
         u, v = uv.T
         bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= nu)
         if bad.any():  # report the first bad edge in iteration order, as a per-edge loop would
@@ -100,8 +120,7 @@ class FiniteGraph:
             _check_vertex(p, nu)
             _check_vertex(q, nu)
         uv.sort(axis=1)
-        uv = uv[np.lexsort((v, u))]
-        uv = np.concatenate((uv[:1], uv[1:][(uv[1:] != uv[:-1]).any(axis=1)]))
+        uv = _sorted_rows(uv, (0, 1))
         uv.flags.writeable = False
         object.__setattr__(self, "edges", uv)
         if self.labels is not None:
@@ -241,21 +260,23 @@ def from_edge_list(text: str) -> FiniteGraph:
     return FiniteGraph(nu, edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicGraphSpec:
     """Fundamental-domain description of a d-dimensional periodic graph.
 
-    ``offset_edges`` holds directed entries (p, q, n) meaning vertex p of a
-    cell is adjacent to vertex q of the cell offset by n. The list must be
-    closed under (p, q, n) <-> (q, p, -n); entries are deduplicated and kept
-    sorted. ``potential`` is an optional finite real on-site term, one value
-    per fundamental-domain vertex. Connectivity of the infinite graph is not
-    checked here.
+    ``offset_edges``, any sized collection of integer rows (p, q, n_1, ...,
+    n_d), holds directed entries: vertex p of a cell is adjacent to vertex q
+    of the cell offset by n. The rows must be closed under (p, q, n) <->
+    (q, p, -n). They are normalized to one read-only (m, 2 + d) int64 array
+    sorted by (n, p, q), with repeated rows merged. ``potential`` is an
+    optional finite real on-site term, one value per fundamental-domain
+    vertex. Connectivity of the infinite graph is not checked here. Specs
+    compare by identity.
     """
 
     d: int
     nu: int
-    offset_edges: tuple[tuple[int, int, tuple[int, ...]], ...]
+    offset_edges: np.ndarray
     potential: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -266,46 +287,46 @@ class PeriodicGraphSpec:
             raise ParameterError("fundamental domain must have >= 1 vertex")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "nu", nu)
-        norm = set()
-        for entry in self.offset_edges:
-            p, q, off = entry
-            p = _check_vertex(p, nu)
-            q = _check_vertex(q, nu)
-            off = tuple(int(x) for x in off)
-            if len(off) != d:
-                raise ParameterError(f"offset {off} must have length d={d}")
-            if p == q and all(x == 0 for x in off):
-                raise ParameterError(f"self-loop at fundamental vertex {p}")
-            norm.add((p, q, off))
-        for p, q, off in norm:
-            if (q, p, tuple(-x for x in off)) not in norm:
-                raise ParameterError(
-                    f"offset edges not symmetric: ({p}, {q}, {off}) present "
-                    f"without its reverse"
-                )
-        object.__setattr__(self, "offset_edges", tuple(sorted(norm)))
-        if self.potential is None:
-            object.__setattr__(self, "potential", (0.0,) * nu)
-        else:
-            pot = tuple(float(x) for x in self.potential)
-            if len(pot) != nu:
-                raise ParameterError("potential length must equal nu")
-            if not all(math.isfinite(x) for x in pot):
-                raise ParameterError("potential entries must be finite")
-            object.__setattr__(self, "potential", pot)
+        shape_error = f"every offset edge must be {2 + d} integers (p, q, n)"
+        rows = _int_rows(self.offset_edges, 2 + d, "offset edge", shape_error)
+        pq, n = rows[:, :2], rows[:, 2:]
+        bad = pq[(pq < 0) | (pq >= nu)]  # in iteration order
+        if bad.size:
+            _check_vertex(bad[0], nu)
+        loop = (pq[:, 0] == pq[:, 1]) & ~n.any(axis=1)
+        if loop.any():
+            raise ParameterError(f"self-loop at fundamental vertex {pq[loop.argmax(), 0]}")
+        if (n == -(1 << 63)).any():  # -n would wrap to n
+            raise ParameterError("offset edge entry out of the int64 range")
+        keys = (*range(2, 2 + d), 0, 1)
+        rows = _sorted_rows(rows, keys)
+        mirror = np.hstack((rows[:, 1::-1], -rows[:, 2:]))  # (q, p, -n)
+        if not np.array_equal(_sorted_rows(mirror, keys), rows):
+            have = set(map(tuple, mirror.tolist()))
+            p, q, *off = next(r for r in rows.tolist() if tuple(r) not in have)
+            lone = (p, q, tuple(off))
+            raise ParameterError(f"offset edges not symmetric: {lone} present without its reverse")
+        rows.flags.writeable = False
+        object.__setattr__(self, "offset_edges", rows)
+        pot = (0.0,) * nu if self.potential is None else tuple(float(x) for x in self.potential)
+        if len(pot) != nu:
+            raise ParameterError("potential length must equal nu")
+        if not all(math.isfinite(x) for x in pot):
+            raise ParameterError("potential entries must be finite")
+        object.__setattr__(self, "potential", pot)
 
     @cached_property
-    def _offset_targets(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def _offset_targets(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """Distinct offsets in ascending order, shape (m, d), and the flat targets p * nu + q of each.
 
-        The entries are deduplicated, so no target repeats within one offset.
+        Each offset's rows are one run of the (n, p, q) order, so no target repeats within it.
         """
-        targets: dict[tuple[int, ...], list[int]] = {}
-        for p, q, off in self.offset_edges:
-            targets.setdefault(off, []).append(p * self.nu + q)
-        offsets = sorted(targets)
-        flat = tuple(np.array(targets[off], dtype=np.intp) for off in offsets)
-        return np.array(offsets, dtype=float).reshape(len(offsets), self.d), flat
+        rows = self.offset_edges
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:, 2:] != rows[:-1, 2:]).any(axis=1)
+        firsts = np.flatnonzero(new)
+        flat = rows[:, 0] * self.nu + rows[:, 1]
+        return rows[firsts, 2:].astype(float), [flat[a:b] for a, b in zip(firsts, [*firsts[1:], len(rows)])]
 
 
 def zd_product_spec(
@@ -319,17 +340,14 @@ def zd_product_spec(
     d = int(d)
     if d < 1:
         raise ParameterError("periodic dimension d must be >= 1")
-    zero = (0,) * d
-    entries: list[tuple[int, int, tuple[int, ...]]] = []
-    for u, v in zip(*graph.edges.T.tolist()):  # two int lists, not a list per edge
-        entries.append((u, v, zero))
-        entries.append((v, u, zero))
-    for p in range(graph.nu):
-        for axis in range(d):
-            step = tuple(1 if i == axis else 0 for i in range(d))
-            entries.append((p, p, step))
-            entries.append((p, p, tuple(-x for x in step)))
-    return PeriodicGraphSpec(d=d, nu=graph.nu, offset_edges=tuple(entries), potential=potential)
+    m, nu = len(graph.edges), graph.nu
+    rows = np.zeros((2 * m + 2 * nu * d, 2 + d), dtype=np.int64)
+    rows[:m, :2] = rows[m : 2 * m, 1::-1] = graph.edges  # (u, v, 0) and (v, u, 0)
+    # (p, p, +-e_axis) for every vertex p, sign and axis
+    steps = rows[2 * m :].reshape(nu, 2, d, 2 + d)
+    steps[..., 0] = steps[..., 1] = np.arange(nu)[:, None, None]
+    steps[..., 2:] = np.eye(d, dtype=np.int64) * np.array([1, -1])[:, None, None]
+    return PeriodicGraphSpec(d=d, nu=nu, offset_edges=rows, potential=potential)
 
 
 def honeycomb_spec() -> PeriodicGraphSpec:
@@ -339,6 +357,7 @@ def honeycomb_spec() -> PeriodicGraphSpec:
     cells offset by (-1, 0) and (0, -1), giving the three nearest neighbours
     of the hexagonal tiling.
     """
-    half = [(0, 1, (0, 0)), (0, 1, (-1, 0)), (0, 1, (0, -1))]
-    entries = half + [(q, p, tuple(-x for x in off)) for p, q, off in half]
-    return PeriodicGraphSpec(d=2, nu=2, offset_edges=tuple(entries))
+    rows = np.zeros((6, 4), dtype=np.int64)
+    rows[:3, 1] = rows[3:, 0] = 1  # (0, 1, n) for n = (0, 0), (-1, 0), (0, -1), then (1, 0, -n)
+    rows[[1, 2, 4, 5], [2, 3, 2, 3]] = -1, -1, 1, 1
+    return PeriodicGraphSpec(d=2, nu=2, offset_edges=rows)

@@ -69,11 +69,13 @@ def cluster_gap(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> float |
     """Clustering gap tol * max(1, max|value|) over the last axis of eigenvalues.
 
     A float for a 1-D array, one gap per row for a stack of rows. Raises
-    ParameterError unless tol is positive and finite.
+    ParameterError unless tol is positive and finite. No two values of a row
+    are more than 2 max|value| apart, so tol = 2 already joins every row into
+    one cluster; larger tolerances are taken as 2, which keeps the gap finite.
     """
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"clustering tolerance must be positive and finite, got {tol!r}")
-    return tol * np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
+    return min(tol, 2.0) * np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
 
 
 def _cluster_splits(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import crystalwalk
 from crystalwalk import NumericalError, cli, from_edge_list, limiting_density, serialize
@@ -508,3 +510,48 @@ def test_invalid_tolerance_exits_2(capsys, argv, tol):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "tolerance" in err
+
+
+# Each numeric flag a user types, with the rest of a small command around it (N <= 16 keeps it fast).
+_NUMERIC_FLAGS = {
+    "simulate --T": (("simulate", "--family", "cycle", "--nu", "3", "--N", "6"), "--T"),
+    "floquet-check --delta": (("floquet-check", "--family", "cycle", "--nu", "3", "--N", "8"), "--delta"),
+    "floquet-check --tol": (
+        ("floquet-check", "--family", "cycle", "--nu", "3", "--N", "8", "--product", "tensor"), "--tol"
+    ),
+    "floquet-check --N": (("floquet-check", "--family", "cycle", "--nu", "3", "--d", "2"), "--N"),
+    "density --periodic honeycomb --N": (("density", "--periodic", "honeycomb"), "--N"),
+}
+
+_NUMERIC_TEXT = st.one_of(
+    st.integers(-3, 16).map(str),
+    st.floats().map(repr),  # nan, +-inf, -0.0, 1.7976931348623157e+308, subnormals
+    st.sampled_from(["nan", "-inf", "Infinity", "-0.0", "1e308", "-1e308", "1e300", "1.0000000000000002e300",
+                     "5e-324", "2.2250738585072014e-308", "16.0", "0x10", "1_0", "", " "]),
+    st.text(alphabet="-+.0aefinx ", max_size=5),  # text, with no digit above 0
+)
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flag=st.sampled_from(sorted(_NUMERIC_FLAGS)), value=_NUMERIC_TEXT)
+@example(flag="simulate --T", value="1e308")  # overflowed x = T (lambda - lambda') before the horizon ceiling
+@example(flag="floquet-check --delta", value="inf")  # exited 0 with every pair a collision
+@example(flag="floquet-check --tol", value="1e308")  # overflowed the clustering gap tol * max|mu|
+def test_numeric_flags_exit_cleanly_on_any_text(capsys, flag, value):
+    prefix, name = _NUMERIC_FLAGS[flag]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow or invalid-value warning raises out of main
+        code = main([*prefix, f"{name}={value}"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    if code == 0:
+        assert out and (lines == [] or len(lines) == 1 and lines[0].startswith("tv_to_prediction = "))
+        return
+    assert out == ""
+    *usage, last = lines
+    parser_error = f"crystalwalk {prefix[0]}: error: "
+    assert last.startswith(("error: ", "numeric failure: ", parser_error))
+    # only argparse prints lines above its one error line: the usage
+    assert not usage or (last.startswith(parser_error) and usage[0].startswith("usage: "))

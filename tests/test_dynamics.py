@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from crystalwalk import (
     AVERAGE_COUNT_BUDGET,
+    HORIZON_LIMIT,
     PAIR_SUM_LIMIT,
     FiniteGraph,
     NumericalError,
@@ -167,6 +169,21 @@ def test_time_averaged_rejects():
     assert big.dim > PAIR_SUM_LIMIT
     with pytest.raises(ParameterError):
         time_averaged(big, ((0,), 0), 1.0)
+    # the horizon ceiling is checked first, before the state count
+    for bad in (math.nan, 1e308, math.nextafter(HORIZON_LIMIT, math.inf)):
+        with pytest.raises(ParameterError, match="horizon"):
+            time_averaged(big, ((0,), 0), bad)
+
+
+@pytest.mark.parametrize(
+    "family,params,d,N", [("cycle", [3], 1, 8), ("complete", [5], 2, 3), ("star", [4], 1, 3)]
+)
+def test_time_averaged_weights_stay_finite_up_to_the_horizon_ceiling(family, params, d, N):
+    op = build_torus(build_named(family, params), d=d, N=N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = time_averaged(op, ((0,) * d, 0), HORIZON_LIMIT)
+    assert np.isfinite(dist.values).all() and dist.horizon == HORIZON_LIMIT
 
 
 def test_time_averaged_at_the_pair_sum_limit():

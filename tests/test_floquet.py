@@ -34,7 +34,7 @@ from crystalwalk.spectral import squared_projection_sum
 
 def zd_line_spec():
     """One-vertex integer lattice: H(theta) = 2 cos(2 pi theta)."""
-    return PeriodicGraphSpec(d=1, nu=1, offset_edges=((0, 0, (1,)), (0, 0, (-1,))))
+    return PeriodicGraphSpec(d=1, nu=1, offset_edges=((0, 0, 1), (0, 0, -1)))
 
 
 # the band rule E_j = rule(E_0, mu_j) of each product kind
@@ -119,7 +119,7 @@ def _crossing_spec():
     theta = 1/4, 1/2, 3/4, so on a grid of N = 8 some fibers of a block are
     degenerate and the others are not.
     """
-    entries = ((0, 1, (0,)), (1, 0, (0,)), (2, 2, (1,)), (2, 2, (-1,)))
+    entries = ((0, 1, 0), (1, 0, 0), (2, 2, 1), (2, 2, -1))
     return PeriodicGraphSpec(d=1, nu=3, offset_edges=entries, potential=(0.0, 0.0, 1.0))
 
 
@@ -127,7 +127,7 @@ def _per_edge_matrix(spec, theta):
     """H(theta) one offset edge at a time, the builder the stacked fiber matrices replaced."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     h = np.zeros((spec.nu, spec.nu), dtype=complex)
-    for p, q, off in spec.offset_edges:
+    for p, q, *off in spec.offset_edges.tolist():
         h[p, q] += np.exp(2j * np.pi * float(np.dot(th, off)))
     h[np.diag_indices(spec.nu)] += np.asarray(spec.potential, dtype=float)
     return h
@@ -302,8 +302,9 @@ def test_scan_rejects_bad_parameters():
     bands = product_spec(BaseLattice.zd(1), build_named("cycle", [3]), ProductKind.CARTESIAN)
     with pytest.raises(ParameterError):
         floquet_condition_fraction(bands, 1)
-    with pytest.raises(ParameterError):
-        floquet_condition_fraction(bands, 16, delta=0.0)
+    for delta in (0.0, -0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="delta"):
+            floquet_condition_fraction(bands, 16, delta=delta)
 
 
 def test_scan_triangular_base_runs():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -301,28 +302,57 @@ def test_from_edge_list_reports_line_number():
 
 def test_periodic_spec_requires_symmetric_closure():
     with pytest.raises(ParameterError, match="symmetric"):
-        PeriodicGraphSpec(d=1, nu=2, offset_edges=(((0, 1, (1,))),))
+        PeriodicGraphSpec(d=1, nu=2, offset_edges=((0, 1, 1),))
 
 
 def test_periodic_spec_rejects_zero_offset_loop():
     with pytest.raises(ParameterError, match="self-loop"):
-        PeriodicGraphSpec(d=1, nu=1, offset_edges=((0, 0, (0,)),))
+        PeriodicGraphSpec(d=1, nu=1, offset_edges=((0, 0, 0),))
 
 
 def test_periodic_spec_rejects_bad_shapes():
     with pytest.raises(ParameterError):
-        PeriodicGraphSpec(d=2, nu=1, offset_edges=((0, 0, (1,)), (0, 0, (-1,))))
+        PeriodicGraphSpec(d=2, nu=1, offset_edges=((0, 0, 1), (0, 0, -1)))
     with pytest.raises(ParameterError):
         PeriodicGraphSpec(
-            d=1, nu=2, offset_edges=((0, 1, (0,)), (1, 0, (0,))), potential=(1.0,)
+            d=1, nu=2, offset_edges=((0, 1, 0), (1, 0, 0)), potential=(1.0,)
         )
 
 
+def _assert_offset_rows(spec):
+    """The offset-edge contract: a read-only (m, 2 + d) int64 array, rows strictly ascending by (n, p, q)."""
+    rows = spec.offset_edges
+    assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+    assert rows.ndim == 2 and rows.shape[1] == 2 + spec.d
+    assert not rows.flags.writeable
+    keys = [(*n, p, q) for p, q, *n in rows.tolist()]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_periodic_spec_deduplicates_and_sorts():
-    entries = ((0, 0, (1,)), (0, 0, (-1,)), (0, 0, (1,)))
+    entries = ((0, 0, 1), (0, 0, -1), (0, 0, 1))
     spec = PeriodicGraphSpec(d=1, nu=1, offset_edges=entries)
-    assert spec.offset_edges == ((0, 0, (-1,)), (0, 0, (1,)))
+    _assert_offset_rows(spec)
+    assert spec.offset_edges.tolist() == [[0, 0, -1], [0, 0, 1]]
     assert spec.potential == (0.0,)
+    # the offset orders first, then p and q; an array argument is copied, never sorted or frozen in place
+    given = np.array([(0, 1, 1), (1, 0, 0), (0, 1, 0), (1, 0, -1), (1, 0, 0)])
+    spec = PeriodicGraphSpec(d=1, nu=2, offset_edges=given)
+    _assert_offset_rows(spec)
+    assert spec.offset_edges.tolist() == [[1, 0, -1], [0, 1, 0], [1, 0, 0], [0, 1, 1]]
+    assert given[0].tolist() == [0, 1, 1] and given.flags.writeable
+
+
+def _zd_rows_oracle(graph, d):
+    """The offset rows of the Z^d box product written out entry by entry, as sorted (n, p, q) keys."""
+    entries = set()
+    for u, v in graph.edges.tolist():
+        entries |= {(u, v, (0,) * d), (v, u, (0,) * d)}
+    for p in range(graph.nu):
+        for axis in range(d):
+            for sign in (1, -1):
+                entries.add((p, p, tuple(sign if i == axis else 0 for i in range(d))))
+    return [[p, q, *n] for n, p, q in sorted((n, p, q) for p, q, n in entries)]
 
 
 def test_zd_product_spec_counts():
@@ -333,30 +363,66 @@ def test_zd_product_spec_counts():
     assert len(spec.offset_edges) == 2 * len(g.edges) + 2 * g.nu * 2
 
 
+@pytest.mark.parametrize("family,params", [("cycle", [3]), ("path", [2]), ("petersen", []), ("star", [4])])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_zd_product_spec_matches_the_entry_oracle(family, params, d):
+    g = build_named(family, params)
+    spec = zd_product_spec(g, d=d)
+    assert spec.d == d and spec.nu == g.nu
+    _assert_offset_rows(spec)
+    assert spec.offset_edges.tolist() == _zd_rows_oracle(g, d)
+
+
 def test_honeycomb_spec_shape():
     spec = honeycomb_spec()
     assert spec.d == 2 and spec.nu == 2
-    assert len(spec.offset_edges) == 6
-    offs = {off for p, q, off in spec.offset_edges if p == 0}
+    _assert_offset_rows(spec)
+    assert spec.offset_edges.tolist() == [
+        [0, 1, -1, 0], [0, 1, 0, -1], [0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [1, 0, 1, 0]
+    ]
+    offs = {(a, b) for p, q, a, b in spec.offset_edges.tolist() if p == 0}
     assert offs == {(0, 0), (-1, 0), (0, -1)}
+
+
+@st.composite
+def _symmetric_rows(draw):
+    """A symmetric set of offset rows (p, q, n), as a sorted (n, p, q) list, with its d and nu."""
+    d, nu = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    row = st.tuples(st.integers(0, nu - 1), st.integers(0, nu - 1), st.tuples(*[st.integers(-2, 2)] * d))
+    half = draw(st.lists(row.filter(lambda r: r[0] != r[1] or any(r[2])), min_size=1, max_size=12))
+    closed = {(p, q, n) for p, q, n in half} | {(q, p, tuple(-x for x in n)) for p, q, n in half}
+    return d, nu, [[p, q, *n] for n, p, q in sorted((n, p, q) for p, q, n in closed)]
+
+
+@settings(deadline=None)
+@given(_symmetric_rows(), st.randoms(use_true_random=False), st.sampled_from([list, np.array]))
+def test_periodic_spec_normalizes_any_symmetric_rows(case, rnd, container):
+    d, nu, want = case
+    given_rows = [tuple(r) for r in want] + [tuple(r) for r in rnd.choices(want, k=rnd.randint(0, 5))]
+    rnd.shuffle(given_rows)
+    spec = PeriodicGraphSpec(d=d, nu=nu, offset_edges=container(given_rows))
+    _assert_offset_rows(spec)
+    assert spec.offset_edges.tolist() == want
+    # drop every copy of one row: the row it reverses is now alone
+    p, q, *n = rnd.choice(want)
+    dropped = [r for r in given_rows if list(r) != [p, q, *n]]
+    lone = (q, p, tuple(-x for x in n))
+    with pytest.raises(ParameterError, match=re.escape(f"symmetric: {lone} present without its reverse")):
+        PeriodicGraphSpec(d=d, nu=nu, offset_edges=container(dropped))
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_periodic_spec_rejects_non_finite_potential(value):
     with pytest.raises(ParameterError, match="finite"):
         PeriodicGraphSpec(
-            d=1, nu=1, offset_edges=((0, 0, (1,)), (0, 0, (-1,))), potential=(value,)
+            d=1, nu=1, offset_edges=((0, 0, 1), (0, 0, -1)), potential=(value,)
         )
 
 
-def test_first_graph_builds_in_a_process_allocate_little():
-    """No first-call allocation in edge normalization (np.unique's first call takes 1.16 MB)."""
-    code = (
-        "import tracemalloc, crystalwalk\n"
-        "tracemalloc.start()\n"
-        "for family, params in (('path', [2]), ('cycle', [3]), ('petersen', [])):\n"
-        "    crystalwalk.build_named(family, params)\n"
-        "print(tracemalloc.get_traced_memory()[1])\n"
+def _traced_in_child(setup, traced):
+    """tracemalloc (current, peak) bytes after ``traced`` runs in a fresh interpreter, ``setup`` untraced."""
+    code = "\n".join(
+        ["import tracemalloc, crystalwalk", setup, "tracemalloc.start()", traced, "print(*tracemalloc.get_traced_memory())"]
     )
     # The child must import the same package copy as this process, installed or not.
     src = str(Path(crystalwalk.__file__).resolve().parents[1])
@@ -364,4 +430,62 @@ def test_first_graph_builds_in_a_process_allocate_little():
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env, check=True
     )
-    assert int(proc.stdout) < 100_000
+    current, peak = map(int, proc.stdout.split())
+    return current, peak
+
+
+def test_first_graph_builds_in_a_process_allocate_little():
+    """No first-call allocation in edge normalization (np.unique's first call takes 1.16 MB)."""
+    _, peak = _traced_in_child(
+        "", "for family, params in (('path', [2]), ('cycle', [3]), ('petersen', [])):\n"
+        "    crystalwalk.build_named(family, params)"
+    )
+    assert peak < 100_000
+
+
+def test_first_specs_built_in_a_process_allocate_little_and_leave_nothing():
+    """Spec builders fill one row array: no np.unique, and no per-entry tuples left on free lists.
+
+    Tuples per entry and a dict of targets left about 20 KB traced after both specs were dropped.
+    """
+    current, peak = _traced_in_child(
+        "g = crystalwalk.build_named('petersen', [])",
+        "crystalwalk.honeycomb_spec()._offset_targets\ncrystalwalk.zd_product_spec(g, 2)._offset_targets",
+    )
+    assert peak < 64_000
+    assert current < 4_000
+
+
+@pytest.mark.parametrize(
+    "edges,shown",
+    [
+        ([(0, 1), (0.5, 1)], "(0.5, 1.0)"),
+        ([("1", "2")], "('1', '2')"),
+        (np.array([[0.0, 1.0]]), "(0.0, 1.0)"),
+        ([(0, None), (0.5, 1)], "(0, None)"),
+        ([(2, 1), (1, np.float64(2.0))], "(1.0, 2.0)"),
+    ],
+)
+def test_finite_graph_rejects_non_integer_ids(edges, shown):
+    with pytest.raises(ParameterError, match=re.escape(f"edge {shown} has a non-integer entry")):
+        FiniteGraph(3, edges)
+
+
+def test_periodic_spec_rejects_non_integer_and_wide_entries():
+    with pytest.raises(ParameterError, match=re.escape("offset edge (0.0, 0.0, 1.0) has a non-integer entry")):
+        PeriodicGraphSpec(d=1, nu=1, offset_edges=[(0, 0, -1), (0, 0, 1.0)])
+    with pytest.raises(ParameterError, match="non-integer"):
+        PeriodicGraphSpec(d=1, nu=2, offset_edges=np.array([[0, 1, 0], [1, 0, 0]], dtype=float))
+    # 2^70 has no int64, and -(-2^63) has none either, though negating it in int64 gives it back
+    for rows in ([(0, 0, 1 << 70), (0, 0, -(1 << 70))], [(0, 0, -(1 << 63))]):
+        with pytest.raises(ParameterError, match="int64 range"):
+            PeriodicGraphSpec(d=1, nu=1, offset_edges=rows)
+
+
+def test_integer_ids_of_any_integer_type_are_accepted():
+    g = FiniteGraph(3, [(np.uint64(2), 1), (np.int8(0), 1)])
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
+    g = FiniteGraph(3, np.array([[2, 1]], dtype=np.uint16))
+    assert g.edges.tolist() == [[1, 2]]
+    spec = PeriodicGraphSpec(d=1, nu=1, offset_edges=[(0, 0, np.uint64(1)), (0, 0, -1)])
+    assert spec.offset_edges.tolist() == [[0, 0, -1], [0, 0, 1]]

@@ -1,6 +1,7 @@
 import ast
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +466,18 @@ def test_cluster_splits_use_each_row_gap():
         assert cluster_eigenvalues(row).tolist() == (np.flatnonzero(s) + 1).tolist() + [3]
     with pytest.raises(ValueError, match="ascending"):
         _cluster_splits(rows[:, ::-1], 1e-8)
+
+
+@pytest.mark.parametrize("tol", [2.0, 1e3, 1e308, np.finfo(float).max])
+def test_tolerances_above_two_join_every_row_and_stay_finite(tol):
+    rows = np.array([[-5.0, 0.0, 5.0], [-0.5, 0.0, 0.5], [-1e300, 0.0, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # tol * max|value| would overflow past 2
+        gap = cluster_gap(rows, tol)
+        split = _cluster_splits(rows, tol)
+    np.testing.assert_array_equal(gap, [10.0, 2.0, 2e300])
+    assert not split.any()
+    assert cluster_eigenvalues(rows[0], tol).tolist() == [3]
 
 
 def test_analytic_spectrum_path_values():
