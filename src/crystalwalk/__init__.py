@@ -41,7 +41,6 @@ from .floquet import (
     FIBER_BUDGET,
     SCAN_COUNT_BUDGET,
     BandStructure,
-    BaseLattice,
     FloquetScanReport,
     GridDensityResult,
     build_floquet_matrix,
@@ -60,6 +59,7 @@ from .graphs import (
     build_named,
     from_edge_list,
     honeycomb_spec,
+    triangular_spec,
     zd_product_spec,
 )
 from .spectral import (
@@ -81,7 +81,7 @@ __all__ = [
     # graphs
     "FiniteGraph", "PeriodicGraphSpec", "ProductKind", "ParameterError",
     "EdgeListError", "FAMILIES", "build_named", "from_edge_list",
-    "zd_product_spec", "honeycomb_spec",
+    "zd_product_spec", "honeycomb_spec", "triangular_spec",
     # spectral
     "DEFAULT_CLUSTER_TOL", "NumericalError", "EigenSolverError",
     "SpectralDecomposition", "DensityMatrix", "cluster_eigenvalues",
@@ -92,7 +92,7 @@ __all__ = [
     "d_hypercube_exact", "closed_form_density",
     # floquet
     "DEFAULT_COLLISION_DELTA", "SCAN_COUNT_BUDGET", "FIBER_BUDGET",
-    "BaseLattice", "BandStructure", "FloquetScanReport", "GridDensityResult",
+    "BandStructure", "FloquetScanReport", "GridDensityResult",
     "build_floquet_matrix", "product_spec", "flat_band_check",
     "floquet_condition_fraction", "general_density",
     # dynamics

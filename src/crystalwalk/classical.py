@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import FiniteGraph, ParameterError
+from .graphs import FiniteGraph, ParameterError, _int
 from .spectral import _within
 
 __all__ = [
@@ -70,7 +70,7 @@ def iterate_distribution(
     graph: FiniteGraph, start: int, steps: int, lazy: bool = False
 ) -> np.ndarray:
     """Distribution of the walk after ``steps`` moves from ``start``."""
-    start, steps = int(start), int(steps)
+    start, steps = _int(start, "start vertex"), _int(steps, "step count")
     if not 0 <= start < graph.nu:
         raise ParameterError(f"start vertex {start} out of range 0..{graph.nu - 1}")
     if steps < 0:

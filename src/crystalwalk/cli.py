@@ -27,14 +27,10 @@ from .graphs import (
     build_named,
     from_edge_list,
     honeycomb_spec,
+    triangular_spec,
+    zd_product_spec,
 )
 from .spectral import NumericalError
-
-_PRODUCTS = {
-    "cartesian": ProductKind.CARTESIAN,
-    "tensor": ProductKind.TENSOR,
-    "strong": ProductKind.STRONG,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("floquet-check", help="band collision scan of a lattice product")
     add_family(p)
-    p.add_argument("--product", choices=sorted(_PRODUCTS), default="cartesian",
+    p.add_argument("--product", choices=sorted(k.value for k in ProductKind), default="cartesian",
                    help="product rule (default cartesian)")
     p.add_argument("--base", choices=["zd", "triangular"], default="zd",
                    help="one-vertex periodic base (default zd)")
@@ -184,9 +180,9 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
 
 
 def _cmd_floquet_check(args: argparse.Namespace) -> int:
-    base = floquet.BaseLattice.triangular() if args.base == "triangular" else floquet.BaseLattice.zd(args.d)
+    base = triangular_spec() if args.base == "triangular" else zd_product_spec(FiniteGraph(1), args.d)
     graph = build_named(*_family_params(args))
-    bands = floquet.product_spec(base, graph, _PRODUCTS[args.product])
+    bands = floquet.product_spec(base, graph, ProductKind(args.product))
     report = floquet.floquet_condition_fraction(bands, args.N, delta=args.delta, tol=args.tol)
     _emit(serialize.scan_report_json(report), args.output)
     return 0

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ParameterError, build_named
+from .graphs import ParameterError, _int, build_named
 from .spectral import DensityMatrix
 
 __all__ = [
@@ -38,7 +38,7 @@ def d_cycle_exact(nu: int, p: int, q: int) -> Fraction:
     2(nu - 1)/nu^2 when q is p or the antipode p + nu/2, (nu - 2)/nu^2
     otherwise.
     """
-    nu, p, q = int(nu), int(p), int(q)
+    nu, p, q = (_int(x, "closed-form argument") for x in (nu, p, q))
     if nu < 3:
         raise ParameterError("cycle needs nu >= 3")
     if not (0 <= p < nu and 0 <= q < nu):
@@ -58,7 +58,7 @@ def d_path_exact(nu: int, p: int, q: int) -> Fraction:
     2/(nu + 1) at the middle vertex pair p = q = (nu + 1)/2 (odd nu),
     3/(2(nu + 1)) when p = q or p + q = nu + 1 otherwise, 1/(nu + 1) else.
     """
-    nu, p, q = int(nu), int(p), int(q)
+    nu, p, q = (_int(x, "closed-form argument") for x in (nu, p, q))
     if nu < 2:
         raise ParameterError("path needs nu >= 2")
     if not (1 <= p <= nu and 1 <= q <= nu):
@@ -77,7 +77,7 @@ def d_star_exact(nu: int, p: int, q: int) -> Fraction:
     pairs 1/nu^2 + 1/(2 nu^2), leaf-center pairs 1/(2 nu), and the center
     diagonal 1/2.
     """
-    nu, p, q = int(nu), int(p), int(q)
+    nu, p, q = (_int(x, "closed-form argument") for x in (nu, p, q))
     if nu < 1:
         raise ParameterError("star needs nu >= 1 leaves")
     if not (1 <= p <= nu + 1 and 1 <= q <= nu + 1):
@@ -98,7 +98,7 @@ def d_hypercube_exact(m: int, u: int) -> Fraction:
     Alternating-binomial inner sums squared, over exact integers:
     sum_j (sum_b (-1)^b C(u, b) C(m - u, j - b))^2 / 2^(2m).
     """
-    m, u = int(m), int(u)
+    m, u = (_int(x, "closed-form argument") for x in (m, u))
     if m < 1:
         raise ParameterError("hypercube needs dimension m >= 1")
     if not 0 <= u <= m:

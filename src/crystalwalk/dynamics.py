@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .floquet import BaseLattice, _pair_counts, _torus_offset, base_grid
-from .graphs import FiniteGraph, ParameterError
+from .floquet import _pair_counts, _torus_offset, base_grid
+from .graphs import FiniteGraph, ParameterError, _int, zd_product_spec
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     SpectralDecomposition,
@@ -118,7 +118,7 @@ def build_torus(
     Requires N >= 3 (smaller cycles degenerate to multi-edges) and a total
     state count nu * N^d within the dense budget of 2^20.
     """
-    d, N = int(d), int(N)
+    d, N = _int(d, "torus dimension d"), _int(N, "cells per axis N")
     if d < 1:
         raise ParameterError("torus dimension d must be >= 1")
     if N < 3:
@@ -127,19 +127,19 @@ def build_torus(
     if dim > STATE_BUDGET:
         raise ParameterError(f"state count {dim} exceeds the dense budget {STATE_BUDGET}")
     spectrum = eigendecompose_symmetric(graph.adjacency, tol)
-    lam = base_grid(BaseLattice.zd(d), N)[..., None] + spectrum.eigenvalues
+    lam = base_grid(zd_product_spec(FiniteGraph(1), d), N)[..., None] + spectrum.eigenvalues
     lam.flags.writeable = False
     return TorusOperator(spectrum=spectrum, N=N, d=d, eigenvalues=lam)
 
 
 def _normalize_start(op: TorusOperator, start: Start) -> tuple[tuple[int, ...], int]:
     cell, p = start
-    if isinstance(cell, (int, np.integer)):
-        cell = (int(cell),)
-    cell = tuple(int(x) % op.N for x in cell)
+    if np.ndim(cell) == 0:
+        cell = (cell,)
+    cell = tuple(_int(x, "start cell coordinate") % op.N for x in cell)
     if len(cell) != op.d:
         raise ParameterError(f"start cell must have {op.d} component(s)")
-    p = int(p)
+    p = _int(p, "start vertex")
     if not 0 <= p < op.nu:
         raise ParameterError(f"start vertex {p} out of range 0..{op.nu - 1}")
     return cell, p

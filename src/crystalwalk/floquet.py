@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import FiniteGraph, ParameterError, PeriodicGraphSpec, ProductKind
+from .graphs import FiniteGraph, ParameterError, PeriodicGraphSpec, ProductKind, _int
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DensityMatrix,
@@ -50,7 +50,6 @@ __all__ = [
     "DEFAULT_COLLISION_DELTA",
     "SCAN_COUNT_BUDGET",
     "FIBER_BUDGET",
-    "BaseLattice",
     "BandStructure",
     "FloquetScanReport",
     "GridDensityResult",
@@ -73,32 +72,6 @@ _BLOCK_ENTRIES = 64
 
 _HERMITICITY_TOL = 1e-12
 _GRID_ROW_SUM_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class BaseLattice:
-    """One-vertex periodic base: the integer lattice Z^d or the triangular lattice."""
-
-    kind: str
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("zd", "triangular"):
-            raise ParameterError(f"unknown base lattice {self.kind!r}")
-        d = int(self.d)
-        if self.kind == "zd" and d < 1:
-            raise ParameterError("integer lattice needs d >= 1")
-        if self.kind == "triangular" and d != 2:
-            raise ParameterError("triangular lattice is two-dimensional")
-        object.__setattr__(self, "d", d)
-
-    @staticmethod
-    def zd(d: int = 1) -> "BaseLattice":
-        return BaseLattice("zd", d)
-
-    @staticmethod
-    def triangular() -> "BaseLattice":
-        return BaseLattice("triangular", 2)
 
 
 def build_floquet_matrix(spec: PeriodicGraphSpec, theta: float | Sequence[float]) -> np.ndarray:
@@ -146,12 +119,14 @@ def build_floquet_matrix(spec: PeriodicGraphSpec, theta: float | Sequence[float]
 class BandStructure:
     """Band functions of a product of a one-vertex base with a finite graph.
 
-    The bands are E_j(theta) = rule(E_0(theta), mu_j) over the eigenvalues
-    mu_j of the finite factor: E_0 + mu_j for the box product, mu_j * E_0 for
-    the tensor product, (1 + mu_j) E_0 + mu_j for the strong product.
+    ``base`` is a one-vertex ``PeriodicGraphSpec`` with band E_0(theta), such
+    as ``zd_product_spec(FiniteGraph(1), d)`` or ``triangular_spec()``. The
+    bands are E_j(theta) = rule(E_0(theta), mu_j) over the eigenvalues mu_j
+    of the finite factor: E_0 + mu_j for the box product, mu_j * E_0 for the
+    tensor product, (1 + mu_j) E_0 + mu_j for the strong product.
     """
 
-    base: BaseLattice
+    base: PeriodicGraphSpec
     spectrum: SpectralDecomposition
     rule: ProductKind
 
@@ -160,8 +135,10 @@ class BandStructure:
         return self.spectrum.nu
 
 
-def product_spec(base: BaseLattice, graph: FiniteGraph, kind: ProductKind) -> BandStructure:
-    """Band structure of the product of a base lattice with a finite graph."""
+def product_spec(base: PeriodicGraphSpec, graph: FiniteGraph, kind: ProductKind) -> BandStructure:
+    """Band structure of the product of a one-vertex base spec with a finite graph."""
+    if base.nu != 1:
+        raise ParameterError(f"a product base must have one vertex per cell, got {base.nu}")
     return BandStructure(base=base, spectrum=eigendecompose_symmetric(graph.adjacency), rule=kind)
 
 
@@ -181,23 +158,27 @@ def flat_band_check(bands: BandStructure, tol: float = DEFAULT_CLUSTER_TOL) -> l
     return [int(j) for j in np.nonzero(np.abs(mu + 1.0) <= scale)[0]]
 
 
-def base_grid(base: BaseLattice, N: int) -> np.ndarray:
-    """Base band sampled on the grid {0..N-1}^d / N, shape (N,) * d.
+def base_grid(base: PeriodicGraphSpec, N: int) -> np.ndarray:
+    """Band of a one-vertex spec sampled on the grid {0..N-1}^d / N, shape (N,) * d.
 
-    Each axis evaluates 2cos(2 pi min(k, N-k) / N), so mirrored grid points
-    are bit-identical and exact band degeneracies under k -> N-k survive
-    floating point.
+    Each offset pair +-n adds 2cos(2 pi min(j, N-j) / N) at j = n.k mod N to
+    the on-site potential, so mirrored grid points are bit-identical and exact
+    band degeneracies under k -> N-k survive floating point. The pairs are
+    added shortest n first, then in descending lexicographic order: e_0, ...,
+    e_(d-1) on Z^d and e_1, e_2, e_1 + e_2 on the triangular lattice.
     """
     k = np.arange(N)
     c = 2.0 * np.cos(2.0 * np.pi * np.minimum(k, N - k) / N)
-    if base.kind == "zd":
-        grid = np.zeros((N,) * base.d)
-        for axis in range(base.d):
-            shape = [1] * base.d
-            shape[axis] = N
-            grid = grid + c.reshape(shape)
-        return grid
-    return c[:, None] + c[None, :] + c[(k[:, None] + k[None, :]) % N]
+    # one vertex: the rows are the offsets, ascending and closed under n -> -n, so the last half is +n
+    rows = base.offset_edges
+    half = rows[len(rows) // 2 :, 2:].tolist()[::-1]
+    half.sort(key=lambda n: sum(map(abs, n)))  # stable, so equal lengths stay in descending order
+    grid = np.full((N,) * base.d, base.potential[0])
+    for n in half:
+        # j = n.k mod N; take wraps the index sum, whose terms are below N^2 each
+        j = sum(s % N * k.reshape((-1,) + (1,) * (base.d - 1 - i)) for i, s in enumerate(n) if s % N)
+        grid += c.take(j, mode="wrap")
+    return grid
 
 
 def _band_grid(bands: BandStructure, N: int) -> np.ndarray:
@@ -247,7 +228,7 @@ def floquet_condition_fraction(
     nu^2 N^d integer counts of memory. Scans needing more than
     ``SCAN_COUNT_BUDGET`` counts are rejected before anything is allocated.
     """
-    N = int(N)
+    N = _int(N, "grid size N")
     if N < 2:
         raise ParameterError("grid size N must be >= 2")
     if not 0 < delta < math.inf:
@@ -458,7 +439,7 @@ def general_density(
     fibers. Grids of more than ``FIBER_BUDGET`` points are rejected before
     anything is allocated.
     """
-    N = int(N)
+    N = _int(N, "grid size N")
     if N < 1:
         raise ParameterError("grid size N must be >= 1")
     fibers = N**spec.d

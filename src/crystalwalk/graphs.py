@@ -27,6 +27,7 @@ __all__ = [
     "from_edge_list",
     "zd_product_spec",
     "honeycomb_spec",
+    "triangular_spec",
 ]
 
 
@@ -51,6 +52,16 @@ def _check_vertex(v: int, nu: int) -> None:
         raise ParameterError(f"vertex {v} out of range 0..{nu - 1}")
 
 
+_INTEGERS = (int, np.integer)
+
+
+def _int(x, what: str) -> int:
+    """``x`` as an int; ParameterError names ``what`` for a float, which int() would truncate, or text."""
+    if not isinstance(x, _INTEGERS):
+        raise ParameterError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _int_rows(rows, width: int, what: str, shape_error: str) -> np.ndarray:
     """Any sized collection of rows of ``width`` integers as a new (m, width) int64 array.
 
@@ -65,7 +76,7 @@ def _int_rows(rows, width: int, what: str, shape_error: str) -> np.ndarray:
         raise ParameterError(shape_error)
     if a.dtype.kind != "i":  # also integers that numpy promoted to float or object
         for row in rows:
-            if not all(isinstance(x, (int, np.integer)) for x in row):
+            if not all(isinstance(x, _INTEGERS) for x in row):
                 raise ParameterError(f"{what} {tuple(np.asarray(row).tolist())} has a non-integer entry")
         try:
             a = np.array(rows, dtype=np.int64)
@@ -106,7 +117,7 @@ class FiniteGraph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        nu = int(self.nu)
+        nu = _int(self.nu, "vertex count")
         if nu < 1:
             raise ParameterError("vertex count must be >= 1")
         object.__setattr__(self, "nu", nu)
@@ -161,7 +172,7 @@ FAMILIES = (
 def _arity(family: str, params: Sequence[int], n: int) -> list[int]:
     if len(params) != n:
         raise ParameterError(f"family {family!r} takes {n} parameter(s), got {len(params)}")
-    return [int(p) for p in params]
+    return [_int(p, f"family {family!r} parameter") for p in params]
 
 
 def build_named(family: str, params: Sequence[int] = ()) -> FiniteGraph:
@@ -280,7 +291,7 @@ class PeriodicGraphSpec:
     potential: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        d, nu = int(self.d), int(self.nu)
+        d, nu = _int(self.d, "periodic dimension d"), _int(self.nu, "fundamental domain size nu")
         if d < 1:
             raise ParameterError("periodic dimension d must be >= 1")
         if nu < 1:
@@ -296,11 +307,12 @@ class PeriodicGraphSpec:
         loop = (pq[:, 0] == pq[:, 1]) & ~n.any(axis=1)
         if loop.any():
             raise ParameterError(f"self-loop at fundamental vertex {pq[loop.argmax(), 0]}")
-        if (n == -(1 << 63)).any():  # -n would wrap to n
+        if n.min(initial=0) == -(1 << 63):  # -n would wrap to n
             raise ParameterError("offset edge entry out of the int64 range")
         keys = (*range(2, 2 + d), 0, 1)
         rows = _sorted_rows(rows, keys)
-        mirror = np.hstack((rows[:, 1::-1], -rows[:, 2:]))  # (q, p, -n)
+        mirror = -rows  # (q, p, -n)
+        mirror[:, :2] = rows[:, 1::-1]
         if not np.array_equal(_sorted_rows(mirror, keys), rows):
             have = set(map(tuple, mirror.tolist()))
             p, q, *off = next(r for r in rows.tolist() if tuple(r) not in have)
@@ -337,7 +349,7 @@ def zd_product_spec(
     Each cell carries a copy of ``graph``; every vertex is additionally joined
     to its own copy in the two neighbouring cells along each lattice axis.
     """
-    d = int(d)
+    d = _int(d, "periodic dimension d")
     if d < 1:
         raise ParameterError("periodic dimension d must be >= 1")
     m, nu = len(graph.edges), graph.nu
@@ -361,3 +373,10 @@ def honeycomb_spec() -> PeriodicGraphSpec:
     rows[:3, 1] = rows[3:, 0] = 1  # (0, 1, n) for n = (0, 0), (-1, 0), (0, -1), then (1, 0, -n)
     rows[[1, 2, 4, 5], [2, 3, 2, 3]] = -1, -1, 1, 1
     return PeriodicGraphSpec(d=2, nu=2, offset_edges=rows)
+
+
+def triangular_spec() -> PeriodicGraphSpec:
+    """One-vertex periodic spec of the triangular lattice: offsets +-(1, 0), +-(0, 1) and +-(1, 1)."""
+    rows = np.zeros((6, 4), dtype=np.int64)
+    rows[:, 2:] = [[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1], [-1, -1]]
+    return PeriodicGraphSpec(d=2, nu=1, offset_edges=rows)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.integrate
 
 from crystalwalk import (
-    BaseLattice,
+    FiniteGraph,
     ProductKind,
     build_named,
     build_torus,
@@ -149,7 +149,7 @@ def test_criterion_4_hypercube_identities():
 def test_criterion_5_floquet_scan():
     with criterion(5, "band collision scan"):
         cartesian = product_spec(
-            BaseLattice.zd(1), build_named("cycle", [3]), ProductKind.CARTESIAN
+            zd_product_spec(FiniteGraph(1)), build_named("cycle", [3]), ProductKind.CARTESIAN
         )
         for n in (16, 32, 64):
             report = floquet_condition_fraction(cartesian, n)
@@ -176,7 +176,8 @@ def test_criterion_5_floquet_scan():
                     best = max(best, count)
         assert floquet_condition_fraction(cartesian, n).max_fraction == best / n
 
-        tensor = product_spec(BaseLattice.zd(1), build_named("cycle", [4]), ProductKind.TENSOR)
+        line = zd_product_spec(FiniteGraph(1))
+        tensor = product_spec(line, build_named("cycle", [4]), ProductKind.TENSOR)
         for n in (16, 32, 64):
             assert floquet_condition_fraction(tensor, n).max_fraction == 1.0
 

@@ -120,6 +120,11 @@ def test_iterate_rejects():
         iterate_distribution(g, 5, 1)
     with pytest.raises(ParameterError):
         iterate_distribution(g, 0, -1)
+    # int() would walk 2 steps from vertex 1
+    with pytest.raises(ParameterError, match="start vertex must be an integer"):
+        iterate_distribution(g, 1.5, 2)
+    with pytest.raises(ParameterError, match="step count must be an integer"):
+        iterate_distribution(g, 1, 2.9)
 
 
 def test_walk_report():

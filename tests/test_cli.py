@@ -512,15 +512,27 @@ def test_invalid_tolerance_exits_2(capsys, argv, tol):
     assert err.startswith("error:") and "tolerance" in err
 
 
-# Each numeric flag a user types, with the rest of a small command around it (N <= 16 keeps it fast).
+# Each numeric flag a user types, with the rest of a small command around it. Integer flags see
+# values of at most 16: the torus and scan budgets reject every larger grid of these commands early.
+_SIMULATE_C3_N6 = ("simulate", "--family", "cycle", "--nu", "3", "--N", "6", "--T", "inf")
 _NUMERIC_FLAGS = {
     "simulate --T": (("simulate", "--family", "cycle", "--nu", "3", "--N", "6"), "--T"),
+    "simulate --N": (("simulate", "--family", "cycle", "--nu", "3", "--T", "inf"), "--N"),
+    "simulate --d": (("simulate", "--family", "path", "--nu", "2", "--N", "3", "--T", "1"), "--d"),
+    "simulate --start-cell": (_SIMULATE_C3_N6, "--start-cell"),
+    "simulate --start-p": (_SIMULATE_C3_N6, "--start-p"),
     "floquet-check --delta": (("floquet-check", "--family", "cycle", "--nu", "3", "--N", "8"), "--delta"),
     "floquet-check --tol": (
         ("floquet-check", "--family", "cycle", "--nu", "3", "--N", "8", "--product", "tensor"), "--tol"
     ),
     "floquet-check --N": (("floquet-check", "--family", "cycle", "--nu", "3", "--d", "2"), "--N"),
+    "floquet-check --d": (("floquet-check", "--family", "path", "--nu", "2", "--N", "65"), "--d"),
     "density --periodic honeycomb --N": (("density", "--periodic", "honeycomb"), "--N"),
+    "density --nu": (("density", "--family", "cycle"), "--nu"),
+    "density --m": (("density", "--family", "complete_bipartite", "--n", "2"), "--m"),
+    "density --n": (("density", "--family", "complete_bipartite", "--m", "2"), "--n"),
+    "classical --start": (("classical", "--family", "cycle", "--nu", "4", "--steps", "3"), "--start"),
+    "classical --steps": (("classical", "--family", "cycle", "--nu", "4", "--start", "1"), "--steps"),
 }
 
 _NUMERIC_TEXT = st.one_of(
@@ -532,7 +544,7 @@ _NUMERIC_TEXT = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(flag=st.sampled_from(sorted(_NUMERIC_FLAGS)), value=_NUMERIC_TEXT)
 @example(flag="simulate --T", value="1e308")  # overflowed x = T (lambda - lambda') before the horizon ceiling
 @example(flag="floquet-check --delta", value="inf")  # exited 0 with every pair a collision

@@ -169,3 +169,18 @@ def test_closed_form_density_source_and_labels():
 def test_out_of_range_rejected(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: d_cycle_exact(5.0, 0, 0),
+        lambda: d_path_exact(4, 1.5, 1),
+        lambda: d_star_exact(3, 1, "2"),
+        lambda: d_hypercube_exact(3, 1.0),
+        lambda: closed_form_density("cycle", [3.7]),  # int() would give the C3 table
+    ],
+)
+def test_non_integer_arguments_rejected(call):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call()

@@ -132,6 +132,26 @@ def test_evolve_rejects():
         evolve(op, ((0,), 1), math.inf)
 
 
+def test_torus_and_start_reject_non_integers():
+    g = build_named("cycle", [3])
+    with pytest.raises(ParameterError, match="torus dimension d must be an integer"):
+        build_torus(g, 1.9, 4)
+    with pytest.raises(ParameterError, match="cells per axis N must be an integer"):
+        build_torus(g, 1, 4.5)
+    op = build_torus(g, np.int64(1), np.int16(4))
+    assert (op.d, op.N) == (1, 4)
+    # int() would start these walks at cell 1 and vertex 2, or at cell 0
+    with pytest.raises(ParameterError, match="start cell coordinate must be an integer"):
+        time_averaged(op, ((1.9,), 2), 5.0)
+    with pytest.raises(ParameterError, match="start vertex must be an integer"):
+        time_averaged(op, ((1,), 2.5), 5.0)
+    with pytest.raises(ParameterError, match="start cell coordinate must be an integer"):
+        evolve(op, (0.7, 0), 1.0)
+    with pytest.raises(ParameterError, match="start vertex must be an integer"):
+        infinite_time_averaged(op, ((0,), "0"))
+    assert time_averaged(op, ((np.int8(5),), np.uint8(2)), 5.0).start == ((1,), 2)
+
+
 def test_time_averaged_tiny_horizon_is_delta():
     op = build_torus(build_named("path", [2]), d=1, N=4)
     dist = time_averaged(op, ((0,), 0), 1e-12)

@@ -10,7 +10,7 @@ from crystalwalk import (
     EigenSolverError,
     FIBER_BUDGET,
     SCAN_COUNT_BUDGET,
-    BaseLattice,
+    FiniteGraph,
     FloquetScanReport,
     NumericalError,
     ParameterError,
@@ -25,6 +25,7 @@ from crystalwalk import (
     honeycomb_spec,
     limiting_density,
     product_spec,
+    triangular_spec,
     zd_product_spec,
 )
 from crystalwalk import floquet
@@ -45,50 +46,103 @@ _RULES = {
 }
 
 
-def base_band(base, theta):
+def zd_base(d=1):
+    """One-vertex base Z^d."""
+    return zd_product_spec(FiniteGraph(1), d)
+
+
+def base_band(kind, theta):
     """Band function of a one-vertex base lattice at one quasimomentum theta.
 
-    Z^d: 2 sum_i cos(2 pi theta_i). Triangular: 2cos(2 pi theta_1)
-    + 2cos(2 pi theta_2) + 2cos(2 pi (theta_1 + theta_2)).
+    ``kind`` is this oracle's own label, "zd" or "triangular", so the
+    formulas never read a spec's offsets. Z^d: 2 sum_i cos(2 pi theta_i).
+    Triangular: 2cos(2 pi theta_1) + 2cos(2 pi theta_2) + 2cos(2 pi
+    (theta_1 + theta_2)).
     """
     th = 2.0 * np.pi * np.atleast_1d(np.asarray(theta, dtype=float))
-    assert th.shape == (base.d,)
-    if base.kind == "zd":
+    if kind == "zd":
         return float(2.0 * np.cos(th).sum())
+    assert kind == "triangular" and th.shape == (2,)
     return float(2.0 * (np.cos(th[0]) + np.cos(th[1]) + np.cos(th[0] + th[1])))
 
 
-def product_bands(bands, theta):
+def product_bands(bands, theta, kind="zd"):
     """All nu band values at one theta, ordered like the factor eigenvalues.
 
-    The band rules evaluated point by point: the independent oracle that
-    ``build_floquet_matrix`` is checked against.
+    The band rules evaluated point by point over the base band of ``kind``:
+    the independent oracle that ``build_floquet_matrix`` is checked against.
     """
-    return _RULES[bands.rule](base_band(bands.base, theta), bands.spectrum.eigenvalues)
+    return _RULES[bands.rule](base_band(kind, theta), bands.spectrum.eigenvalues)
 
 
 @pytest.mark.parametrize(
     "base,theta,want",
     [
-        (BaseLattice.zd(1), 0.0, 2.0),
-        (BaseLattice.zd(1), 0.5, -2.0),
-        (BaseLattice.zd(2), (0.5, 0.0), 0.0),
-        (BaseLattice.zd(3), (0.5, 0.5, 0.5), -6.0),
-        (BaseLattice.triangular(), (0.0, 0.0), 6.0),
-        (BaseLattice.triangular(), (0.5, 0.5), -2.0),
+        (("zd", zd_base(1)), 0.0, 2.0),
+        (("zd", zd_base(1)), 0.5, -2.0),
+        (("zd", zd_base(2)), (0.5, 0.0), 0.0),
+        (("zd", zd_base(3)), (0.5, 0.5, 0.5), -6.0),
+        (("triangular", triangular_spec()), (0.0, 0.0), 6.0),
+        (("triangular", triangular_spec()), (0.5, 0.5), -2.0),
     ],
 )
 def test_base_band_values(base, theta, want):
-    assert base_band(base, theta) == pytest.approx(want, abs=1e-12)
+    kind, spec = base
+    assert base_band(kind, theta) == pytest.approx(want, abs=1e-12)
+    np.testing.assert_allclose(build_floquet_matrix(spec, theta), [[want]], atol=1e-12)
 
 
 def test_base_band_rejects_wrong_arity():
     with pytest.raises(ParameterError):
         build_floquet_matrix(zd_product_spec(build_named("path", [2]), d=2), 0.25)
-    with pytest.raises(ParameterError):
-        BaseLattice("hexagonal", 2)
-    with pytest.raises(ParameterError):
-        BaseLattice.zd(0)
+    with pytest.raises(ParameterError, match="d must be >= 1"):
+        zd_base(0)
+    with pytest.raises(ParameterError, match="one vertex per cell"):
+        product_spec(honeycomb_spec(), build_named("path", [2]), ProductKind.CARTESIAN)
+
+
+def _per_axis_grid(kind, d, N):
+    """Base grid from per-axis formulas, the bitwise reference for ``base_grid``.
+
+    Z^d adds the axes' 2cos(2 pi min(k, N - k) / N) to a zero grid one by one; the
+    triangular lattice is c(k_1) + c(k_2) + c(k_1 + k_2 mod N).
+    """
+    k = np.arange(N)
+    c = 2.0 * np.cos(2.0 * np.pi * np.minimum(k, N - k) / N)
+    if kind == "triangular":
+        return c[:, None] + c[None, :] + c[(k[:, None] + k[None, :]) % N]
+    grid = np.zeros((N,) * d)
+    for axis in range(d):
+        shape = [1] * d
+        shape[axis] = N
+        grid = grid + c.reshape(shape)
+    return grid
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 6, 12, 16, 40, 64, 101, 1024])
+def test_base_grid_is_the_per_axis_formula_bit_for_bit(N):
+    cases = [("zd", d, zd_base(d)) for d in (1, 2, 3) if N**d <= 1 << 20] + [("triangular", 2, triangular_spec())]
+    for kind, d, spec in cases:
+        got, want = floquet.base_grid(spec, N), _per_axis_grid(kind, d, N)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (kind, d)
+
+
+def test_base_grid_is_the_fiber_matrix_of_any_one_vertex_spec():
+    # offsets of several lengths, one with a negative entry, one above N, and an on-site potential
+    rows = [(0, 0, 2, -1), (0, 0, -2, 1), (0, 0, 0, 9), (0, 0, 0, -9), (0, 0, 1, 1), (0, 0, -1, -1)]
+    spec = PeriodicGraphSpec(d=2, nu=1, offset_edges=rows, potential=(0.5,))
+    N = 7
+    theta = np.stack(np.unravel_index(np.arange(N * N), (N, N)), axis=-1) / N
+    want = build_floquet_matrix(spec, theta).real.reshape(N, N)
+    np.testing.assert_allclose(floquet.base_grid(spec, N), want, atol=1e-12)
+
+
+def test_triangular_spec_offsets():
+    spec = triangular_spec()
+    assert (spec.d, spec.nu, spec.potential) == (2, 1, (0.0,))
+    n = [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
+    assert spec.offset_edges.tolist() == [[0, 0, *x] for x in n]
 
 
 def test_floquet_matrix_line():
@@ -214,7 +268,7 @@ def test_floquet_matrix_with_potential():
 def test_floquet_matrix_matches_product_bands():
     g = build_named("cycle", [4])
     spec = zd_product_spec(g, d=1)
-    bands = product_spec(BaseLattice.zd(1), g, ProductKind.CARTESIAN)
+    bands = product_spec(zd_base(1), g, ProductKind.CARTESIAN)
     for theta in (0.0, 0.3, 0.71):
         h = build_floquet_matrix(spec, theta)
         vals = np.linalg.eigvalsh(h)
@@ -222,27 +276,27 @@ def test_floquet_matrix_matches_product_bands():
 
 
 def test_product_bands_cartesian_c3():
-    bands = product_spec(BaseLattice.zd(1), build_named("cycle", [3]), ProductKind.CARTESIAN)
+    bands = product_spec(zd_base(1), build_named("cycle", [3]), ProductKind.CARTESIAN)
     np.testing.assert_allclose(sorted(product_bands(bands, 0.0)), [1.0, 1.0, 4.0], atol=1e-9)
 
 
 def test_product_bands_tensor_and_strong():
     c4 = build_named("cycle", [4])
-    tensor = product_spec(BaseLattice.zd(1), c4, ProductKind.TENSOR)
+    tensor = product_spec(zd_base(1), c4, ProductKind.TENSOR)
     vals = product_bands(tensor, 0.2)
-    e0 = base_band(BaseLattice.zd(1), 0.2)
+    e0 = base_band("zd", 0.2)
     np.testing.assert_allclose(np.sort(vals), np.sort(np.array([-2, 0, 0, 2]) * e0), atol=1e-9)
-    strong = product_spec(BaseLattice.zd(1), build_named("path", [2]), ProductKind.STRONG)
+    strong = product_spec(zd_base(1), build_named("path", [2]), ProductKind.STRONG)
     vals = product_bands(strong, 0.2)
     np.testing.assert_allclose(np.sort(vals), np.sort([(1 - 1) * e0 - 1, 2 * e0 + 1]), atol=1e-9)
 
 
 def test_flat_band_check():
     c4 = build_named("cycle", [4])
-    assert flat_band_check(product_spec(BaseLattice.zd(1), c4, ProductKind.CARTESIAN)) == []
-    assert flat_band_check(product_spec(BaseLattice.zd(1), c4, ProductKind.TENSOR)) == [1, 2]
+    assert flat_band_check(product_spec(zd_base(1), c4, ProductKind.CARTESIAN)) == []
+    assert flat_band_check(product_spec(zd_base(1), c4, ProductKind.TENSOR)) == [1, 2]
     p2 = build_named("path", [2])
-    assert flat_band_check(product_spec(BaseLattice.zd(1), p2, ProductKind.STRONG)) == [0]
+    assert flat_band_check(product_spec(zd_base(1), p2, ProductKind.STRONG)) == [0]
 
 
 def brute_force_scan(mu, N, delta=1e-9):
@@ -262,7 +316,7 @@ def brute_force_scan(mu, N, delta=1e-9):
 
 
 def test_scan_cartesian_c3_brute_force():
-    bands = product_spec(BaseLattice.zd(1), build_named("cycle", [3]), ProductKind.CARTESIAN)
+    bands = product_spec(zd_base(1), build_named("cycle", [3]), ProductKind.CARTESIAN)
     report = floquet_condition_fraction(bands, 16)
     assert report.max_fraction == brute_force_scan([-1.0, -1.0, 2.0], 16)
     assert report.max_fraction <= 2 / 16 + 1e-12
@@ -273,13 +327,13 @@ def test_scan_cartesian_c3_brute_force():
 def test_scan_small_grid_no_collisions():
     # N=2 box product with P_2: all band differences are in {+-2, +-4, +-6},
     # so the report names the first shift and pair
-    bands = product_spec(BaseLattice.zd(1), build_named("path", [2]), ProductKind.CARTESIAN)
+    bands = product_spec(zd_base(1), build_named("path", [2]), ProductKind.CARTESIAN)
     report = floquet_condition_fraction(bands, 2)
     assert report == FloquetScanReport(N=2, max_fraction=0.0, worst_shift=(1,), worst_pair=(0, 0), flat_bands=())
 
 
 def test_scan_flat_band_forces_full_fraction():
-    bands = product_spec(BaseLattice.zd(1), build_named("cycle", [4]), ProductKind.TENSOR)
+    bands = product_spec(zd_base(1), build_named("cycle", [4]), ProductKind.TENSOR)
     report = floquet_condition_fraction(bands, 16)
     assert report.max_fraction == 1.0
     assert report.flat_bands == (1, 2)
@@ -288,7 +342,7 @@ def test_scan_flat_band_forces_full_fraction():
 
 
 def test_scan_deterministic_worst_case():
-    bands = product_spec(BaseLattice.zd(1), build_named("cycle", [3]), ProductKind.CARTESIAN)
+    bands = product_spec(zd_base(1), build_named("cycle", [3]), ProductKind.CARTESIAN)
     r1 = floquet_condition_fraction(bands, 16)
     r2 = floquet_condition_fraction(bands, 16)
     assert (r1.worst_shift, r1.worst_pair, r1.max_fraction) == (
@@ -299,7 +353,7 @@ def test_scan_deterministic_worst_case():
 
 
 def test_scan_rejects_bad_parameters():
-    bands = product_spec(BaseLattice.zd(1), build_named("cycle", [3]), ProductKind.CARTESIAN)
+    bands = product_spec(zd_base(1), build_named("cycle", [3]), ProductKind.CARTESIAN)
     with pytest.raises(ParameterError):
         floquet_condition_fraction(bands, 1)
     for delta in (0.0, -0.0, -1e-9, math.nan, math.inf):
@@ -307,8 +361,17 @@ def test_scan_rejects_bad_parameters():
             floquet_condition_fraction(bands, 16, delta=delta)
 
 
+def test_grid_sizes_reject_non_integers():
+    bands = product_spec(zd_base(1), build_named("cycle", [3]), ProductKind.CARTESIAN)
+    with pytest.raises(ParameterError, match="grid size N must be an integer"):
+        floquet_condition_fraction(bands, 16.5)
+    with pytest.raises(ParameterError, match="grid size N must be an integer"):
+        general_density(honeycomb_spec(), 4.0)
+    assert floquet_condition_fraction(bands, np.int64(16)).N == 16
+
+
 def test_scan_triangular_base_runs():
-    bands = product_spec(BaseLattice.triangular(), build_named("path", [2]), ProductKind.CARTESIAN)
+    bands = product_spec(triangular_spec(), build_named("path", [2]), ProductKind.CARTESIAN)
     report = floquet_condition_fraction(bands, 6)
     assert 0.0 <= report.max_fraction <= 1.0
     assert len(report.worst_shift) == 2
@@ -351,18 +414,18 @@ def _dense_scan(bands, N, delta=DEFAULT_COLLISION_DELTA):
 
 
 _SCAN_CASES = [
-    (BaseLattice.zd(1), "cycle", [5], ProductKind.CARTESIAN, 24),
-    (BaseLattice.zd(1), "star", [3], ProductKind.TENSOR, 16),
-    (BaseLattice.zd(1), "path", [3], ProductKind.STRONG, 20),
-    (BaseLattice.zd(2), "complete", [4], ProductKind.CARTESIAN, 8),
-    (BaseLattice.zd(2), "path", [3], ProductKind.TENSOR, 8),
-    (BaseLattice.zd(2), "cycle", [3], ProductKind.STRONG, 9),
-    (BaseLattice.zd(3), "cycle", [3], ProductKind.CARTESIAN, 4),
-    (BaseLattice.zd(3), "path", [2], ProductKind.TENSOR, 6),
-    (BaseLattice.zd(3), "star", [3], ProductKind.STRONG, 4),
-    (BaseLattice.triangular(), "cycle", [3], ProductKind.CARTESIAN, 9),
-    (BaseLattice.triangular(), "path", [3], ProductKind.TENSOR, 8),
-    (BaseLattice.triangular(), "star", [4], ProductKind.STRONG, 6),
+    (zd_base(1), "cycle", [5], ProductKind.CARTESIAN, 24),
+    (zd_base(1), "star", [3], ProductKind.TENSOR, 16),
+    (zd_base(1), "path", [3], ProductKind.STRONG, 20),
+    (zd_base(2), "complete", [4], ProductKind.CARTESIAN, 8),
+    (zd_base(2), "path", [3], ProductKind.TENSOR, 8),
+    (zd_base(2), "cycle", [3], ProductKind.STRONG, 9),
+    (zd_base(3), "cycle", [3], ProductKind.CARTESIAN, 4),
+    (zd_base(3), "path", [2], ProductKind.TENSOR, 6),
+    (zd_base(3), "star", [3], ProductKind.STRONG, 4),
+    (triangular_spec(), "cycle", [3], ProductKind.CARTESIAN, 9),
+    (triangular_spec(), "path", [3], ProductKind.TENSOR, 8),
+    (triangular_spec(), "star", [4], ProductKind.STRONG, 6),
 ]
 
 
@@ -411,7 +474,7 @@ def test_scan_counts_exact_at_a_wide_delta(case):
 def test_scan_early_exit_off_diagonal_pair():
     # At N=2, E(theta + 1/2) = -E(theta), so the tensor bands -E and +E swap
     # under the first shift and pair (0, 1) meets at every point.
-    bands = product_spec(BaseLattice.zd(1), build_named("path", [2]), ProductKind.TENSOR)
+    bands = product_spec(zd_base(1), build_named("path", [2]), ProductKind.TENSOR)
     report = floquet_condition_fraction(bands, 2)
     assert report == FloquetScanReport(N=2, max_fraction=1.0, worst_shift=(1,), worst_pair=(0, 1), flat_bands=())
     assert report == _dense_scan(bands, 2)
@@ -420,8 +483,8 @@ def test_scan_early_exit_off_diagonal_pair():
 @pytest.mark.parametrize(
     "base,family,params,rule,N,flat",
     [
-        (BaseLattice.zd(2), "star", [3], ProductKind.TENSOR, 8, 1),
-        (BaseLattice.triangular(), "complete", [4], ProductKind.STRONG, 6, 0),
+        (zd_base(2), "star", [3], ProductKind.TENSOR, 8, 1),
+        (triangular_spec(), "complete", [4], ProductKind.STRONG, 6, 0),
     ],
 )
 def test_scan_flat_band_names_first_flat_index(base, family, params, rule, N, flat):
@@ -434,7 +497,7 @@ def test_scan_flat_band_names_first_flat_index(base, family, params, rule, N, fl
 
 
 def test_scan_budget_rejects_before_allocating():
-    bands = product_spec(BaseLattice.zd(3), build_named("cycle", [3]), ProductKind.CARTESIAN)
+    bands = product_spec(zd_base(3), build_named("cycle", [3]), ProductKind.CARTESIAN)
     assert 9 * 128**3 > SCAN_COUNT_BUDGET
     with pytest.raises(ParameterError, match="budget"):
         floquet_condition_fraction(bands, 128)
@@ -444,7 +507,7 @@ def test_scan_budget_rejects_before_allocating():
 
 
 def test_scan_budget_boundary(monkeypatch):
-    bands = product_spec(BaseLattice.zd(2), build_named("path", [2]), ProductKind.CARTESIAN)
+    bands = product_spec(zd_base(2), build_named("path", [2]), ProductKind.CARTESIAN)
     monkeypatch.setattr(floquet, "SCAN_COUNT_BUDGET", 4 * 8**2)
     assert floquet_condition_fraction(bands, 8) == _dense_scan(bands, 8)
     with pytest.raises(ParameterError):
@@ -456,7 +519,7 @@ def test_scan_pair_count_memory_stays_within_the_walks():
     # Counting them one offset at a time peaked at the int32 table plus 16.1
     # N^d int64 entries, N^d-pair chunks peak at 13.0 (in the mirror fill).
     # The bound sits one N^d array, about 5% of that peak, above the walk's.
-    bands = product_spec(BaseLattice.zd(3), build_named("star", [2]), ProductKind.STRONG)
+    bands = product_spec(zd_base(3), build_named("star", [2]), ProductKind.STRONG)
     N, nu = 12, bands.nu
     grid = floquet._band_grid(bands, N).reshape(nu, N**3)
     floquet._collision_counts(grid, N, 3, DEFAULT_COLLISION_DELTA)  # first calls allocate numpy's own caches
@@ -577,7 +640,7 @@ def test_band_continuity_on_grid():
 
 
 def test_general_density_rejects_invalid_tolerance():
-    bands = product_spec(BaseLattice.zd(1), build_named("cycle", [3]), ProductKind.TENSOR)
+    bands = product_spec(zd_base(1), build_named("cycle", [3]), ProductKind.TENSOR)
     for tol in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ParameterError, match="tolerance"):
             general_density(honeycomb_spec(), 4, tol=tol)

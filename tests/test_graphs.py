@@ -482,6 +482,25 @@ def test_periodic_spec_rejects_non_integer_and_wide_entries():
             PeriodicGraphSpec(d=1, nu=1, offset_edges=rows)
 
 
+@pytest.mark.parametrize("params", [[3.7], [3.0], ["3"], [np.float64(4.0)]])
+def test_build_named_rejects_non_integer_parameters(params):
+    # int() would truncate 3.7 to a C3 and parse "3"
+    with pytest.raises(ParameterError, match="family 'cycle' parameter must be an integer"):
+        build_named("cycle", params)
+    assert build_named("cycle", [np.int32(3)]).nu == 3
+
+
+def test_sizes_and_dimensions_reject_non_integers():
+    with pytest.raises(ParameterError, match="vertex count must be an integer"):
+        FiniteGraph(3.5)
+    with pytest.raises(ParameterError, match="periodic dimension d must be an integer"):
+        PeriodicGraphSpec(d=1.0, nu=1, offset_edges=[(0, 0, 1), (0, 0, -1)])
+    with pytest.raises(ParameterError, match="fundamental domain size nu must be an integer"):
+        PeriodicGraphSpec(d=1, nu="1", offset_edges=[(0, 0, 1), (0, 0, -1)])
+    with pytest.raises(ParameterError, match="periodic dimension d must be an integer"):
+        zd_product_spec(FiniteGraph(1), 1.9)
+
+
 def test_integer_ids_of_any_integer_type_are_accepted():
     g = FiniteGraph(3, [(np.uint64(2), 1), (np.int8(0), 1)])
     assert g.edges.tolist() == [[0, 1], [1, 2]]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalwalk import (
-    BaseLattice,
     DensityMatrix,
+    FiniteGraph,
     ProductKind,
     TimeAveragedDistribution,
     build_named,
@@ -21,6 +21,7 @@ from crystalwalk import (
     stationary_distribution,
     time_averaged,
     walk_report,
+    zd_product_spec,
 )
 from crystalwalk import serialize
 from crystalwalk.serialize import (
@@ -342,7 +343,7 @@ def test_tables_keep_percent_signs_in_labels():
 
 
 def test_scan_report_json():
-    bands = product_spec(BaseLattice.zd(1), build_named("cycle", [3]), ProductKind.CARTESIAN)
+    bands = product_spec(zd_product_spec(FiniteGraph(1)), build_named("cycle", [3]), ProductKind.CARTESIAN)
     report = floquet_condition_fraction(bands, 16)
     obj = json.loads(scan_report_json(report))
     assert obj == {
@@ -415,7 +416,7 @@ def test_every_emitter_returns_one_str():
     # the benchmark's emit meter encodes each result, so none may be a list or an iterator of chunks
     g = build_named("cycle", [3])
     op = build_torus(g, d=2, N=32)
-    bands = product_spec(BaseLattice.zd(1), g, ProductKind.CARTESIAN)
+    bands = product_spec(zd_product_spec(FiniteGraph(1)), g, ProductKind.CARTESIAN)
     density = limiting_density(g)
     texts = [
         density_json(density),

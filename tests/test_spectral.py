@@ -10,7 +10,6 @@ import pytest
 import crystalwalk
 from crystalwalk import (
     BandStructure,
-    BaseLattice,
     EigenSolverError,
     FiniteGraph,
     NumericalError,
@@ -24,6 +23,7 @@ from crystalwalk import (
     flat_band_check,
     from_edge_list,
     limiting_density,
+    zd_product_spec,
 )
 from crystalwalk.closed_forms import d_cycle_exact
 from crystalwalk import spectral
@@ -103,7 +103,7 @@ def test_one_rule_decides_at_the_gap(above):
     mu = np.array([-step, step, 3.0])
     spectrum = eigendecompose_symmetric(np.diag(mu))
     assert np.array_equal(spectrum.eigenvalues, mu)
-    bands = BandStructure(BaseLattice.zd(1), spectrum, ProductKind.TENSOR)
+    bands = BandStructure(zd_product_spec(FiniteGraph(1)), spectrum, ProductKind.TENSOR)
     assert flat_band_check(bands) == ([] if above else [0, 1])
 
 
