@@ -56,7 +56,7 @@ _INTEGERS = (int, np.integer)
 
 
 def _int(x, what: str) -> int:
-    """``x`` as an int; ParameterError names ``what`` for a float, which int() would truncate, or text."""
+    """``x`` as an int; ParameterError naming ``what`` for a float or text, which int() would mangle."""
     if not isinstance(x, _INTEGERS):
         raise ParameterError(f"{what} must be an integer, got {x!r}")
     return int(x)
