@@ -7,6 +7,7 @@ classical random-walk baseline.
 """
 
 from .classical import (
+    STEP_BUDGET,
     WalkReport,
     is_bipartite,
     iterate_distribution,
@@ -40,9 +41,9 @@ from .floquet import (
     DEFAULT_COLLISION_DELTA,
     FIBER_BUDGET,
     SCAN_COUNT_BUDGET,
+    SCAN_PAIR_BUDGET,
     BandStructure,
     FloquetScanReport,
-    GridDensityResult,
     build_floquet_matrix,
     flat_band_check,
     floquet_condition_fraction,
@@ -91,8 +92,8 @@ __all__ = [
     "CLOSED_FORM_FAMILIES", "d_cycle_exact", "d_path_exact", "d_star_exact",
     "d_hypercube_exact", "closed_form_density",
     # floquet
-    "DEFAULT_COLLISION_DELTA", "SCAN_COUNT_BUDGET", "FIBER_BUDGET",
-    "BandStructure", "FloquetScanReport", "GridDensityResult",
+    "DEFAULT_COLLISION_DELTA", "SCAN_COUNT_BUDGET", "SCAN_PAIR_BUDGET", "FIBER_BUDGET",
+    "BandStructure", "FloquetScanReport",
     "build_floquet_matrix", "product_spec", "flat_band_check",
     "floquet_condition_fraction", "general_density",
     # dynamics
@@ -100,6 +101,6 @@ __all__ = [
     "TimeAveragedDistribution", "build_torus", "evolve", "time_averaged",
     "infinite_time_averaged", "total_variation", "limit_prediction",
     # classical
-    "WalkReport", "transition_matrix", "stationary_distribution",
+    "STEP_BUDGET", "WalkReport", "transition_matrix", "stationary_distribution",
     "is_bipartite", "iterate_distribution", "walk_report",
 ]

@@ -3,7 +3,8 @@
 Subcommands: density, closed-form, floquet-check, simulate, classical,
 compare. Output is deterministic: identical invocations produce identical
 bytes. Exit status is 0 on success, 2 for argument or input errors, 1 when a
-numeric tolerance or invariant fails.
+numeric tolerance or invariant fails; each failure prints one stderr line,
+``error: ...`` or ``numeric failure: ...``, argparse's errors included.
 
 The argument parser is built once, at import, and every call of ``main``
 in the process parses with it; a call's arguments live in the namespace it
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import classical as classical_mod
 from . import closed_forms, dynamics, floquet, serialize, spectral
@@ -33,8 +34,15 @@ from .graphs import (
 from .spectral import NumericalError
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as every other input error is reported: one ``error:`` line, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crystalwalk",
         description="Limiting distributions of time-averaged quantum walks on periodic graphs.",
     )
@@ -158,8 +166,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if args.periodic is not None:
         if args.family is not None or args.edge_list is not None:
             raise ParameterError("--periodic excludes --family and --edge-list")
-        grid = floquet.general_density(honeycomb_spec(), args.N, tol=args.tol)
-        density = grid.to_density_matrix()
+        density = floquet.general_density(honeycomb_spec(), args.N, tol=args.tol)
         labels = tuple(str(q) for q in range(density.nu))
     else:
         graph = _resolve_graph(args)
@@ -246,10 +253,9 @@ _PARSER = build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (ParameterError, EdgeListError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,10 +49,10 @@ from .spectral import (
 __all__ = [
     "DEFAULT_COLLISION_DELTA",
     "SCAN_COUNT_BUDGET",
+    "SCAN_PAIR_BUDGET",
     "FIBER_BUDGET",
     "BandStructure",
     "FloquetScanReport",
-    "GridDensityResult",
     "base_grid",
     "build_floquet_matrix",
     "product_spec",
@@ -64,6 +64,9 @@ __all__ = [
 DEFAULT_COLLISION_DELTA = 1e-9
 # The collision scan keeps one count per (shift, band pair): nu^2 N^d integers.
 SCAN_COUNT_BUDGET = 1 << 20
+# The sweep then walks every close pair of band values, about 150 ns each
+# (10.4M pairs took 1.5 s): scans with more are rejected before the walk.
+SCAN_PAIR_BUDGET = 1 << 24
 # Grid quadrature diagonalizes one fiber matrix per grid point: N^d of them.
 FIBER_BUDGET = 1 << 20
 # Quadrature blocks hold K fibers with K nu^2 <= this many matrix entries; it
@@ -71,11 +74,10 @@ FIBER_BUDGET = 1 << 20
 _BLOCK_ENTRIES = 64
 
 _HERMITICITY_TOL = 1e-12
-_GRID_ROW_SUM_TOL = 1e-8
 
 
 def build_floquet_matrix(spec: PeriodicGraphSpec, theta: float | Sequence[float]) -> np.ndarray:
-    """Fiber matrix H(theta)(p, q) = sum over offset edges e^(2 pi i theta.n) + Q(p) delta_pq.
+    """Fiber matrix H(theta)(p, q) = sum over the offset edges (p, q, n) of e^(2 pi i theta.n).
 
     ``theta`` is one quasimomentum of d components, giving a (nu, nu)
     matrix, or a stack of shape (K, d), giving (K, nu, nu). Each distinct
@@ -106,8 +108,6 @@ def build_floquet_matrix(spec: PeriodicGraphSpec, theta: float | Sequence[float]
         entries += phases[:, col, None]
         h.put(at, entries)
     del phases
-    # complex already, so the strided add needs no casting buffer
-    h.reshape(-1, nu * nu)[:, :: nu + 1] += np.asarray(spec.potential, dtype=complex)
     h = h.reshape(th.shape[:-1] + (nu, nu))
     skew = h.conj()
     skew -= h.swapaxes(-1, -2)  # H^H - H, transposed
@@ -161,8 +161,8 @@ def flat_band_check(bands: BandStructure, tol: float = DEFAULT_CLUSTER_TOL) -> l
 def base_grid(base: PeriodicGraphSpec, N: int) -> np.ndarray:
     """Band of a one-vertex spec sampled on the grid {0..N-1}^d / N, shape (N,) * d.
 
-    Each offset pair +-n adds 2cos(2 pi min(j, N-j) / N) at j = n.k mod N to
-    the on-site potential, so mirrored grid points are bit-identical and exact
+    Starting from zero, each offset pair +-n adds 2cos(2 pi min(j, N-j) / N)
+    at j = n.k mod N, so mirrored grid points are bit-identical and exact
     band degeneracies under k -> N-k survive floating point. The pairs are
     added shortest n first, then in descending lexicographic order: e_0, ...,
     e_(d-1) on Z^d and e_1, e_2, e_1 + e_2 on the triangular lattice.
@@ -173,7 +173,7 @@ def base_grid(base: PeriodicGraphSpec, N: int) -> np.ndarray:
     rows = base.offset_edges
     half = rows[len(rows) // 2 :, 2:].tolist()[::-1]
     half.sort(key=lambda n: sum(map(abs, n)))  # stable, so equal lengths stay in descending order
-    grid = np.full((N,) * base.d, base.potential[0])
+    grid = np.zeros((N,) * base.d)
     for n in half:
         # j = n.k mod N; take wraps the index sum, whose terms are below N^2 each
         j = sum(s % N * k.reshape((-1,) + (1,) * (base.d - 1 - i)) for i, s in enumerate(n) if s % N)
@@ -367,35 +367,11 @@ def _collision_counts(grid: np.ndarray, N: int, d: int, delta: float) -> np.ndar
     x = np.append(grid.reshape(-1)[order], np.inf)  # the inf ends every run at the last position
     k = _close_runs(x, delta, cells)
     del x  # the pair counts need the run lengths only
+    pairs = int(k.sum())
+    if pairs > SCAN_PAIR_BUDGET:
+        raise ParameterError(f"collision scan walks {pairs} close pairs, over the budget {SCAN_PAIR_BUDGET}")
     counts = _pair_counts(order, cells, N, d, k)
     return counts.reshape((N,) * d + (nu, nu))
-
-
-@dataclass(frozen=True)
-class GridDensityResult:
-    """Grid approximation of the limiting density of a periodic graph.
-
-    ``values[p, q]`` averages sum_s |P_s(theta)(p, q)|^2 over the N^d grid of
-    quasimomenta. Rows sum to 1 within 1e-8 (per-point projections are
-    complete, only rounding accumulates).
-    """
-
-    values: np.ndarray
-    N: int
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError("grid density must be square")
-        row_err = np.abs(v.sum(axis=1) - 1.0).max()
-        _within(row_err, _GRID_ROW_SUM_TOL, "grid density rows do not sum to 1")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "N", int(self.N))
-
-    def to_density_matrix(self) -> DensityMatrix:
-        """Repackage with the stricter DensityMatrix row tolerance."""
-        return DensityMatrix(values=self.values, source="quadrature")
 
 
 def _fiber_densities(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
@@ -424,8 +400,8 @@ def _fiber_densities(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarr
 
 def general_density(
     spec: PeriodicGraphSpec, N: int, tol: float = DEFAULT_CLUSTER_TOL
-) -> GridDensityResult:
-    """Grid-quadrature limiting density of an arbitrary periodic spec.
+) -> DensityMatrix:
+    """Grid-quadrature limiting density of an arbitrary periodic spec, source ``quadrature``.
 
     Walks the N^d grid points r/N in C order, in blocks of K fibers with
     K nu^2 <= ``_BLOCK_ENTRIES`` (K = 16 for nu = 2, one fiber from nu = 6).
@@ -436,8 +412,9 @@ def general_density(
     cluster pattern in the block. That is O(offsets + patterns) numpy calls
     and O(K nu^3) work per block, O(K nu^2) memory. The fibers are summed in
     grid order, so the result is bit for bit that of a loop over single
-    fibers. Grids of more than ``FIBER_BUDGET`` points are rejected before
-    anything is allocated.
+    fibers. The ``DensityMatrix`` checks the result's symmetry, its range and
+    its row sums (within 1e-10). Grids of more than ``FIBER_BUDGET`` points
+    are rejected before anything is allocated.
     """
     N = _int(N, "grid size N")
     if N < 1:
@@ -462,4 +439,4 @@ def general_density(
         d[0] += acc  # then the sum over the block adds fiber after fiber, as a per-fiber loop would
         acc = d.sum(axis=0)
     acc /= fibers
-    return GridDensityResult(values=acc, N=N)
+    return DensityMatrix(values=acc, source="quadrature")

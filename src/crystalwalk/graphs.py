@@ -8,7 +8,6 @@ to vertex q in the cell shifted by the integer vector n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -279,16 +278,15 @@ class PeriodicGraphSpec:
     n_d), holds directed entries: vertex p of a cell is adjacent to vertex q
     of the cell offset by n. The rows must be closed under (p, q, n) <->
     (q, p, -n). They are normalized to one read-only (m, 2 + d) int64 array
-    sorted by (n, p, q), with repeated rows merged. ``potential`` is an
-    optional finite real on-site term, one value per fundamental-domain
-    vertex. Connectivity of the infinite graph is not checked here. Specs
-    compare by identity.
+    sorted by (n, p, q), with repeated rows merged. A spec describes the
+    adjacency operator alone: its fiber matrices carry no on-site term.
+    Connectivity of the infinite graph is not checked here. Specs compare by
+    identity.
     """
 
     d: int
     nu: int
     offset_edges: np.ndarray
-    potential: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         d, nu = _int(self.d, "periodic dimension d"), _int(self.nu, "fundamental domain size nu")
@@ -320,12 +318,6 @@ class PeriodicGraphSpec:
             raise ParameterError(f"offset edges not symmetric: {lone} present without its reverse")
         rows.flags.writeable = False
         object.__setattr__(self, "offset_edges", rows)
-        pot = (0.0,) * nu if self.potential is None else tuple(float(x) for x in self.potential)
-        if len(pot) != nu:
-            raise ParameterError("potential length must equal nu")
-        if not all(math.isfinite(x) for x in pot):
-            raise ParameterError("potential entries must be finite")
-        object.__setattr__(self, "potential", pot)
 
     @cached_property
     def _offset_targets(self) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -341,9 +333,7 @@ class PeriodicGraphSpec:
         return rows[firsts, 2:].astype(float), [flat[a:b] for a, b in zip(firsts, [*firsts[1:], len(rows)])]
 
 
-def zd_product_spec(
-    graph: FiniteGraph, d: int = 1, potential: Sequence[float] | None = None
-) -> PeriodicGraphSpec:
+def zd_product_spec(graph: FiniteGraph, d: int = 1) -> PeriodicGraphSpec:
     """Periodic spec of the d-dimensional integer lattice box product with a graph.
 
     Each cell carries a copy of ``graph``; every vertex is additionally joined
@@ -359,7 +349,7 @@ def zd_product_spec(
     steps = rows[2 * m :].reshape(nu, 2, d, 2 + d)
     steps[..., 0] = steps[..., 1] = np.arange(nu)[:, None, None]
     steps[..., 2:] = np.eye(d, dtype=np.int64) * np.array([1, -1])[:, None, None]
-    return PeriodicGraphSpec(d=d, nu=nu, offset_edges=rows, potential=potential)
+    return PeriodicGraphSpec(d=d, nu=nu, offset_edges=rows)
 
 
 def honeycomb_spec() -> PeriodicGraphSpec:

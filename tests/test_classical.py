@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from crystalwalk import (
+    STEP_BUDGET,
     FiniteGraph,
     ParameterError,
     build_named,
+    classical,
     is_bipartite,
     iterate_distribution,
     stationary_distribution,
@@ -125,6 +127,24 @@ def test_iterate_rejects():
         iterate_distribution(g, 1.5, 2)
     with pytest.raises(ParameterError, match="step count must be an integer"):
         iterate_distribution(g, 1, 2.9)
+
+
+def test_iterate_step_budget_boundary(monkeypatch):
+    # 2^19 steps is the largest walk a graph of at most 45 vertices may take
+    assert STEP_BUDGET == 2**19 * 2048
+    with pytest.raises(ParameterError, match="budget"):
+        iterate_distribution(build_named("cycle", [5]), 0, 2**19 + 1)
+    with pytest.raises(ParameterError, match="budget"):
+        walk_report(build_named("cycle", [5]), start=0, steps=2**31 - 1)
+    # below the per-step floor a step counts 2048 entries, above it nu^2
+    small, large = build_named("cycle", [5]), build_named("cycle", [64])
+    for g, cost in ((small, 2048), (large, 64**2)):
+        monkeypatch.setattr(classical, "STEP_BUDGET", 7 * cost)
+        want = iterate_distribution(g, 0, 7)
+        with pytest.raises(ParameterError, match=f"8 steps need {8 * cost} entry updates"):
+            iterate_distribution(g, 0, 8)
+        monkeypatch.undo()
+        assert np.array_equal(iterate_distribution(g, 0, 7), want)
 
 
 def test_walk_report():

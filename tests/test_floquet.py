@@ -7,6 +7,7 @@ import pytest
 from crystalwalk import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_COLLISION_DELTA,
+    DensityMatrix,
     EigenSolverError,
     FIBER_BUDGET,
     SCAN_COUNT_BUDGET,
@@ -129,9 +130,9 @@ def test_base_grid_is_the_per_axis_formula_bit_for_bit(N):
 
 
 def test_base_grid_is_the_fiber_matrix_of_any_one_vertex_spec():
-    # offsets of several lengths, one with a negative entry, one above N, and an on-site potential
+    # offsets of several lengths, one with a negative entry and one above N
     rows = [(0, 0, 2, -1), (0, 0, -2, 1), (0, 0, 0, 9), (0, 0, 0, -9), (0, 0, 1, 1), (0, 0, -1, -1)]
-    spec = PeriodicGraphSpec(d=2, nu=1, offset_edges=rows, potential=(0.5,))
+    spec = PeriodicGraphSpec(d=2, nu=1, offset_edges=rows)
     N = 7
     theta = np.stack(np.unravel_index(np.arange(N * N), (N, N)), axis=-1) / N
     want = build_floquet_matrix(spec, theta).real.reshape(N, N)
@@ -140,7 +141,7 @@ def test_base_grid_is_the_fiber_matrix_of_any_one_vertex_spec():
 
 def test_triangular_spec_offsets():
     spec = triangular_spec()
-    assert (spec.d, spec.nu, spec.potential) == (2, 1, (0.0,))
+    assert (spec.d, spec.nu) == (2, 1)
     n = [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
     assert spec.offset_edges.tolist() == [[0, 0, *x] for x in n]
 
@@ -167,14 +168,14 @@ def test_floquet_matrix_rejects_nan():
 
 
 def _crossing_spec():
-    """nu = 3, d = 1: a dimer (eigenvalues -1, 1) beside a chain site with potential 1.
+    """nu = 3, d = 1: a dimer (eigenvalues -1, 1) beside a chain site.
 
-    The chain band 2 cos(2 pi theta) + 1 meets the dimer's eigenvalues at
-    theta = 1/4, 1/2, 3/4, so on a grid of N = 8 some fibers of a block are
-    degenerate and the others are not.
+    The chain band 2 cos(2 pi theta) meets the dimer's eigenvalues at
+    theta = 1/6, 1/3, 2/3, 5/6, so on a grid of N = 12 or 24 some fibers of a
+    block are degenerate and the others are not; on N = 8 none is.
     """
     entries = ((0, 1, 0), (1, 0, 0), (2, 2, 1), (2, 2, -1))
-    return PeriodicGraphSpec(d=1, nu=3, offset_edges=entries, potential=(0.0, 0.0, 1.0))
+    return PeriodicGraphSpec(d=1, nu=3, offset_edges=entries)
 
 
 def _per_edge_matrix(spec, theta):
@@ -183,7 +184,6 @@ def _per_edge_matrix(spec, theta):
     h = np.zeros((spec.nu, spec.nu), dtype=complex)
     for p, q, *off in spec.offset_edges.tolist():
         h[p, q] += np.exp(2j * np.pi * float(np.dot(th, off)))
-    h[np.diag_indices(spec.nu)] += np.asarray(spec.potential, dtype=float)
     return h
 
 
@@ -208,7 +208,7 @@ def _quadrature_cases():
                                  ("hypercube", [3], 2, 8)]:
         spec = zd_product_spec(build_named(family, params), d=d)
         cases.append(pytest.param(spec, N, id=f"{family}{params}-d{d}-{N}"))
-    cases += [pytest.param(_crossing_spec(), N, id=f"crossing-{N}") for N in (8, 24)]
+    cases += [pytest.param(_crossing_spec(), N, id=f"crossing-{N}") for N in (8, 12, 24)]
     return cases
 
 
@@ -220,18 +220,18 @@ def test_blocked_quadrature_is_the_per_fiber_loop_bit_for_bit(monkeypatch, spec,
     want, ends = _per_fiber_density(spec, N)
     got = general_density(spec, N).values
     assert np.array_equal(got, want)
-    # blocks on these grids mix cluster patterns: Dirac points when 3 | N, crossings at 1/4, 1/2, 3/4
+    # blocks on these grids mix cluster patterns: Dirac points when 3 | N, crossings at the sixths when 6 | N
     block = max(1, floquet._BLOCK_ENTRIES // spec.nu**2)
     patterns = [tuple(e) for e in ends]
     mixed = any(len(set(patterns[i : i + block])) > 1 for i in range(0, len(patterns), block))
-    assert mixed == (block > 1 and (spec.nu == 3 or (spec.nu == 2 and N % 3 == 0)))
+    assert mixed == (block > 1 and ((spec.nu == 3 and N % 6 == 0) or (spec.nu == 2 and N % 3 == 0)))
 
 
 _STACK_SPECS = [
     honeycomb_spec(),
     zd_product_spec(build_named("petersen", []), d=2),
     _crossing_spec(),
-    zd_product_spec(build_named("path", [3]), d=3, potential=(0.5, -1.0, 0.25)),
+    zd_product_spec(build_named("path", [3]), d=3),
 ]
 
 
@@ -255,14 +255,6 @@ def test_floquet_matrix_theta_shapes():
     thetas[3, 1] = math.nan
     with pytest.raises(NumericalError, match="Hermitian"):
         build_floquet_matrix(honeycomb_spec(), thetas)
-
-
-def test_floquet_matrix_with_potential():
-    g = build_named("path", [2])
-    spec = zd_product_spec(g, d=1, potential=(0.5, -0.25))
-    h = build_floquet_matrix(spec, 0.25)
-    np.testing.assert_allclose(np.diag(h).real, [0.5, -0.25], atol=1e-12)
-    assert np.abs(h - h.conj().T).max() <= 1e-12
 
 
 def test_floquet_matrix_matches_product_bands():
@@ -544,9 +536,30 @@ def test_quadrature_budget_rejects_before_allocating():
 
 def test_quadrature_budget_boundary(monkeypatch):
     monkeypatch.setattr(floquet, "FIBER_BUDGET", 4**2)
-    assert general_density(honeycomb_spec(), 4).N == 4
+    assert general_density(honeycomb_spec(), 4).source == "quadrature"
     with pytest.raises(ParameterError, match="budget"):
         general_density(honeycomb_spec(), 5)
+
+
+def test_scan_pair_budget_boundary(monkeypatch):
+    # path2 x Z^3 on N = 4: no pair meets at every point of the first shift, so the scan sweeps
+    bands = product_spec(zd_base(3), build_named("path", [2]), ProductKind.CARTESIAN)
+    x = floquet._band_grid(bands, 4).reshape(-1)
+    pairs = (np.count_nonzero(np.abs(x[:, None] - x) < DEFAULT_COLLISION_DELTA) - x.size) // 2
+    monkeypatch.setattr(floquet, "SCAN_PAIR_BUDGET", pairs)
+    report = floquet_condition_fraction(bands, 4)
+    monkeypatch.setattr(floquet, "SCAN_PAIR_BUDGET", pairs - 1)
+    with pytest.raises(ParameterError, match=f"walks {pairs} close pairs, over the budget"):
+        floquet_condition_fraction(bands, 4)
+    monkeypatch.undo()
+    assert floquet_condition_fraction(bands, 4) == report
+
+
+def test_scan_pair_budget_keeps_the_dense_first_shift_exit(monkeypatch):
+    # a flat band meets itself at every grid point of the first shift, so the sweep never runs
+    bands = product_spec(zd_base(2), build_named("cycle", [4]), ProductKind.TENSOR)
+    monkeypatch.setattr(floquet, "SCAN_PAIR_BUDGET", 0)
+    assert floquet_condition_fraction(bands, 16).max_fraction == 1.0
 
 
 def test_quadrature_eigh_failure_names_the_block(monkeypatch):
@@ -595,8 +608,8 @@ def test_general_density_box_cycle_matches_closed_form():
 def test_general_density_honeycomb_uniform():
     result = general_density(honeycomb_spec(), 64)
     np.testing.assert_allclose(result.values, np.full((2, 2), 0.5), atol=2e-3)
-    dm = result.to_density_matrix()
-    assert dm.source == "quadrature"
+    assert isinstance(result, DensityMatrix) and result.source == "quadrature"
+    assert result.to_density_matrix() is result
 
 
 def test_general_density_monotone_refinement():
@@ -650,9 +663,9 @@ def test_general_density_rejects_invalid_tolerance():
 
 def test_grid_density_rejects_nan():
     with pytest.raises(NumericalError):
-        floquet.GridDensityResult(values=np.full((2, 2), np.nan), N=4)
+        DensityMatrix(values=np.full((2, 2), np.nan), source="quadrature")
     with pytest.raises(NumericalError):
-        floquet.GridDensityResult(values=np.array([[np.nan, 0.0], [0.0, 1.0]]), N=4)
+        DensityMatrix(values=np.array([[np.nan, 0.0], [0.0, 1.0]]), source="quadrature")
 
 
 def _chunked_pairs(k, chunk):

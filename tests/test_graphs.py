@@ -1,4 +1,3 @@
-import math
 import os
 import re
 import subprocess
@@ -314,9 +313,7 @@ def test_periodic_spec_rejects_bad_shapes():
     with pytest.raises(ParameterError):
         PeriodicGraphSpec(d=2, nu=1, offset_edges=((0, 0, 1), (0, 0, -1)))
     with pytest.raises(ParameterError):
-        PeriodicGraphSpec(
-            d=1, nu=2, offset_edges=((0, 1, 0), (1, 0, 0)), potential=(1.0,)
-        )
+        PeriodicGraphSpec(d=1, nu=2, offset_edges=((0, 1, 0, 0), (1, 0, 0, 0)))
 
 
 def _assert_offset_rows(spec):
@@ -334,7 +331,6 @@ def test_periodic_spec_deduplicates_and_sorts():
     spec = PeriodicGraphSpec(d=1, nu=1, offset_edges=entries)
     _assert_offset_rows(spec)
     assert spec.offset_edges.tolist() == [[0, 0, -1], [0, 0, 1]]
-    assert spec.potential == (0.0,)
     # the offset orders first, then p and q; an array argument is copied, never sorted or frozen in place
     given = np.array([(0, 1, 1), (1, 0, 0), (0, 1, 0), (1, 0, -1), (1, 0, 0)])
     spec = PeriodicGraphSpec(d=1, nu=2, offset_edges=given)
@@ -409,14 +405,6 @@ def test_periodic_spec_normalizes_any_symmetric_rows(case, rnd, container):
     lone = (q, p, tuple(-x for x in n))
     with pytest.raises(ParameterError, match=re.escape(f"symmetric: {lone} present without its reverse")):
         PeriodicGraphSpec(d=d, nu=nu, offset_edges=container(dropped))
-
-
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-def test_periodic_spec_rejects_non_finite_potential(value):
-    with pytest.raises(ParameterError, match="finite"):
-        PeriodicGraphSpec(
-            d=1, nu=1, offset_edges=((0, 0, 1), (0, 0, -1)), potential=(value,)
-        )
 
 
 def _traced_in_child(setup, traced):
