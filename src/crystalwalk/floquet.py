@@ -17,12 +17,13 @@ most N^d, with one torus offset and one ``np.add.at`` per chunk, so it
 takes O(nu + pairs / N^d) numpy calls however long the runs are. The torus
 offset rule (``_torus_offset``) serves both time averages.
 
-The grid quadrature walks the grid in blocks of K fibers, K nu^2 <= 64
-matrix entries: per block one stacked fiber-matrix build, one stacked
-``eigh``, the row-wise clustering rule of ``spectral`` and one
-``squared_projection_sum`` per cluster pattern, so a block costs O(offsets +
-patterns) numpy calls instead of K times a per-fiber loop. It adds the
-fibers in grid order and so gives the per-fiber loop's values bit for bit.
+The grid quadrature walks the grid in blocks of K = max(1, 64 // nu^2, 24 // nu)
+fibers, so a block of several fibers holds at most 288 matrix entries: per
+block one stacked fiber-matrix build, one stacked ``eigh``, the row-wise
+clustering rule of ``spectral`` and one ``squared_projection_sum`` per
+cluster pattern, so a block costs O(offsets + patterns) numpy calls instead
+of K times a per-fiber loop. It adds the fibers in grid order and so gives
+the per-fiber loop's values bit for bit.
 """
 
 from __future__ import annotations
@@ -69,9 +70,12 @@ SCAN_COUNT_BUDGET = 1 << 20
 SCAN_PAIR_BUDGET = 1 << 24
 # Grid quadrature diagonalizes one fiber matrix per grid point: N^d of them.
 FIBER_BUDGET = 1 << 20
-# Quadrature blocks hold K fibers with K nu^2 <= this many matrix entries; it
-# sets the per-block temporaries, and so the quadrature's memory peak.
+# Quadrature blocks hold K fibers with K nu^2 <= _BLOCK_ENTRIES matrix entries
+# or K nu <= _BLOCK_ROWS matrix rows, whichever allows more (``_block_fibers``):
+# 16 fibers at nu = 2, 4 at nu = 6, 2 at nu = 10-12, one from nu = 13. They
+# set the per-block temporaries, which stay under the spec build's memory peak.
 _BLOCK_ENTRIES = 64
+_BLOCK_ROWS = 24
 
 _HERMITICITY_TOL = 1e-12
 
@@ -374,6 +378,11 @@ def _collision_counts(grid: np.ndarray, N: int, d: int, delta: float) -> np.ndar
     return counts.reshape((N,) * d + (nu, nu))
 
 
+def _block_fibers(nu: int) -> int:
+    """Fibers K per quadrature block of nu x nu fiber matrices, at least one."""
+    return max(1, _BLOCK_ENTRIES // nu**2, _BLOCK_ROWS // nu)
+
+
 def _fiber_densities(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
     """sum_s |P_s|^2 of each fiber of a block, shape (K, nu, nu), in the block's order.
 
@@ -385,7 +394,7 @@ def _fiber_densities(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarr
     patterns = [0]
     if len(split) > 1:
         # one integer code per split pattern; a block holds more than one fiber
-        # only while nu^2 <= _BLOCK_ENTRIES / 2, so the nu - 1 bits fit
+        # only while nu <= _BLOCK_ROWS / 2 (``_block_fibers``), so the nu - 1 bits fit
         codes = split @ (1 << np.arange(nu - 1))
         ranked = np.sort(codes)  # np.unique would allocate about 1 MB on its first call
         patterns = ranked[np.append(True, ranked[1:] != ranked[:-1])].tolist()
@@ -403,8 +412,8 @@ def general_density(
 ) -> DensityMatrix:
     """Grid-quadrature limiting density of an arbitrary periodic spec, source ``quadrature``.
 
-    Walks the N^d grid points r/N in C order, in blocks of K fibers with
-    K nu^2 <= ``_BLOCK_ENTRIES`` (K = 16 for nu = 2, one fiber from nu = 6).
+    Walks the N^d grid points r/N in C order, in blocks of K fibers, K =
+    ``_block_fibers(nu)`` (16 for nu = 2, 4 for nu = 6, one from nu = 13).
     Each block builds its K fiber matrices with one ``build_floquet_matrix``
     call, diagonalizes them with one stacked ``eigh``, clusters every row
     with the shared single-linkage rule, and adds the squared moduli of the
@@ -423,7 +432,7 @@ def general_density(
     if fibers > FIBER_BUDGET:
         raise ParameterError(f"grid quadrature needs {fibers} fibers, over the budget {FIBER_BUDGET}")
     shape = (N,) * spec.d
-    block = max(1, _BLOCK_ENTRIES // spec.nu**2)
+    block = _block_fibers(spec.nu)
     acc = np.zeros((spec.nu, spec.nu))
     for lo in range(0, fibers, block):
         hi = min(lo + block, fibers)
@@ -438,5 +447,6 @@ def general_density(
         d = _fiber_densities(vals, vecs, tol)
         d[0] += acc  # then the sum over the block adds fiber after fiber, as a per-fiber loop would
         acc = d.sum(axis=0)
+        del vals, vecs, d  # so two blocks' temporaries are never alive at once
     acc /= fibers
     return DensityMatrix(values=acc, source="quadrature")

@@ -167,15 +167,17 @@ def test_floquet_matrix_rejects_nan():
         build_floquet_matrix(honeycomb_spec(), (math.nan, 0.0))
 
 
-def _crossing_spec():
-    """nu = 3, d = 1: a dimer (eigenvalues -1, 1) beside a chain site.
+def _crossing_spec(dimers=1):
+    """nu = 2 dimers + 1, d = 1: dimers (eigenvalues -1, 1) beside a chain site.
 
-    The chain band 2 cos(2 pi theta) meets the dimer's eigenvalues at
+    The chain band 2 cos(2 pi theta) meets the dimers' eigenvalues at
     theta = 1/6, 1/3, 2/3, 5/6, so on a grid of N = 12 or 24 some fibers of a
-    block are degenerate and the others are not; on N = 8 none is.
+    block are degenerate and the others are not; on N = 8 none is. With three
+    dimers (nu = 7) the clusters at those points hold 4 eigenvalues.
     """
-    entries = ((0, 1, 0), (1, 0, 0), (2, 2, 1), (2, 2, -1))
-    return PeriodicGraphSpec(d=1, nu=3, offset_edges=entries)
+    nu = 2 * dimers + 1
+    entries = [(p, p ^ 1, 0) for p in range(nu - 1)] + [(nu - 1, nu - 1, 1), (nu - 1, nu - 1, -1)]
+    return PeriodicGraphSpec(d=1, nu=nu, offset_edges=entries)
 
 
 def _per_edge_matrix(spec, theta):
@@ -208,23 +210,34 @@ def _quadrature_cases():
                                  ("hypercube", [3], 2, 8)]:
         spec = zd_product_spec(build_named(family, params), d=d)
         cases.append(pytest.param(spec, N, id=f"{family}{params}-d{d}-{N}"))
-    cases += [pytest.param(_crossing_spec(), N, id=f"crossing-{N}") for N in (8, 12, 24)]
+    for dimers, name in [(1, "crossing"), (3, "crossing3")]:
+        cases += [pytest.param(_crossing_spec(dimers), N, id=f"{name}-{N}") for N in (8, 12, 24)]
     return cases
 
 
-@pytest.mark.parametrize("entries", [None, 1])
+@pytest.mark.parametrize("fibers", [None, 1])
 @pytest.mark.parametrize("spec,N", _quadrature_cases())
-def test_blocked_quadrature_is_the_per_fiber_loop_bit_for_bit(monkeypatch, spec, N, entries):
-    if entries is not None:
-        monkeypatch.setattr(floquet, "_BLOCK_ENTRIES", entries)
+def test_blocked_quadrature_is_the_per_fiber_loop_bit_for_bit(monkeypatch, spec, N, fibers):
+    if fibers is not None:
+        monkeypatch.setattr(floquet, "_block_fibers", lambda nu: fibers)
     want, ends = _per_fiber_density(spec, N)
     got = general_density(spec, N).values
     assert np.array_equal(got, want)
-    # blocks on these grids mix cluster patterns: Dirac points when 3 | N, crossings at the sixths when 6 | N
-    block = max(1, floquet._BLOCK_ENTRIES // spec.nu**2)
+    # blocks on these grids mix cluster patterns: Dirac points when 3 | N, crossings at the sixths
+    # when 6 | N, and beside three dimers the chain band moves across the triple clusters at -1 and 1
+    block = floquet._block_fibers(spec.nu)
     patterns = [tuple(e) for e in ends]
     mixed = any(len(set(patterns[i : i + block])) > 1 for i in range(0, len(patterns), block))
-    assert mixed == (block > 1 and ((spec.nu == 3 and N % 6 == 0) or (spec.nu == 2 and N % 3 == 0)))
+    expected = spec.nu == 7 or (spec.nu == 3 and N % 6 == 0) or (spec.nu == 2 and N % 3 == 0)
+    assert mixed == (block > 1 and expected)
+
+
+def test_block_fibers_keep_the_pattern_codes_in_an_int64():
+    fibers = {nu: floquet._block_fibers(nu) for nu in range(1, 200)}
+    assert [fibers[nu] for nu in (2, 6, 8, 10, 12, 13)] == [16, 4, 3, 2, 2, 1]
+    assert max(k * nu**2 for nu, k in fibers.items() if k > 1) == 288
+    # _fiber_densities codes a multi-fiber block's cluster patterns in nu - 1 bits below the sign bit
+    assert all(k == 1 for nu, k in fibers.items() if nu - 1 > 63)
 
 
 _STACK_SPECS = [
@@ -570,14 +583,23 @@ def test_quadrature_eigh_failure_names_the_block(monkeypatch):
     # the first block of 16 honeycomb fibers runs from grid point (0, 0) to (1, 7)
     with pytest.raises(EigenSolverError, match=r"grid points \(0, 0\) to \(1, 7\)"):
         general_density(honeycomb_spec(), 8)
+    # and that of 2 Petersen fibers (nu = 10) from (0, 0) to (0, 1)
+    with pytest.raises(EigenSolverError, match=r"grid points \(0, 0\) to \(0, 1\)"):
+        general_density(zd_product_spec(build_named("petersen", []), d=2), 4)
 
 
 @pytest.mark.parametrize(
-    "spec,N", [(honeycomb_spec(), 45), (zd_product_spec(build_named("petersen", []), d=2), 16)]
+    "spec,N",
+    [
+        (honeycomb_spec(), 45),
+        (zd_product_spec(build_named("petersen", []), d=2), 16),
+        (zd_product_spec(build_named("cycle", [6]), d=2), 18),
+        (zd_product_spec(build_named("hypercube", [3]), d=2), 16),
+    ],
 )
 def test_quadrature_memory_stays_within_one_block(spec, N):
-    # about 9 and 11 KB with blocks of K nu^2 <= 64 entries; a larger block
-    # fails here before it moves the benchmark's quadrature peak
+    # 7.9, 12.8, 9.9 and 12.3 KB with blocks of ``_block_fibers(nu)`` fibers (numpy 2.4.6);
+    # a larger block fails here before it moves the benchmark's quadrature peak
     general_density(spec, N)  # first calls allocate numpy's own caches
     tracemalloc.start()
     try:
