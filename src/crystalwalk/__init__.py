@@ -24,7 +24,6 @@ from .closed_forms import (
     d_star_exact,
 )
 from .dynamics import (
-    AVERAGE_COUNT_BUDGET,
     HORIZON_LIMIT,
     PAIR_SUM_LIMIT,
     STATE_BUDGET,
@@ -40,7 +39,7 @@ from .dynamics import (
 from .floquet import (
     DEFAULT_COLLISION_DELTA,
     FIBER_BUDGET,
-    SCAN_COUNT_BUDGET,
+    PAIR_COUNT_BUDGET,
     SCAN_PAIR_BUDGET,
     BandStructure,
     FloquetScanReport,
@@ -92,12 +91,12 @@ __all__ = [
     "CLOSED_FORM_FAMILIES", "d_cycle_exact", "d_path_exact", "d_star_exact",
     "d_hypercube_exact", "closed_form_density",
     # floquet
-    "DEFAULT_COLLISION_DELTA", "SCAN_COUNT_BUDGET", "SCAN_PAIR_BUDGET", "FIBER_BUDGET",
+    "DEFAULT_COLLISION_DELTA", "PAIR_COUNT_BUDGET", "SCAN_PAIR_BUDGET", "FIBER_BUDGET",
     "BandStructure", "FloquetScanReport",
     "build_floquet_matrix", "product_spec", "flat_band_check",
     "floquet_condition_fraction", "general_density",
     # dynamics
-    "STATE_BUDGET", "PAIR_SUM_LIMIT", "HORIZON_LIMIT", "AVERAGE_COUNT_BUDGET", "TorusOperator",
+    "STATE_BUDGET", "PAIR_SUM_LIMIT", "HORIZON_LIMIT", "TorusOperator",
     "TimeAveragedDistribution", "build_torus", "evolve", "time_averaged",
     "infinite_time_averaged", "total_variation", "limit_prediction",
     # classical

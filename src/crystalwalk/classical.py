@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import FiniteGraph, ParameterError, _int
+from .graphs import FiniteGraph, ParameterError, _budget, _int
 from .spectral import _within
 
 __all__ = [
@@ -82,14 +82,8 @@ def iterate_distribution(
     Walks of more than ``STEP_BUDGET`` entry updates, steps * max(nu^2,
     2048), are rejected before the first step.
     """
-    start, steps = _int(start, "start vertex"), _int(steps, "step count")
-    if not 0 <= start < graph.nu:
-        raise ParameterError(f"start vertex {start} out of range 0..{graph.nu - 1}")
-    if steps < 0:
-        raise ParameterError("step count must be >= 0")
-    work = steps * max(graph.nu**2, _STEP_FLOOR)
-    if work > STEP_BUDGET:
-        raise ParameterError(f"{steps} steps need {work} entry updates, over the budget {STEP_BUDGET}")
+    start, steps = _int(start, "start vertex", 0, graph.nu - 1), _int(steps, "step count", 0)
+    _budget(f"{steps} steps need", steps * max(graph.nu**2, _STEP_FLOOR), "entry updates", STEP_BUDGET)
     p = transition_matrix(graph, lazy=lazy)
     dist = np.zeros(graph.nu)
     dist[start] = 1.0

@@ -25,6 +25,7 @@ from .graphs import (
     FiniteGraph,
     ParameterError,
     ProductKind,
+    _int,
     build_named,
     from_edge_list,
     honeycomb_spec,
@@ -226,8 +227,7 @@ def _cmd_classical(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     graph = _resolve_graph(args)
-    if not 0 <= args.start_p < graph.nu:
-        raise ParameterError(f"start vertex {args.start_p} out of range 0..{graph.nu - 1}")
+    _int(args.start_p, "start vertex", 0, graph.nu - 1)
     density = spectral.limiting_density(graph, tol=args.tol)
     stationary = classical_mod.stationary_distribution(graph)
     text = serialize.comparison_csv(graph.vertex_labels(), density.values[args.start_p], stationary)

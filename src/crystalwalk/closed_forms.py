@@ -38,11 +38,8 @@ def d_cycle_exact(nu: int, p: int, q: int) -> Fraction:
     2(nu - 1)/nu^2 when q is p or the antipode p + nu/2, (nu - 2)/nu^2
     otherwise.
     """
-    nu, p, q = (_int(x, "closed-form argument") for x in (nu, p, q))
-    if nu < 3:
-        raise ParameterError("cycle needs nu >= 3")
-    if not (0 <= p < nu and 0 <= q < nu):
-        raise ParameterError(f"cycle vertices must lie in 0..{nu - 1}")
+    nu = _int(nu, "cycle size nu", 3)
+    p, q = (_int(x, "cycle vertex", 0, nu - 1) for x in (p, q))
     if nu % 2 == 1:
         if p == q:
             return Fraction(2 * nu - 1, nu * nu)
@@ -58,11 +55,8 @@ def d_path_exact(nu: int, p: int, q: int) -> Fraction:
     2/(nu + 1) at the middle vertex pair p = q = (nu + 1)/2 (odd nu),
     3/(2(nu + 1)) when p = q or p + q = nu + 1 otherwise, 1/(nu + 1) else.
     """
-    nu, p, q = (_int(x, "closed-form argument") for x in (nu, p, q))
-    if nu < 2:
-        raise ParameterError("path needs nu >= 2")
-    if not (1 <= p <= nu and 1 <= q <= nu):
-        raise ParameterError(f"path vertices must lie in 1..{nu}")
+    nu = _int(nu, "path size nu", 2)
+    p, q = (_int(x, "path vertex", 1, nu) for x in (p, q))
     if nu % 2 == 1 and 2 * p == nu + 1 and p == q:
         return Fraction(2, nu + 1)
     if p == q or p + q == nu + 1:
@@ -77,11 +71,8 @@ def d_star_exact(nu: int, p: int, q: int) -> Fraction:
     pairs 1/nu^2 + 1/(2 nu^2), leaf-center pairs 1/(2 nu), and the center
     diagonal 1/2.
     """
-    nu, p, q = (_int(x, "closed-form argument") for x in (nu, p, q))
-    if nu < 1:
-        raise ParameterError("star needs nu >= 1 leaves")
-    if not (1 <= p <= nu + 1 and 1 <= q <= nu + 1):
-        raise ParameterError(f"star vertices must lie in 1..{nu + 1}")
+    nu = _int(nu, "star leaf count nu", 1)
+    p, q = (_int(x, "star vertex", 1, nu + 1) for x in (p, q))
     center = nu + 1
     if p == center and q == center:
         return Fraction(1, 2)
@@ -98,11 +89,8 @@ def d_hypercube_exact(m: int, u: int) -> Fraction:
     Alternating-binomial inner sums squared, over exact integers:
     sum_j (sum_b (-1)^b C(u, b) C(m - u, j - b))^2 / 2^(2m).
     """
-    m, u = (_int(x, "closed-form argument") for x in (m, u))
-    if m < 1:
-        raise ParameterError("hypercube needs dimension m >= 1")
-    if not 0 <= u <= m:
-        raise ParameterError(f"Hamming distance must lie in 0..{m}")
+    m = _int(m, "hypercube dimension m", 1)
+    u = _int(u, "Hamming distance", 0, m)
     total = 0
     for j in range(m + 1):
         inner = 0

@@ -30,8 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import floquet
 from .floquet import _pair_counts, _torus_offset, base_grid
-from .graphs import FiniteGraph, ParameterError, _int, zd_product_spec
+from .graphs import FiniteGraph, ParameterError, _budget, _int, zd_product_spec
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     SpectralDecomposition,
@@ -45,7 +46,6 @@ __all__ = [
     "STATE_BUDGET",
     "PAIR_SUM_LIMIT",
     "HORIZON_LIMIT",
-    "AVERAGE_COUNT_BUDGET",
     "TorusOperator",
     "TimeAveragedDistribution",
     "build_torus",
@@ -68,9 +68,6 @@ PAIR_SUM_LIMIT = 4096
 # |lambda| <= 2d + nu < 1400 and |x| < 3000 T: below this horizon ceiling every
 # x, and so every weight, stays finite (doubles end near 1.8e308).
 HORIZON_LIMIT = 1e300
-# The infinite-time average fills one int32 count per (cell offset, band pair):
-# nu^2 N^d counts, 16 MB at this budget. C3 on a 512 x 512 torus needs 2.4M.
-AVERAGE_COUNT_BUDGET = 1 << 22
 
 _NORM_TOL = 1e-10
 _MASS_TOL = 1e-10
@@ -118,14 +115,8 @@ def build_torus(
     Requires N >= 3 (smaller cycles degenerate to multi-edges) and a total
     state count nu * N^d within the dense budget of 2^20.
     """
-    d, N = _int(d, "torus dimension d"), _int(N, "cells per axis N")
-    if d < 1:
-        raise ParameterError("torus dimension d must be >= 1")
-    if N < 3:
-        raise ParameterError("cells per axis N must be >= 3")
-    dim = graph.nu * N**d
-    if dim > STATE_BUDGET:
-        raise ParameterError(f"state count {dim} exceeds the dense budget {STATE_BUDGET}")
+    d, N = _int(d, "torus dimension d", 1), _int(N, "cells per axis N", 3)
+    _budget("torus needs", graph.nu * N**d, "states", STATE_BUDGET)
     spectrum = eigendecompose_symmetric(graph.adjacency, tol)
     lam = base_grid(zd_product_spec(FiniteGraph(1), d), N)[..., None] + spectrum.eigenvalues
     lam.flags.writeable = False
@@ -139,10 +130,7 @@ def _normalize_start(op: TorusOperator, start: Start) -> tuple[tuple[int, ...], 
     cell = tuple(_int(x, "start cell coordinate") % op.N for x in cell)
     if len(cell) != op.d:
         raise ParameterError(f"start cell must have {op.d} component(s)")
-    p = _int(p, "start vertex")
-    if not 0 <= p < op.nu:
-        raise ParameterError(f"start vertex {p} out of range 0..{op.nu - 1}")
-    return cell, p
+    return cell, _int(p, "start vertex", 0, op.nu - 1)
 
 
 def _assemble(op: TorusOperator, start: tuple[tuple[int, ...], int], weights: np.ndarray) -> np.ndarray:
@@ -272,10 +260,7 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
     if not 0 < horizon <= HORIZON_LIMIT:  # NaN fails too
         raise ParameterError(f"averaging horizon must be in (0, {HORIZON_LIMIT:g}], got {horizon!r}")
     start = _normalize_start(op, start)
-    if op.dim > PAIR_SUM_LIMIT:
-        raise ParameterError(
-            f"finite-horizon averaging supports up to {PAIR_SUM_LIMIT} states, got {op.dim}"
-        )
+    _budget("finite-horizon average needs", op.dim, "states", PAIR_SUM_LIMIT)
     cell, p = start
     N, d, nu = op.N, op.d, op.nu
     cells = N**d
@@ -330,16 +315,13 @@ def infinite_time_averaged(
     nu |C|^2 > N^d nu^2 + dim log2(dim) (a flat or highly degenerate band) is
     projected on its own instead, with k_i = 0, so a counted cluster has at
     most N^d nu + dim log2(dim) / nu pairs. Averages needing more than
-    ``AVERAGE_COUNT_BUDGET`` counts are rejected before anything is allocated.
+    ``floquet.PAIR_COUNT_BUDGET`` counts are rejected before anything is allocated.
     """
     start = _normalize_start(op, start)
     cell, p = start
     N, d, nu, dim = op.N, op.d, op.nu, op.dim
     cells = N**d
-    if nu * nu * cells > AVERAGE_COUNT_BUDGET:
-        raise ParameterError(
-            f"infinite-time average needs {nu * nu * cells} counts, over the budget {AVERAGE_COUNT_BUDGET}"
-        )
+    _budget("infinite-time average needs", nu * nu * cells, "counts", floquet.PAIR_COUNT_BUDGET)
     lam = op.eigenvalues.reshape(-1)
     order = np.argsort(lam, kind="stable")
     ends = cluster_eigenvalues(lam[order], cluster_tol)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import FiniteGraph, ParameterError, PeriodicGraphSpec, ProductKind, _int
+from .graphs import FiniteGraph, ParameterError, PeriodicGraphSpec, ProductKind, _budget, _int
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DensityMatrix,
@@ -49,7 +49,7 @@ from .spectral import (
 
 __all__ = [
     "DEFAULT_COLLISION_DELTA",
-    "SCAN_COUNT_BUDGET",
+    "PAIR_COUNT_BUDGET",
     "SCAN_PAIR_BUDGET",
     "FIBER_BUDGET",
     "BandStructure",
@@ -63,9 +63,11 @@ __all__ = [
 ]
 
 DEFAULT_COLLISION_DELTA = 1e-9
-# The collision scan keeps one count per (shift, band pair): nu^2 N^d integers.
-SCAN_COUNT_BUDGET = 1 << 20
-# The sweep then walks every close pair of band values, about 150 ns each
+# The collision scan and the infinite-time torus average each fill one int32
+# ``_pair_counts`` table of nu^2 N^d counts, 16 MB at this budget. C3 on a
+# 512 x 512 torus needs 2.4M.
+PAIR_COUNT_BUDGET = 1 << 22
+# The scan's sweep walks every close pair of band values, about 150 ns each
 # (10.4M pairs took 1.5 s): scans with more are rejected before the walk.
 SCAN_PAIR_BUDGET = 1 << 24
 # Grid quadrature diagonalizes one fiber matrix per grid point: N^d of them.
@@ -230,20 +232,15 @@ def floquet_condition_fraction(
     sweep over all nu N^d band values counts every shift at once (see
     ``_collision_counts``): O(nu N^d log(nu N^d) + close pairs) time and
     nu^2 N^d integer counts of memory. Scans needing more than
-    ``SCAN_COUNT_BUDGET`` counts are rejected before anything is allocated.
+    ``PAIR_COUNT_BUDGET`` counts are rejected before anything is allocated.
     """
-    N = _int(N, "grid size N")
-    if N < 2:
-        raise ParameterError("grid size N must be >= 2")
+    N = _int(N, "grid size N", 2)
     if not 0 < delta < math.inf:
         raise ParameterError(f"collision width delta must be positive and finite, got {delta!r}")
     d = bands.base.d
     nu = bands.nu
     cells = N**d
-    if nu * nu * cells > SCAN_COUNT_BUDGET:
-        raise ParameterError(
-            f"collision scan needs {nu * nu * cells} counts, over the budget {SCAN_COUNT_BUDGET}"
-        )
+    _budget("collision scan needs", nu * nu * cells, "counts", PAIR_COUNT_BUDGET)
     flat_bands = tuple(flat_band_check(bands, tol))
     grid = _band_grid(bands, N)
     flat = grid.reshape(nu, cells)
@@ -371,9 +368,7 @@ def _collision_counts(grid: np.ndarray, N: int, d: int, delta: float) -> np.ndar
     x = np.append(grid.reshape(-1)[order], np.inf)  # the inf ends every run at the last position
     k = _close_runs(x, delta, cells)
     del x  # the pair counts need the run lengths only
-    pairs = int(k.sum())
-    if pairs > SCAN_PAIR_BUDGET:
-        raise ParameterError(f"collision scan walks {pairs} close pairs, over the budget {SCAN_PAIR_BUDGET}")
+    _budget("collision scan walks", int(k.sum()), "close pairs", SCAN_PAIR_BUDGET)
     counts = _pair_counts(order, cells, N, d, k)
     return counts.reshape((N,) * d + (nu, nu))
 
@@ -425,12 +420,9 @@ def general_density(
     its row sums (within 1e-10). Grids of more than ``FIBER_BUDGET`` points
     are rejected before anything is allocated.
     """
-    N = _int(N, "grid size N")
-    if N < 1:
-        raise ParameterError("grid size N must be >= 1")
+    N = _int(N, "grid size N", 1)
     fibers = N**spec.d
-    if fibers > FIBER_BUDGET:
-        raise ParameterError(f"grid quadrature needs {fibers} fibers, over the budget {FIBER_BUDGET}")
+    _budget("grid quadrature needs", fibers, "fibers", FIBER_BUDGET)
     shape = (N,) * spec.d
     block = _block_fibers(spec.nu)
     acc = np.zeros((spec.nu, spec.nu))

@@ -46,19 +46,28 @@ class ProductKind(Enum):
     STRONG = "strong"
 
 
-def _check_vertex(v: int, nu: int) -> None:
-    if not 0 <= v < nu:
-        raise ParameterError(f"vertex {v} out of range 0..{nu - 1}")
-
-
 _INTEGERS = (int, np.integer)
 
 
-def _int(x, what: str) -> int:
-    """``x`` as an int; ParameterError naming ``what`` for a float or text, which int() would mangle."""
+def _int(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``x`` as an int in lo..hi, each bound when given; ParameterError naming ``what`` otherwise.
+
+    A float or text is rejected, which int() would mangle. Every integer bound in the package is checked here.
+    """
     if not isinstance(x, _INTEGERS):
         raise ParameterError(f"{what} must be an integer, got {x!r}")
-    return int(x)
+    x = int(x)
+    if hi is not None and not lo <= x <= hi:
+        raise ParameterError(f"{what} {x} out of range {lo}..{hi}")
+    if lo is not None and x < lo:
+        raise ParameterError(f"{what} must be >= {lo}")
+    return x
+
+
+def _budget(what: str, need: int, unit: str, budget: int) -> None:
+    """ParameterError when a workload needs more than its ``budget``; every work ceiling is checked here."""
+    if need > budget:
+        raise ParameterError(f"{what} {need} {unit}, over the budget {budget}")
 
 
 def _int_rows(rows, width: int, what: str, shape_error: str) -> np.ndarray:
@@ -116,9 +125,7 @@ class FiniteGraph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        nu = _int(self.nu, "vertex count")
-        if nu < 1:
-            raise ParameterError("vertex count must be >= 1")
+        nu = _int(self.nu, "vertex count", 1)
         object.__setattr__(self, "nu", nu)
         uv = _int_rows(self.edges, 2, "edge", "every edge must be a pair of vertices")
         u, v = uv.T
@@ -127,8 +134,8 @@ class FiniteGraph:
             p, q = uv[bad.argmax()].tolist()
             if p == q:
                 raise ParameterError(f"self-loop at vertex {p}")
-            _check_vertex(p, nu)
-            _check_vertex(q, nu)
+            _int(p, "vertex", 0, nu - 1)
+            _int(q, "vertex", 0, nu - 1)
         uv.sort(axis=1)
         uv = _sorted_rows(uv, (0, 1))
         uv.flags.writeable = False
@@ -168,10 +175,11 @@ FAMILIES = (
     "petersen",
 )
 
-def _arity(family: str, params: Sequence[int], n: int) -> list[int]:
-    if len(params) != n:
-        raise ParameterError(f"family {family!r} takes {n} parameter(s), got {len(params)}")
-    return [_int(p, f"family {family!r} parameter") for p in params]
+def _arity(family: str, params: Sequence[int], *lo: int) -> list[int]:
+    """The family's parameters as ints, one minimum ``lo`` per parameter."""
+    if len(params) != len(lo):
+        raise ParameterError(f"family {family!r} takes {len(lo)} parameter(s), got {len(params)}")
+    return [_int(p, f"family {family!r} parameter", m) for p, m in zip(params, lo)]
 
 
 def build_named(family: str, params: Sequence[int] = ()) -> FiniteGraph:
@@ -189,47 +197,35 @@ def build_named(family: str, params: Sequence[int] = ()) -> FiniteGraph:
         Integer parameters of the family, see above.
     """
     if family == "cycle":
-        (nu,) = _arity(family, params, 1)
-        if nu < 3:
-            raise ParameterError("cycle needs nu >= 3")
+        (nu,) = _arity(family, params, 3)
         edges = _pairs(np.arange(nu), np.arange(1, nu + 1) % nu)
         return FiniteGraph(nu, edges, tuple(str(i) for i in range(nu)))
     if family == "path":
-        (nu,) = _arity(family, params, 1)
-        if nu < 2:
-            raise ParameterError("path needs nu >= 2")
+        (nu,) = _arity(family, params, 2)
         edges = _pairs(np.arange(nu - 1), np.arange(1, nu))
         return FiniteGraph(nu, edges, tuple(str(i + 1) for i in range(nu)))
     if family == "star":
         (nu,) = _arity(family, params, 1)
-        if nu < 1:
-            raise ParameterError("star needs nu >= 1 leaves")
         # Leaves are 0..nu-1 (displayed 1..nu), the center is the last index.
         edges = _pairs(np.arange(nu), nu)
         return FiniteGraph(nu + 1, edges, tuple(str(i + 1) for i in range(nu + 1)))
     if family == "complete":
-        (nu,) = _arity(family, params, 1)
-        if nu < 2:
-            raise ParameterError("complete needs nu >= 2")
+        (nu,) = _arity(family, params, 2)
         edges = np.argwhere(np.less.outer(np.arange(nu), np.arange(nu)))
         return FiniteGraph(nu, edges, tuple(str(i + 1) for i in range(nu)))
     if family == "complete_bipartite":
-        m, n = _arity(family, params, 2)
-        if m < 1 or n < 1:
-            raise ParameterError("complete_bipartite needs m, n >= 1")
+        m, n = _arity(family, params, 1, 1)
         edges = _pairs(np.arange(m)[:, None], np.arange(m, m + n))
         return FiniteGraph(m + n, edges, tuple(str(i + 1) for i in range(m + n)))
     if family == "hypercube":
         (m,) = _arity(family, params, 1)
-        if m < 1:
-            raise ParameterError("hypercube needs dimension m >= 1")
         nu = 1 << m
         x = np.arange(nu)[:, None]
         edges = _pairs(x, x ^ (1 << np.arange(m)))  # each edge twice, merged by FiniteGraph
         labels = tuple(format(v, f"0{m}b")[::-1] for v in range(nu))
         return FiniteGraph(nu, edges, labels)
     if family == "petersen":
-        _arity(family, params, 0)
+        _arity(family, params)
         # Standard drawing, one broadcast row each: the outer 5-cycle i ~ i + 1, the spokes
         # i ~ i + 5 and the inner 5-cycle taken with step 2. Isomorphic to the usual
         # disjointness graph on 2-element subsets of a 5-element set.
@@ -289,11 +285,7 @@ class PeriodicGraphSpec:
     offset_edges: np.ndarray
 
     def __post_init__(self) -> None:
-        d, nu = _int(self.d, "periodic dimension d"), _int(self.nu, "fundamental domain size nu")
-        if d < 1:
-            raise ParameterError("periodic dimension d must be >= 1")
-        if nu < 1:
-            raise ParameterError("fundamental domain must have >= 1 vertex")
+        d, nu = _int(self.d, "periodic dimension d", 1), _int(self.nu, "fundamental domain size nu", 1)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "nu", nu)
         shape_error = f"every offset edge must be {2 + d} integers (p, q, n)"
@@ -301,7 +293,7 @@ class PeriodicGraphSpec:
         pq, n = rows[:, :2], rows[:, 2:]
         bad = pq[(pq < 0) | (pq >= nu)]  # in iteration order
         if bad.size:
-            _check_vertex(bad[0], nu)
+            _int(bad[0], "vertex", 0, nu - 1)
         loop = (pq[:, 0] == pq[:, 1]) & ~n.any(axis=1)
         if loop.any():
             raise ParameterError(f"self-loop at fundamental vertex {pq[loop.argmax(), 0]}")
@@ -339,9 +331,7 @@ def zd_product_spec(graph: FiniteGraph, d: int = 1) -> PeriodicGraphSpec:
     Each cell carries a copy of ``graph``; every vertex is additionally joined
     to its own copy in the two neighbouring cells along each lattice axis.
     """
-    d = _int(d, "periodic dimension d")
-    if d < 1:
-        raise ParameterError("periodic dimension d must be >= 1")
+    d = _int(d, "periodic dimension d", 1)
     m, nu = len(graph.edges), graph.nu
     rows = np.zeros((2 * m + 2 * nu * d, 2 + d), dtype=np.int64)
     rows[:m, :2] = rows[m : 2 * m, 1::-1] = graph.edges  # (u, v, 0) and (v, u, 0)

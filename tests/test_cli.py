@@ -507,6 +507,20 @@ def test_work_ceilings_exit_2_before_the_work(capsys, argv, message):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (("floquet-check", "--family", "cycle", "--nu", "2"), "error: family 'cycle' parameter must be >= 3"),
+        (("simulate", "--family", "path", "--nu", "2", "--d", "2", "--N", "1024"),
+         "error: torus needs 2097152 states, over the budget 1048576"),
+        (("simulate", "--family", "cycle", "--nu", "3", "--N", "2048", "--T", "10"),
+         "error: finite-horizon average needs 6144 states, over the budget 4096"),
+    ],
+)
+def test_bound_and_ceiling_messages_exact_stderr(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (2, "", line + "\n")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize(
     "argv",

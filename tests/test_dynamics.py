@@ -10,8 +10,8 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from crystalwalk import (
-    AVERAGE_COUNT_BUDGET,
     HORIZON_LIMIT,
+    PAIR_COUNT_BUDGET,
     PAIR_SUM_LIMIT,
     FiniteGraph,
     NumericalError,
@@ -22,6 +22,7 @@ from crystalwalk import (
     cluster_eigenvalues,
     dynamics,
     evolve,
+    floquet,
     infinite_time_averaged,
     limit_prediction,
     limiting_density,
@@ -418,7 +419,7 @@ def test_infinite_average_count_budget_rejects_before_allocating():
     g = build_named("complete", [64])
     op = build_torus(g, d=1, N=2**14)
     assert op.dim == dynamics.STATE_BUDGET
-    assert g.nu * op.dim > AVERAGE_COUNT_BUDGET
+    assert g.nu * op.dim > PAIR_COUNT_BUDGET
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match="budget"):
@@ -428,12 +429,12 @@ def test_infinite_average_count_budget_rejects_before_allocating():
         tracemalloc.stop()
     assert peak < 64 * 2**10  # not even the sort of the 2^20 eigenvalues ran
     # the largest torus the average is known to run, C3 on a 512 x 512 torus, fits
-    assert 3 * 3 * 512**2 <= AVERAGE_COUNT_BUDGET
+    assert 3 * 3 * 512**2 <= PAIR_COUNT_BUDGET
 
 
 def test_infinite_average_count_budget_boundary(monkeypatch):
     g = build_named("cycle", [3])
-    monkeypatch.setattr(dynamics, "AVERAGE_COUNT_BUDGET", 9 * 8**2)
+    monkeypatch.setattr(floquet, "PAIR_COUNT_BUDGET", 9 * 8**2)
     op = build_torus(g, d=2, N=8)
     dist = infinite_time_averaged(op, ((1, 2), 0))
     assert dist.values.sum() == pytest.approx(1.0, abs=1e-12)

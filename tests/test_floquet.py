@@ -10,7 +10,7 @@ from crystalwalk import (
     DensityMatrix,
     EigenSolverError,
     FIBER_BUDGET,
-    SCAN_COUNT_BUDGET,
+    PAIR_COUNT_BUDGET,
     FiniteGraph,
     FloquetScanReport,
     NumericalError,
@@ -503,7 +503,7 @@ def test_scan_flat_band_names_first_flat_index(base, family, params, rule, N, fl
 
 def test_scan_budget_rejects_before_allocating():
     bands = product_spec(zd_base(3), build_named("cycle", [3]), ProductKind.CARTESIAN)
-    assert 9 * 128**3 > SCAN_COUNT_BUDGET
+    assert 9 * 128**3 > PAIR_COUNT_BUDGET
     with pytest.raises(ParameterError, match="budget"):
         floquet_condition_fraction(bands, 128)
     # a grid this size could not even be allocated, so the check came first
@@ -513,7 +513,7 @@ def test_scan_budget_rejects_before_allocating():
 
 def test_scan_budget_boundary(monkeypatch):
     bands = product_spec(zd_base(2), build_named("path", [2]), ProductKind.CARTESIAN)
-    monkeypatch.setattr(floquet, "SCAN_COUNT_BUDGET", 4 * 8**2)
+    monkeypatch.setattr(floquet, "PAIR_COUNT_BUDGET", 4 * 8**2)
     assert floquet_condition_fraction(bands, 8) == _dense_scan(bands, 8)
     with pytest.raises(ParameterError):
         floquet_condition_fraction(bands, 9)

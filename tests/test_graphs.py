@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -14,11 +15,23 @@ from crystalwalk import (
     FiniteGraph,
     ParameterError,
     PeriodicGraphSpec,
+    ProductKind,
     build_named,
+    build_torus,
+    classical,
+    dynamics,
+    floquet,
+    floquet_condition_fraction,
     from_edge_list,
+    general_density,
     honeycomb_spec,
+    infinite_time_averaged,
+    iterate_distribution,
+    product_spec,
+    time_averaged,
     zd_product_spec,
 )
+from crystalwalk.graphs import _int
 
 
 @pytest.mark.parametrize(
@@ -496,3 +509,101 @@ def test_integer_ids_of_any_integer_type_are_accepted():
     assert g.edges.tolist() == [[1, 2]]
     spec = PeriodicGraphSpec(d=1, nu=1, offset_edges=[(0, 0, np.uint64(1)), (0, 0, -1)])
     assert spec.offset_edges.tolist() == [[0, 0, -1], [0, 0, 1]]
+
+
+def test_int_checks_each_bound_given():
+    assert _int(np.int64(3), "n", 3) == 3 and _int(5, "v", 0, 5) == 5 and _int(-7, "k") == -7
+    with pytest.raises(ParameterError, match="^n must be >= 3$"):
+        _int(2, "n", 3)
+    for x in (-1, 6):
+        with pytest.raises(ParameterError, match=rf"^v {x} out of range 0\.\.5$"):
+            _int(x, "v", 0, 5)
+
+
+def _torus_c3(d, N):
+    return build_torus(build_named("cycle", [3]), d, N)
+
+
+def _scan_path2(d, N):
+    bands = product_spec(zd_product_spec(FiniteGraph(1), d), build_named("path", [2]), ProductKind.CARTESIAN)
+    return floquet_condition_fraction(bands, N)
+
+
+# (module, ceiling, the check's workload, what the workload needs, the message naming the need)
+_CEILINGS = {
+    "STEP_BUDGET": (
+        classical, "STEP_BUDGET", lambda: iterate_distribution(build_named("cycle", [5]), 0, 3),
+        3 * 2048, "3 steps need {} entry updates",
+    ),
+    "STATE_BUDGET": (dynamics, "STATE_BUDGET", lambda: _torus_c3(1, 8), 24, "torus needs {} states"),
+    "PAIR_SUM_LIMIT": (
+        dynamics, "PAIR_SUM_LIMIT", lambda: time_averaged(_torus_c3(1, 8), ((0,), 0), 1.0),
+        24, "finite-horizon average needs {} states",
+    ),
+    "PAIR_COUNT_BUDGET-scan": (
+        floquet, "PAIR_COUNT_BUDGET", lambda: _scan_path2(2, 8), 4 * 8**2, "collision scan needs {} counts",
+    ),
+    "PAIR_COUNT_BUDGET-average": (
+        floquet, "PAIR_COUNT_BUDGET", lambda: infinite_time_averaged(_torus_c3(2, 8), ((1, 2), 0)),
+        9 * 8**2, "infinite-time average needs {} counts",
+    ),
+    # path2 x Z^3 on N = 4: no pair meets at every point of the first shift, so the scan sweeps
+    "SCAN_PAIR_BUDGET": (
+        floquet, "SCAN_PAIR_BUDGET", lambda: _scan_path2(3, 4), 1652, "collision scan walks {} close pairs",
+    ),
+    "FIBER_BUDGET": (
+        floquet, "FIBER_BUDGET", lambda: general_density(honeycomb_spec(), 4),
+        4**2, "grid quadrature needs {} fibers",
+    ),
+}
+
+
+@pytest.mark.parametrize("ceiling", sorted(_CEILINGS))
+def test_every_work_ceiling_runs_at_its_budget_and_rejects_one_more(monkeypatch, ceiling):
+    module, name, run, need, message = _CEILINGS[ceiling]
+    monkeypatch.setattr(module, name, need)
+    run()
+    monkeypatch.setattr(module, name, need - 1)
+    with pytest.raises(ParameterError) as exc:
+        run()
+    assert str(exc.value) == f"{message.format(need)}, over the budget {need - 1}"
+
+
+_BOUND_TEXTS = (">=", "out of range", "must lie in", "over the budget")
+
+
+def _bounds_outside_the_helpers(tree):
+    """Lines of hand-written integer bounds and work ceilings outside graphs._int and graphs._budget.
+
+    A bound is a ``raise ParameterError`` whose literal text states one; a
+    ceiling is a comparison naming a ``*_BUDGET`` constant or ``PAIR_SUM_LIMIT``.
+    """
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_int", "_budget"):
+            allowed.update(map(id, ast.walk(node)))
+    bad = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Raise) and getattr(getattr(node.exc, "func", None), "id", None) == "ParameterError":
+            texts = [n.value for n in ast.walk(node.exc) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+            if any(t in "".join(texts) for t in _BOUND_TEXTS):
+                bad.append(node.lineno)
+        if isinstance(node, ast.Compare):
+            names = [getattr(n, "id", getattr(n, "attr", "")) for n in ast.walk(node)]
+            if any(n.endswith("_BUDGET") or n == "PAIR_SUM_LIMIT" for n in names):
+                bad.append(node.lineno)
+    return bad
+
+
+def test_every_bound_and_ceiling_goes_through_int_and_budget():
+    sample = "if n > floquet.FIBER_BUDGET:\n    raise ParameterError(f'n {n} out of range 0..{m}')\n"
+    assert sorted(_bounds_outside_the_helpers(ast.parse(sample))) == [1, 2]
+    src = Path(crystalwalk.__file__).parent
+    bad = {}
+    for path in sorted(src.glob("*.py")):
+        lines = _bounds_outside_the_helpers(ast.parse(path.read_text()))
+        if lines:
+            bad[path.name] = lines
+    assert bad == {}
