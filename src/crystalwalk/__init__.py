@@ -51,6 +51,7 @@ from .floquet import (
 )
 from .graphs import (
     FAMILIES,
+    VERTEX_BUDGET,
     EdgeListError,
     FiniteGraph,
     ParameterError,
@@ -81,7 +82,7 @@ __all__ = [
     # graphs
     "FiniteGraph", "PeriodicGraphSpec", "ProductKind", "ParameterError",
     "EdgeListError", "FAMILIES", "build_named", "from_edge_list",
-    "zd_product_spec", "honeycomb_spec", "triangular_spec",
+    "zd_product_spec", "honeycomb_spec", "triangular_spec", "VERTEX_BUDGET",
     # spectral
     "DEFAULT_CLUSTER_TOL", "NumericalError", "EigenSolverError",
     "SpectralDecomposition", "DensityMatrix", "cluster_eigenvalues",

@@ -18,8 +18,9 @@ the reflection r -> -r maps the band grid onto itself bit for bit and
 cancels the imaginary parts. Its pair grid is real and the same on every
 orbit of the signed axis permutations, so it evaluates N^d nu (nu + 1) / 2
 real weights per orbit, in memory linear in the states. Both take Delta from
-the torus offset rule of ``floquet`` and einsum a table S[Delta, j, j'] into
-the pair grid; the infinite-time average counts S in the collision scan's.
+the cell keys of ``floquet`` (``_cell_keys``: one key subtraction and a table
+gather per pair) and einsum a table S[Delta, j, j'] into the pair grid; the
+infinite-time average counts S in the collision scan's.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import floquet
-from .floquet import _pair_counts, _torus_offset, base_grid
+from .floquet import _cell_digits, _cell_keys, _pair_codes, _pair_counts, _torus_offsets, base_grid
 from .graphs import FiniteGraph, ParameterError, _budget, _int, zd_product_spec
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
@@ -226,11 +227,10 @@ def _canonical_offsets(N: int, d: int) -> np.ndarray:
     offsets in one orbit of the signed axis permutations share one canonical
     offset, which is its own canonical offset.
     """
-    shape = (N,) * d
-    k = np.array(np.unravel_index(np.arange(N**d), shape))
+    k = np.stack(np.broadcast_arrays(*_cell_digits(N, d))).reshape(d, -1)
     k = np.minimum(k, N - k)
     k.sort(axis=0)
-    return np.ravel_multi_index(k, shape)
+    return np.ravel_multi_index(k, (N,) * d)
 
 
 def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAveragedDistribution:
@@ -265,8 +265,9 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
     N, d, nu = op.N, op.d, op.nu
     cells = N**d
     lam = op.eigenvalues.reshape(cells, nu)
-    r = np.arange(cells)
     reps, orbit = np.unique(_canonical_offsets(N, d), return_inverse=True)
+    keys, bias, fields = _cell_keys(N, d, nu * nu * cells)
+    rep_keys = keys[reps] - bias
     ja, jb = np.triu_indices(nu)
     lam_a, lam_b = lam[:, None, ja], lam[:, jb]
     scale = horizon / np.pi
@@ -275,7 +276,8 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
     # blocks of offsets keep the (N^d, block, nu (nu + 1) / 2) temporaries within max(8, nu) * dim entries
     block = max(1, 8 // nu)
     for lo in range(0, reps.size, block):
-        x = lam_b.take(_torus_offset(r[:, None], reps[lo : lo + block], N, d), axis=0)  # lambda[r - Delta, j']
+        # lambda[r - Delta, j']
+        x = lam_b.take(_torus_offsets(keys[:, None] - rep_keys[lo : lo + block], fields), axis=0)
         np.subtract(lam_a, x, out=x)
         x *= scale  # T (lambda_alpha - lambda_beta) / pi
         # np.sinc(x) in place: sin(y) / y at y = pi x, with eps for y = 0
@@ -284,6 +286,7 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
         y = np.sin(x)
         y /= x
         s[lo : lo + block, ja, jb] = s[lo : lo + block, jb, ja] = y.sum(axis=0)
+        del x, y  # so two blocks' temporaries are never alive at once
     w = op.spectrum.eigenvectors
     coef = w[p, :] * w  # coef[q, j] = w_j(p) w_j(q)
     grid = np.einsum("bjk,qj,qk->bq", s, coef, coef)[orbit]
@@ -331,7 +334,7 @@ def infinite_time_averaged(
     # successors of each sorted position in its cluster, < 0 where the cluster is projected alone
     k = np.repeat(np.where(alone, 0, ends), sizes) - np.arange(1, dim + 1)
     same = np.bincount(order[k >= 0] // cells, minlength=nu)  # alpha = beta
-    counts = _pair_counts(order, cells, N, d, np.maximum(k, 0, out=k))
+    counts = _pair_counts(_pair_codes(order, cells, N, d), np.maximum(k, 0, out=k))
     counts[0] += np.diag(same)
     w = op.spectrum.eigenvectors
     coef = w[p, :] * w  # coef[q, j] = w_j(p) w_j(q)

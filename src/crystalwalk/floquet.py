@@ -13,9 +13,12 @@ costs O(nu N^d log(nu N^d) + close pairs) instead of nu^2 N^2d tests and
 holds one count per shift and band pair. That table, ``_pair_counts``, also
 serves the infinite-time average in ``dynamics``, whose runs end at the end
 of each eigenvalue cluster. It counts the pairs of all runs in chunks of at
-most N^d, with one torus offset and one ``np.add.at`` per chunk, so it
-takes O(nu + pairs / N^d) numpy calls however long the runs are. The torus
-offset rule (``_torus_offset``) serves both time averages.
+most N^d, with one code subtraction, one cell-key table gather and one
+``np.add.at`` per chunk, so it takes O(nu + pairs / N^d) numpy calls however
+long the runs are. Each cell has a padded key (``_cell_keys``), and a small
+int32 table maps the difference of two keys to their flat torus offset
+(r_a - r_b) mod N, with no division. The same keys give the offsets
+r - Delta of the finite-horizon average.
 
 The grid quadrature walks the grid in blocks of K = max(1, 64 // nu^2, 24 // nu)
 fibers, so a block of several fibers holds at most 288 matrix entries: per
@@ -64,11 +67,12 @@ __all__ = [
 
 DEFAULT_COLLISION_DELTA = 1e-9
 # The collision scan and the infinite-time torus average each fill one int32
-# ``_pair_counts`` table of nu^2 N^d counts, 16 MB at this budget. C3 on a
-# 512 x 512 torus needs 2.4M.
+# ``_pair_counts`` table of nu^2 N^d counts, 16 MB at this budget, beside two
+# int32 codes per band value and cell-key tables of at most nu^2 N^d int32
+# entries each (``_pair_codes``). C3 on a 512 x 512 torus needs 2.4M counts.
 PAIR_COUNT_BUDGET = 1 << 22
-# The scan's sweep walks every close pair of band values, about 150 ns each
-# (10.4M pairs took 1.5 s): scans with more are rejected before the walk.
+# The scan's sweep walks every close pair of band values, about 15 ns each
+# (10.4M pairs took 0.14 s): scans with more are rejected before the walk.
 SCAN_PAIR_BUDGET = 1 << 24
 # Grid quadrature diagonalizes one fiber matrix per grid point: N^d of them.
 FIBER_BUDGET = 1 << 20
@@ -164,6 +168,15 @@ def flat_band_check(bands: BandStructure, tol: float = DEFAULT_CLUSTER_TOL) -> l
     return [int(j) for j in np.nonzero(np.abs(mu + 1.0) <= scale)[0]]
 
 
+def _cell_digits(N: int, d: int) -> list[np.ndarray]:
+    """Digit r_i of every cell r = sum_i r_i N^(d-1-i) of the (N,)*d grid, one open-grid array per axis.
+
+    Axis i's array has shape (N,) + (1,) * (d - 1 - i), so a sum over the axes broadcasts to (N,)*d in C order.
+    """
+    k = np.arange(N)
+    return [k.reshape((-1,) + (1,) * (d - 1 - i)) for i in range(d)]
+
+
 def base_grid(base: PeriodicGraphSpec, N: int) -> np.ndarray:
     """Band of a one-vertex spec sampled on the grid {0..N-1}^d / N, shape (N,) * d.
 
@@ -173,7 +186,8 @@ def base_grid(base: PeriodicGraphSpec, N: int) -> np.ndarray:
     added shortest n first, then in descending lexicographic order: e_0, ...,
     e_(d-1) on Z^d and e_1, e_2, e_1 + e_2 on the triangular lattice.
     """
-    k = np.arange(N)
+    digits = _cell_digits(N, base.d)
+    k = digits[-1]  # 0 .. N - 1
     c = 2.0 * np.cos(2.0 * np.pi * np.minimum(k, N - k) / N)
     # one vertex: the rows are the offsets, ascending and closed under n -> -n, so the last half is +n
     rows = base.offset_edges
@@ -182,7 +196,7 @@ def base_grid(base: PeriodicGraphSpec, N: int) -> np.ndarray:
     grid = np.zeros((N,) * base.d)
     for n in half:
         # j = n.k mod N; take wraps the index sum, whose terms are below N^2 each
-        j = sum(s % N * k.reshape((-1,) + (1,) * (base.d - 1 - i)) for i, s in enumerate(n) if s % N)
+        j = sum(s % N * digits[i] for i, s in enumerate(n) if s % N)
         grid += c.take(j, mode="wrap")
     return grid
 
@@ -261,13 +275,53 @@ def floquet_condition_fraction(
     )
 
 
-def _torus_offset(a: np.ndarray | int, b: np.ndarray, N: int, d: int) -> np.ndarray:
-    """Flat C-order index of (cell(a) - cell(b)) mod N per axis; digits above the (N,)*d cell drop out."""
-    stride = N ** (d - 1)
-    m = (a // stride - b // stride) % N * stride
-    for _ in range(d - 1):
-        stride //= N
-        m += (a // stride - b // stride) % N * stride
+def _cell_keys(
+    N: int, d: int, limit: int, low: int = 0, unit: int = 1
+) -> tuple[np.ndarray, int, list[tuple[int, int, np.ndarray]]]:
+    """Padded keys of the cells of the (N,)*d torus, their bias, and the fields that read torus offsets.
+
+    The axes form groups of consecutive axes, the top group first, and each
+    group one bit field of the key above its ``low`` bits, with digit r_i at
+    stride (2N)^j, j counting from the group's last axis. ``bias`` holds N
+    per digit except the top one, so in key[a] - key[b] + bias each digit
+    difference plus N lies in [1, 2N - 1]: no digit borrows, and a value
+    below 2^low added to it stays in the low bits. Each field (shift, mask,
+    table) maps its value to its axes' part of unit * the flat C-order index
+    of (r_a - r_b) mod N, added up by ``_torus_offsets``. The top digit alone
+    can go negative, so the top table, N (2N)^(g - 1) entries for g axes, is
+    read with ``take(mode="wrap")``; a lower one has (2N)^g. A group takes
+    axes while its table stays within ``limit`` entries, and at least one.
+    """
+    groups, lo = [], 0
+    while lo < d:
+        g, size = 1, N if lo == 0 else 2 * N
+        while lo + g < d and size * 2 * N <= limit:
+            g, size = g + 1, size * 2 * N
+        groups.append((lo, g))
+        lo += g
+    digits = _cell_digits(N, d)
+    keys, bias, shift, fields = 0, 0, low, []
+    for lo, g in reversed(groups):
+        e = _cell_digits(2 * N, g)
+        if lo == 0:
+            e[0] = e[0][:N]
+        table = sum((x % N * (unit * N ** (d - 1 - lo - j))).astype(np.int32) for j, x in enumerate(e))
+        width = ((2 * N) ** g - 1).bit_length()
+        fields.append((shift, (1 << width) - 1, table.reshape(-1)))
+        for j in range(g):
+            stride = (2 * N) ** (g - 1 - j) << shift
+            keys = keys + digits[lo + j] * stride
+            bias += N * stride if lo + j else 0
+        shift += width
+    return keys.reshape(-1), bias, fields[::-1]
+
+
+def _torus_offsets(diff: np.ndarray, fields: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
+    """unit * the flat index of (r_a - r_b) mod N from key[a] - key[b] + bias + low bits (``_cell_keys``)."""
+    shift, _, table = fields[0]
+    m = table.take(diff >> shift, mode="wrap")
+    for shift, mask, table in fields[1:]:
+        m += table.take((diff >> shift) & mask)
     return m
 
 
@@ -318,20 +372,51 @@ def _run_pair_chunk(ends: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.
     return i, j
 
 
-def _pair_counts(order: np.ndarray, cells: int, N: int, d: int, k: np.ndarray) -> np.ndarray:
+def _pair_codes(order: np.ndarray, cells: int, N: int, d: int) -> list:
+    """Codes of the sorted band-major positions order[i] = s * N^d + r for ``_pair_counts``.
+
+    Returns the list [a, b, fields, mirror]: a[i] = key << sh + s nu and
+    b[i] = (key - bias) << sh - s from the cell key of r (``_cell_keys``),
+    with 2^sh >= nu^2, so a[j] - b[i] = (key_j - key_i + bias) << sh + s_j nu
+    + s_i. The ``fields`` read nu^2 (r_j - r_i) mod N from it and the low
+    bits hold the band pair, so a pair's flat count index takes no division.
+    ``mirror`` holds the flat index of -r mod N of every cell r. The codes
+    are int32 when every difference fits, else int64.
+    """
+    nu = order.size // cells
+    sh = (nu * nu - 1).bit_length()
+    keys, bias, fields = _cell_keys(N, d, nu * nu * cells, sh, nu * nu)
+    mirror = _torus_offsets(bias - keys, fields) // (nu * nu)
+    dtype = np.int32 if int(keys[-1]) + bias + nu * nu <= np.iinfo(np.int32).max else np.int64
+    keys = keys.astype(dtype)
+    band = np.arange(nu, dtype=dtype)[:, None]
+    lut = np.add(keys, band * nu)  # band-major, one buffer for both lookups
+    a = lut.reshape(-1).take(order)
+    keys -= bias
+    b = np.subtract(keys, band, out=lut).reshape(-1).take(order)
+    return [a, b, fields, mirror]
+
+
+def _pair_counts(codes: list, k: np.ndarray) -> np.ndarray:
     """C[m, s, w] = #{counted pairs of a = (s, r_a), b = (w, r_b) with r_a - r_b = m}.
 
-    ``order`` holds band-major positions s * N^d + r, and sorted position i
-    pairs with its k[i] successors: (a, b) = (order[i + t], order[i]) for
-    t = 1 .. k[i] counts, and so does its mirror (b, a); no position pairs
-    with itself. The pairs are counted in chunks of at most N^d pairs from one
-    block of N^d positions, each chunk with one ``_run_pair_chunk``, one
-    ``_torus_offset`` and one ``np.add.at``: O(nu + pairs / N^d) numpy calls
-    and chunk temporaries of at most N^d entries. ``k`` is overwritten with
-    its running sum. int32 counts (each at most N^d), shape (N^d, nu, nu).
+    ``codes`` are the ``_pair_codes`` of band-major positions p_i = s * N^d
+    + r in sorted order, and sorted position i pairs with its k[i]
+    successors: (a, b) = (p_(i + t), p_i) for t = 1 .. k[i] counts, and so
+    does its mirror (b, a); no position pairs with itself. The pairs are
+    counted in chunks of at most N^d pairs from one block of N^d positions,
+    each chunk with one ``_run_pair_chunk``, one code subtraction, one table
+    gather per cell-key field and one ``np.add.at``: O(nu + pairs / N^d)
+    numpy calls and chunk temporaries of at most N^d entries. ``codes`` is
+    emptied, so the codes and tables are freed before the mirror pairs are
+    added, and ``k`` is overwritten with its running sum. int32 counts (each
+    at most N^d), shape (N^d, nu, nu).
     """
-    n = order.size
+    code_a, code_b, fields, mirror = codes
+    codes.clear()
+    n, cells = code_a.size, mirror.size
     nu = n // cells
+    low = (1 << (nu * nu - 1).bit_length()) - 1
     ends = np.cumsum(k, out=k)
     counts = np.zeros((cells, nu, nu), dtype=np.int32)
     flat = counts.reshape(-1)
@@ -340,17 +425,17 @@ def _pair_counts(order: np.ndarray, cells: int, N: int, d: int, k: np.ndarray) -
         stop = int(ends[min(block + cells, n) - 1])
         for lo in range(start, stop, cells):
             i, j = _run_pair_chunk(ends, lo, min(lo + cells, stop))
-            a, b = order.take(j), order.take(i)
+            diff = code_a.take(j)
+            diff -= code_b.take(i)
             del i, j
-            m = _torus_offset(a, b, N, d)
-            m *= nu
-            m += np.floor_divide(a, cells, out=a)
-            m *= nu
-            m += np.floor_divide(b, cells, out=b)
+            m = _torus_offsets(diff, fields)
+            diff &= low
+            m += diff
             # an increment of the counts' own dtype keeps add.at on its fast path
             np.add.at(flat, m, np.int32(1))
-            del a, b, m
-    counts += counts[_torus_offset(0, np.arange(cells), N, d)].swapaxes(1, 2)
+            del diff, m
+    del code_a, code_b, fields
+    counts += counts[mirror].swapaxes(1, 2)
     return counts
 
 
@@ -369,7 +454,9 @@ def _collision_counts(grid: np.ndarray, N: int, d: int, delta: float) -> np.ndar
     k = _close_runs(x, delta, cells)
     del x  # the pair counts need the run lengths only
     _budget("collision scan walks", int(k.sum()), "close pairs", SCAN_PAIR_BUDGET)
-    counts = _pair_counts(order, cells, N, d, k)
+    codes = _pair_codes(order, cells, N, d)
+    del order  # the walk needs the codes only
+    counts = _pair_counts(codes, k)
     return counts.reshape((N,) * d + (nu, nu))
 
 

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "VERTEX_BUDGET",
     "ParameterError",
     "EdgeListError",
     "ProductKind",
@@ -48,6 +49,13 @@ class ProductKind(Enum):
 
 _INTEGERS = (int, np.integer)
 
+# Every finite graph is held as a dense nu x nu adjacency matrix, which the
+# densities, classical walks and torus factors diagonalize with a dense eigh:
+# at 4096 vertices that is 128 MiB per matrix and O(nu^3) work, and the
+# density alone prints 16.8M numbers. The finite benchmark ladder's largest
+# graph has 512 vertices.
+VERTEX_BUDGET = 1 << 12
+
 
 def _int(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
     """``x`` as an int in lo..hi, each bound when given; ParameterError naming ``what`` otherwise.
@@ -68,6 +76,12 @@ def _budget(what: str, need: int, unit: str, budget: int) -> None:
     """ParameterError when a workload needs more than its ``budget``; every work ceiling is checked here."""
     if need > budget:
         raise ParameterError(f"{what} {need} {unit}, over the budget {budget}")
+
+
+def _vertices(what: str, nu: int) -> int:
+    """``nu`` when a graph of that many vertices is within ``VERTEX_BUDGET``."""
+    _budget(f"{what} needs", nu, "vertices", VERTEX_BUDGET)
+    return nu
 
 
 def _int_rows(rows, width: int, what: str, shape_error: str) -> np.ndarray:
@@ -117,7 +131,8 @@ class FiniteGraph:
     rejected. ``labels``, when present, holds one display name per vertex.
     Family builders fill it with the conventional numbering of the family
     (paths and stars are 1-based, hypercube vertices are bit strings).
-    Graphs compare by identity.
+    Graphs of more than ``VERTEX_BUDGET`` vertices are rejected, and so are
+    named families before they build any array. Graphs compare by identity.
     """
 
     nu: int
@@ -125,7 +140,7 @@ class FiniteGraph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        nu = _int(self.nu, "vertex count", 1)
+        nu = _vertices("graph", _int(self.nu, "vertex count", 1))
         object.__setattr__(self, "nu", nu)
         uv = _int_rows(self.edges, 2, "edge", "every edge must be a pair of vertices")
         u, v = uv.T
@@ -198,28 +213,34 @@ def build_named(family: str, params: Sequence[int] = ()) -> FiniteGraph:
     """
     if family == "cycle":
         (nu,) = _arity(family, params, 3)
+        _vertices(f"family {family!r}", nu)
         edges = _pairs(np.arange(nu), np.arange(1, nu + 1) % nu)
         return FiniteGraph(nu, edges, tuple(str(i) for i in range(nu)))
     if family == "path":
         (nu,) = _arity(family, params, 2)
+        _vertices(f"family {family!r}", nu)
         edges = _pairs(np.arange(nu - 1), np.arange(1, nu))
         return FiniteGraph(nu, edges, tuple(str(i + 1) for i in range(nu)))
     if family == "star":
         (nu,) = _arity(family, params, 1)
+        _vertices(f"family {family!r}", nu + 1)
         # Leaves are 0..nu-1 (displayed 1..nu), the center is the last index.
         edges = _pairs(np.arange(nu), nu)
         return FiniteGraph(nu + 1, edges, tuple(str(i + 1) for i in range(nu + 1)))
     if family == "complete":
         (nu,) = _arity(family, params, 2)
+        _vertices(f"family {family!r}", nu)
         edges = np.argwhere(np.less.outer(np.arange(nu), np.arange(nu)))
         return FiniteGraph(nu, edges, tuple(str(i + 1) for i in range(nu)))
     if family == "complete_bipartite":
         m, n = _arity(family, params, 1, 1)
+        _vertices(f"family {family!r}", m + n)
         edges = _pairs(np.arange(m)[:, None], np.arange(m, m + n))
         return FiniteGraph(m + n, edges, tuple(str(i + 1) for i in range(m + n)))
     if family == "hypercube":
         (m,) = _arity(family, params, 1)
-        nu = 1 << m
+        # 2^m vertices: the bound is the vertex budget's, checked on m so that no huge 2^m is formed
+        nu = 1 << _int(m, f"family {family!r} parameter", 1, VERTEX_BUDGET.bit_length() - 1)
         x = np.arange(nu)[:, None]
         edges = _pairs(x, x ^ (1 << np.arange(m)))  # each edge twice, merged by FiniteGraph
         labels = tuple(format(v, f"0{m}b")[::-1] for v in range(nu))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import crystalwalk
-from crystalwalk import NumericalError, cli, from_edge_list, limiting_density, serialize
+from crystalwalk import NumericalError, cli, floquet, from_edge_list, limiting_density, serialize
 from crystalwalk.cli import main
 from test_serialize import _json_row_by_row, _record_rows
 
@@ -519,6 +519,39 @@ def test_work_ceilings_exit_2_before_the_work(capsys, argv, message):
 )
 def test_bound_and_ceiling_messages_exact_stderr(capsys, argv, line):
     assert run_cli(capsys, *argv) == (2, "", line + "\n")
+
+
+def test_oversized_graphs_exit_2_before_allocating(capsys, tmp_path):
+    # each would have allocated billions of entries, or failed inside numpy with exit 1
+    path = tmp_path / "far.txt"
+    path.write_text("1 3000000000\n")
+    for argv, line in [
+        (("density", "--family", "cycle", "--nu", "3000000000"),
+         "error: family 'cycle' needs 3000000000 vertices, over the budget 4096"),
+        (("density", "--family", "hypercube", "--m", "64"),
+         "error: family 'hypercube' parameter 64 out of range 1..12"),
+        (("closed-form", "--family", "hypercube", "--m", "64"),
+         "error: family 'hypercube' parameter 64 out of range 1..12"),
+        (("density", "--edge-list", str(path)), "error: graph needs 3000000001 vertices, over the budget 4096"),
+    ]:
+        assert run_cli(capsys, *argv) == (2, "", line + "\n")
+
+
+def test_eight_dimensional_scan_keeps_its_bytes_and_small_key_tables(capsys, monkeypatch):
+    # nu^2 N^d = 26244 counts; one key table over all eight axes would hold 2^7 3^8 = 839808 entries
+    sizes = []
+    cell_keys = floquet._cell_keys
+
+    def spy(*args):
+        keys, bias, fields = cell_keys(*args)
+        sizes.extend(table.size for _, _, table in fields)
+        return keys, bias, fields
+
+    monkeypatch.setattr(floquet, "_cell_keys", spy)
+    out = run_cli(capsys, "floquet-check", "--family", "path", "--nu", "2", "--d", "8", "--N", "3")
+    assert out == (0, '{"N":3,"max_fraction":0.33333333333333331,"worst_shift":[0,0,0,0,0,0,0,1],'
+                      '"worst_pair":[0,0],"flat_bands":[]}\n', "")
+    assert len(sizes) > 1 and max(sizes) <= 4 * 3**8
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])

@@ -789,7 +789,7 @@ def test_pair_counts_match_cluster_pair_enumeration(d, N, seed):
     alone = rng.random(sizes.size) < 0.3
     alone[np.argmax(sizes)] = False
     span = np.repeat(np.where(alone, 0, ends), sizes) - np.arange(n)
-    got = floquet._pair_counts(order, cells, N, d, np.maximum(span - 1, 0))
+    got = floquet._pair_counts(floquet._pair_codes(order, cells, N, d), np.maximum(span - 1, 0))
     want = np.zeros((cells, nu, nu), dtype=int)
     for lo, hi, skip in zip(ends - sizes, ends, alone):
         run = [] if skip else order[lo:hi].tolist()
@@ -803,19 +803,54 @@ def test_pair_counts_match_cluster_pair_enumeration(d, N, seed):
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("d,N", [(1, 7), (2, 5), (3, 4)])
-def test_torus_offset_matches_unravelled_difference(d, N):
-    rng = np.random.default_rng(d)
+def _unravelled_offset(ra, rb, N, d):
+    """Flat index of (r_a - r_b) mod N per axis, from the digits ``np.unravel_index`` gives."""
     shape = (N,) * d
+    diff = np.array(np.unravel_index(ra, shape)) - np.array(np.unravel_index(rb, shape))
+    return np.ravel_multi_index(tuple(diff % N), shape)
+
+
+@pytest.mark.parametrize("d,N", [(1, 7)] + [(d, N) for d in range(1, 9) for N in range(2, 6)])
+def test_torus_offset_matches_unravelled_difference(d, N):
+    rng = np.random.default_rng([d, N])
     cells = N**d
-
-    def want(ra, rb):
-        diff = np.array(np.unravel_index(ra, shape)) - np.array(np.unravel_index(rb, shape))
-        return np.ravel_multi_index(tuple(diff % N), shape)
-
-    # band-major index s * N^d + r: the band digit above the cell drops out
-    a, b = rng.integers(0, 3 * cells, (2, 200))
-    np.testing.assert_array_equal(floquet._torus_offset(a, b, N, d), want(a % cells, b % cells))
-    # a = 0 gives -r
+    a, b = rng.integers(0, cells, (2, 200))
     r = np.arange(cells)
-    np.testing.assert_array_equal(floquet._torus_offset(0, r, N, d), want(np.zeros_like(r), r))
+    # the count table's limit at nu = 1 and nu = 3 (band pairs in the low 4 bits, offsets times 9),
+    # and a limit of 2N entries, which gives every axis its own field from d = 2
+    for limit, low, unit in ((cells, 0, 1), (9 * cells, 4, 9), (2 * N, 0, 1)):
+        keys, bias, fields = floquet._cell_keys(N, d, limit, low, unit)
+        assert all(table.size <= max(limit, N) for _, _, table in fields)
+        if limit == 2 * N:
+            assert len(fields) == d
+        below = rng.integers(0, 1 << low, a.size)  # anything in the low bits stays there
+        got = floquet._torus_offsets(keys[a] - keys[b] + bias + below, fields)
+        np.testing.assert_array_equal(got, unit * _unravelled_offset(a, b, N, d))
+        # cell 0 has key 0: -r
+        want = unit * _unravelled_offset(np.zeros_like(r), r, N, d)
+        np.testing.assert_array_equal(floquet._torus_offsets(bias - keys, fields), want)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("d,N", [(1, 7), (3, 4), (8, 3), (11, 3)])
+def test_pair_counts_match_a_direct_count_of_every_pair(d, N, nu):
+    # the scan's rule: sorted position i pairs with its k[i] successors, k drawn at random on
+    # about 10000 positions; (11, 3) at nu = 3 needs int64 codes, every other case int32
+    rng = np.random.default_rng([d, N, nu])
+    cells = N**d
+    n = nu * cells
+    order = rng.permutation(n)
+    k = rng.integers(0, 4, n) * (rng.random(n) < 10000 / n)
+    k = np.minimum(k, n - 1 - np.arange(n))
+    i = np.repeat(np.arange(n), k)
+    j = i + np.arange(i.size) - np.repeat(np.cumsum(k) - k, k) + 1
+    a, b = order[j], order[i]
+    want = np.zeros((cells, nu, nu), dtype=np.int64)
+    np.add.at(want, (_unravelled_offset(a % cells, b % cells, N, d), a // cells, b // cells), 1)
+    np.add.at(want, (_unravelled_offset(b % cells, a % cells, N, d), b // cells, a // cells), 1)
+    codes = floquet._pair_codes(order, cells, N, d)
+    assert codes[0].dtype == (np.int64 if (d, nu) == (11, 3) else np.int32)
+    assert all(table.size <= nu * nu * cells for _, _, table in codes[2])
+    got = floquet._pair_counts(codes, k)
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, want)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from crystalwalk import (
     time_averaged,
     zd_product_spec,
 )
+from crystalwalk import graphs
 from crystalwalk.graphs import _int
 
 
@@ -555,6 +557,10 @@ _CEILINGS = {
         floquet, "FIBER_BUDGET", lambda: general_density(honeycomb_spec(), 4),
         4**2, "grid quadrature needs {} fibers",
     ),
+    "VERTEX_BUDGET": (
+        graphs, "VERTEX_BUDGET", lambda: build_named("complete_bipartite", [5, 7]), 12,
+        "family 'complete_bipartite' needs {} vertices",
+    ),
 }
 
 
@@ -567,6 +573,29 @@ def test_every_work_ceiling_runs_at_its_budget_and_rejects_one_more(monkeypatch,
     with pytest.raises(ParameterError) as exc:
         run()
     assert str(exc.value) == f"{message.format(need)}, over the budget {need - 1}"
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("cycle", [3 * 10**9]), ("path", [3 * 10**9]), ("star", [4096]), ("complete", [10**12]),
+     ("complete_bipartite", [1, 4096]), ("hypercube", [13]), ("hypercube", [10**18])],
+)
+def test_oversized_families_are_rejected_before_any_array(family, params):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="4096|1..12"):
+            build_named(family, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**10
+
+
+def test_edge_lists_and_graphs_share_the_vertex_budget():
+    assert len(build_named("hypercube", [12]).labels) == graphs.VERTEX_BUDGET
+    assert FiniteGraph(4096).nu == 4096
+    with pytest.raises(ParameterError, match="^graph needs 4097 vertices, over the budget 4096$"):
+        from_edge_list("0 4096\n")
 
 
 _BOUND_TEXTS = (">=", "out of range", "must lie in", "over the budget")
