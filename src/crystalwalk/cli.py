@@ -25,6 +25,7 @@ from .graphs import (
     FiniteGraph,
     ParameterError,
     ProductKind,
+    _FAMILY_PARAMS,
     _int,
     build_named,
     from_edge_list,
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="product rule (default cartesian)")
     p.add_argument("--base", choices=["zd", "triangular"], default="zd",
                    help="one-vertex periodic base (default zd)")
-    p.add_argument("--d", type=int, default=1, help="base dimension for zd (default 1)")
+    p.add_argument("--d", type=int, help="base dimension: zd takes any (default 1), triangular only 2")
     p.add_argument("--N", type=int, default=64, help="grid points per axis (default 64)")
     p.add_argument("--delta", type=float, default=floquet.DEFAULT_COLLISION_DELTA,
                    help="collision width (default 1e-9)")
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge-list", metavar="FILE", help="read the finite factor from an edge-list file")
     p.add_argument("--d", type=int, default=1, help="torus dimension (default 1)")
     p.add_argument("--N", type=int, default=64, help="cells per axis (default 64)")
-    p.add_argument("--T", default="1e4", help="averaging horizon, a float or 'inf' (default 1e4)")
+    p.add_argument("--T", type=float, default=1e4, help="averaging horizon <= 1e300, or inf (default 1e4)")
     p.add_argument("--start-cell", type=int, nargs="*", default=None,
                    help="start cell coordinates (default origin)")
     p.add_argument("--start-p", type=int, default=0, help="start vertex in the cell (default 0)")
@@ -122,19 +123,11 @@ def _family_params(args: argparse.Namespace) -> tuple[str, list[int]]:
     family = args.family
     if family is None:
         raise ParameterError("a --family is required here")
-    if family in ("cycle", "path", "star", "complete"):
-        if args.nu is None:
-            raise ParameterError(f"family {family!r} requires --nu")
-        return family, [args.nu]
-    if family == "hypercube":
-        if args.m is None:
-            raise ParameterError("family 'hypercube' requires --m")
-        return family, [args.m]
-    if family == "complete_bipartite":
-        if args.m is None or args.n is None:
-            raise ParameterError("family 'complete_bipartite' requires --m and --n")
-        return family, [args.m, args.n]
-    return family, []
+    names = [name for name, _ in _FAMILY_PARAMS[family]]
+    params = [getattr(args, name) for name in names]
+    if None in params:
+        raise ParameterError(f"family {family!r} requires " + " and ".join(f"--{name}" for name in names))
+    return family, params
 
 
 def _resolve_graph(args: argparse.Namespace) -> FiniteGraph:
@@ -188,7 +181,10 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
 
 
 def _cmd_floquet_check(args: argparse.Namespace) -> int:
-    base = triangular_spec() if args.base == "triangular" else zd_product_spec(FiniteGraph(1), args.d)
+    d = 1 if args.d is None else args.d
+    base = triangular_spec() if args.base == "triangular" else zd_product_spec(FiniteGraph(1), d)
+    if args.d not in (None, base.d):
+        raise ParameterError(f"the {args.base} base has d = {base.d}, got --d {args.d}")
     graph = build_named(*_family_params(args))
     bands = floquet.product_spec(base, graph, ProductKind(args.product))
     report = floquet.floquet_condition_fraction(bands, args.N, delta=args.delta, tol=args.tol)
@@ -201,15 +197,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     op = dynamics.build_torus(graph, args.d, args.N, tol=args.tol)
     cell = tuple(args.start_cell) if args.start_cell else (0,) * args.d
     start = (cell, args.start_p)
-    horizon_text = str(args.T).strip().lower()
-    if horizon_text == "inf":
+    if args.T == float("inf"):
         dist = dynamics.infinite_time_averaged(op, start, cluster_tol=args.tol)
     else:
-        try:
-            horizon = float(horizon_text)
-        except ValueError as exc:
-            raise ParameterError(f"invalid horizon {args.T!r}") from exc
-        dist = dynamics.time_averaged(op, start, horizon)
+        dist = dynamics.time_averaged(op, start, args.T)
     tv = dynamics.total_variation(dist.values, dynamics.limit_prediction(op, start))
     summary = f"tv_to_prediction = {serialize.format_float(tv, serialize.TABLE_DIGITS)}"
     _emit(serialize.distribution_csv(dist), args.output, summary=summary)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import floquet
 from .floquet import _cell_digits, _cell_keys, _pair_codes, _pair_counts, _torus_offsets, base_grid
-from .graphs import FiniteGraph, ParameterError, _budget, _int, zd_product_spec
+from .graphs import FiniteGraph, ParameterError, _budget, _int, _real, zd_product_spec
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     SpectralDecomposition,
@@ -67,7 +67,10 @@ PAIR_SUM_LIMIT = 4096
 # Its pair weights are sin(x)/x at x = T (lambda_alpha - lambda_beta). Within
 # PAIR_SUM_LIMIT, nu N^d <= 4096 and N >= 3 give d <= 7 and nu <= 1365, so
 # |lambda| <= 2d + nu < 1400 and |x| < 3000 T: below this horizon ceiling every
-# x, and so every weight, stays finite (doubles end near 1.8e308).
+# x, and so every weight, stays finite (doubles end near 1.8e308). It bounds
+# the time |t| of ``evolve`` too: STATE_BUDGET and graphs.VERTEX_BUDGET give
+# d <= 12 and nu <= 4096, so |lambda| <= 2d + nu < 4200 and every phase
+# t lambda stays below 4.2e303.
 HORIZON_LIMIT = 1e300
 
 _NORM_TOL = 1e-10
@@ -155,9 +158,7 @@ def evolve(op: TorusOperator, start: Start, t: float) -> np.ndarray:
 
     The result is validated to stay normalized within 1e-10.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ParameterError("time t must be finite")
+    t = _real(t, "time t", -math.nextafter(HORIZON_LIMIT, math.inf), HORIZON_LIMIT)  # |t| <= HORIZON_LIMIT
     start = _normalize_start(op, start)
     psi = _assemble(op, start, np.exp(1j * t * op.eigenvalues))
     norm = float(np.linalg.norm(psi))
@@ -256,9 +257,7 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
     there are C(floor(N/2) + d, d), nu^3 per orbit for G and one FFT, in
     O(dim nu) memory.
     """
-    horizon = float(horizon)
-    if not 0 < horizon <= HORIZON_LIMIT:  # NaN fails too
-        raise ParameterError(f"averaging horizon must be in (0, {HORIZON_LIMIT:g}], got {horizon!r}")
+    horizon = _real(horizon, "averaging horizon", 0.0, HORIZON_LIMIT)
     start = _normalize_start(op, start)
     _budget("finite-horizon average needs", op.dim, "states", PAIR_SUM_LIMIT)
     cell, p = start

@@ -31,13 +31,12 @@ the per-fiber loop's values bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import FiniteGraph, ParameterError, PeriodicGraphSpec, ProductKind, _budget, _int
+from .graphs import FiniteGraph, ParameterError, PeriodicGraphSpec, ProductKind, _budget, _int, _real
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DensityMatrix,
@@ -72,8 +71,10 @@ DEFAULT_COLLISION_DELTA = 1e-9
 # entries each (``_pair_codes``). C3 on a 512 x 512 torus needs 2.4M counts.
 PAIR_COUNT_BUDGET = 1 << 22
 # The scan's sweep walks every close pair of band values, about 15 ns each
-# (10.4M pairs took 0.14 s): scans with more are rejected before the walk.
-SCAN_PAIR_BUDGET = 1 << 24
+# (10.4M pairs took 0.14 s, 40.1M 0.69 s), so this budget keeps a walk near a
+# second, as ``classical.STEP_BUDGET`` does: scans with more are rejected
+# before the walk. Its memory is bounded by PAIR_COUNT_BUDGET and N^d chunks.
+SCAN_PAIR_BUDGET = 1 << 26
 # Grid quadrature diagonalizes one fiber matrix per grid point: N^d of them.
 FIBER_BUDGET = 1 << 20
 # Quadrature blocks hold K fibers with K nu^2 <= _BLOCK_ENTRIES matrix entries
@@ -249,8 +250,7 @@ def floquet_condition_fraction(
     ``PAIR_COUNT_BUDGET`` counts are rejected before anything is allocated.
     """
     N = _int(N, "grid size N", 2)
-    if not 0 < delta < math.inf:
-        raise ParameterError(f"collision width delta must be positive and finite, got {delta!r}")
+    delta = _real(delta, "collision width delta", 0.0)
     d = bands.base.d
     nu = bands.nu
     cells = N**d

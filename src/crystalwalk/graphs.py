@@ -8,6 +8,8 @@ to vertex q in the cell shifted by the integer vector n.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -70,6 +72,20 @@ def _int(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
     if lo is not None and x < lo:
         raise ParameterError(f"{what} must be >= {lo}")
     return x
+
+
+def _real(x, what: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``x`` as a float when it is a finite real with lo < x <= hi; ParameterError naming ``what`` otherwise.
+
+    Rejects text, which float() would parse, None and complex numbers. Every float bound is checked here.
+    """
+    try:
+        f = float(x) if isinstance(x, numbers.Real) else math.nan
+    except OverflowError:  # an int or Fraction beyond the doubles
+        f = math.inf
+    if not (lo < f <= hi and math.isfinite(f)):
+        raise ParameterError(f"{what} must be a finite real in ({lo:g}, {hi:g}], got {x!r}")
+    return f
 
 
 def _budget(what: str, need: int, unit: str, budget: int) -> None:
@@ -180,18 +196,24 @@ class FiniteGraph:
         return tuple(str(v) for v in range(self.nu))
 
 
-FAMILIES = (
-    "cycle",
-    "path",
-    "star",
-    "complete",
-    "complete_bipartite",
-    "hypercube",
-    "petersen",
-)
+# Each family's parameters in order, as (name, minimum) pairs; the names are the CLI's flags.
+_FAMILY_PARAMS = {
+    "cycle": (("nu", 3),),
+    "path": (("nu", 2),),
+    "star": (("nu", 1),),
+    "complete": (("nu", 2),),
+    "complete_bipartite": (("m", 1), ("n", 1)),
+    "hypercube": (("m", 1),),
+    "petersen": (),
+}
+FAMILIES = tuple(_FAMILY_PARAMS)
 
-def _arity(family: str, params: Sequence[int], *lo: int) -> list[int]:
-    """The family's parameters as ints, one minimum ``lo`` per parameter."""
+
+def _arity(family: str, params: Sequence[int]) -> list[int]:
+    """The family's parameters as ints, each at least its minimum in ``_FAMILY_PARAMS``."""
+    if family not in FAMILIES:
+        raise ParameterError(f"unknown family {family!r}")
+    lo = [m for _, m in _FAMILY_PARAMS[family]]
     if len(params) != len(lo):
         raise ParameterError(f"family {family!r} takes {len(lo)} parameter(s), got {len(params)}")
     return [_int(p, f"family {family!r} parameter", m) for p, m in zip(params, lo)]
@@ -211,49 +233,47 @@ def build_named(family: str, params: Sequence[int] = ()) -> FiniteGraph:
     params:
         Integer parameters of the family, see above.
     """
+    params = _arity(family, params)
     if family == "cycle":
-        (nu,) = _arity(family, params, 3)
+        (nu,) = params
         _vertices(f"family {family!r}", nu)
         edges = _pairs(np.arange(nu), np.arange(1, nu + 1) % nu)
         return FiniteGraph(nu, edges, tuple(str(i) for i in range(nu)))
     if family == "path":
-        (nu,) = _arity(family, params, 2)
+        (nu,) = params
         _vertices(f"family {family!r}", nu)
         edges = _pairs(np.arange(nu - 1), np.arange(1, nu))
         return FiniteGraph(nu, edges, tuple(str(i + 1) for i in range(nu)))
     if family == "star":
-        (nu,) = _arity(family, params, 1)
+        (nu,) = params
         _vertices(f"family {family!r}", nu + 1)
         # Leaves are 0..nu-1 (displayed 1..nu), the center is the last index.
         edges = _pairs(np.arange(nu), nu)
         return FiniteGraph(nu + 1, edges, tuple(str(i + 1) for i in range(nu + 1)))
     if family == "complete":
-        (nu,) = _arity(family, params, 2)
+        (nu,) = params
         _vertices(f"family {family!r}", nu)
         edges = np.argwhere(np.less.outer(np.arange(nu), np.arange(nu)))
         return FiniteGraph(nu, edges, tuple(str(i + 1) for i in range(nu)))
     if family == "complete_bipartite":
-        m, n = _arity(family, params, 1, 1)
+        m, n = params
         _vertices(f"family {family!r}", m + n)
         edges = _pairs(np.arange(m)[:, None], np.arange(m, m + n))
         return FiniteGraph(m + n, edges, tuple(str(i + 1) for i in range(m + n)))
     if family == "hypercube":
-        (m,) = _arity(family, params, 1)
+        (m,) = params
         # 2^m vertices: the bound is the vertex budget's, checked on m so that no huge 2^m is formed
         nu = 1 << _int(m, f"family {family!r} parameter", 1, VERTEX_BUDGET.bit_length() - 1)
         x = np.arange(nu)[:, None]
         edges = _pairs(x, x ^ (1 << np.arange(m)))  # each edge twice, merged by FiniteGraph
         labels = tuple(format(v, f"0{m}b")[::-1] for v in range(nu))
         return FiniteGraph(nu, edges, labels)
-    if family == "petersen":
-        _arity(family, params)
-        # Standard drawing, one broadcast row each: the outer 5-cycle i ~ i + 1, the spokes
-        # i ~ i + 5 and the inner 5-cycle taken with step 2. Isomorphic to the usual
-        # disjointness graph on 2-element subsets of a 5-element set.
-        i = np.arange(5)
-        edges = _pairs(i + [[0], [0], [5]], (i + [[1], [0], [2]]) % 5 + [[0], [5], [5]])
-        return FiniteGraph(10, edges, tuple(str(i) for i in range(10)))
-    raise ParameterError(f"unknown family {family!r}")
+    # The Petersen graph, the last family. Standard drawing, one broadcast row each: the outer
+    # 5-cycle i ~ i + 1, the spokes i ~ i + 5 and the inner 5-cycle taken with step 2. Isomorphic
+    # to the usual disjointness graph on 2-element subsets of a 5-element set.
+    i = np.arange(5)
+    edges = _pairs(i + [[0], [0], [5]], (i + [[1], [0], [2]]) % 5 + [[0], [5], [5]])
+    return FiniteGraph(10, edges, tuple(str(i) for i in range(10)))
 
 
 def from_edge_list(text: str) -> FiniteGraph:

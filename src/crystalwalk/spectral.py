@@ -19,12 +19,11 @@ larger clusters' projections block by block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import FiniteGraph, ParameterError
+from .graphs import FiniteGraph, _real
 
 __all__ = [
     "DEFAULT_CLUSTER_TOL",
@@ -69,12 +68,12 @@ def cluster_gap(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> float |
     """Clustering gap tol * max(1, max|value|) over the last axis of eigenvalues.
 
     A float for a 1-D array, one gap per row for a stack of rows. Raises
-    ParameterError unless tol is positive and finite. No two values of a row
-    are more than 2 max|value| apart, so tol = 2 already joins every row into
-    one cluster; larger tolerances are taken as 2, which keeps the gap finite.
+    ParameterError unless tol is a finite real above 0 (``graphs._real``),
+    once per call, so once per quadrature block. No two values of a row are
+    more than 2 max|value| apart, so tol = 2 already joins every row into one
+    cluster; larger tolerances are taken as 2, which keeps the gap finite.
     """
-    if not 0.0 < tol < math.inf:
-        raise ParameterError(f"clustering tolerance must be positive and finite, got {tol!r}")
+    tol = _real(tol, "clustering tolerance", 0.0)
     return min(tol, 2.0) * np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
 
 

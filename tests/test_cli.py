@@ -356,6 +356,28 @@ def test_simulate_rejects_bad_horizon(capsys):
     assert code == 2
 
 
+_SIMULATE_C3_N8 = ("simulate", "--family", "cycle", "--nu", "3", "--N", "8", "--start-cell", "5")
+
+
+@pytest.mark.parametrize("spelling", ["Infinity", "+inf", " INF "])
+def test_simulate_takes_every_spelling_of_infinity(capsys, spelling):
+    want = run_cli(capsys, *_SIMULATE_C3_N8, "--T", "inf")
+    assert want[0] == 0
+    assert run_cli(capsys, *_SIMULATE_C3_N8, f"--T={spelling}") == want
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("abc", "error: argument --T: invalid float value: 'abc'"),
+        ("-inf", "error: averaging horizon must be a finite real in (0, 1e+300], got -inf"),
+        ("nan", "error: averaging horizon must be a finite real in (0, 1e+300], got nan"),
+    ],
+)
+def test_simulate_rejects_a_horizon_that_is_not_a_positive_float(capsys, text, line):
+    assert run_cli(capsys, *_SIMULATE_C3_N8, f"--T={text}") == (2, "", line + "\n")
+
+
 def test_simulate_rejects_oversized_finite_average(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--family", "cycle", "--nu", "3", "--N", "2048", "--T", "10"
@@ -401,6 +423,32 @@ def test_compare_table(capsys):
 def test_compare_rejects_bad_start(capsys):
     code, _, _ = run_cli(capsys, "compare", "--family", "complete", "--nu", "4", "--start-p", "9")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (("density", "--family", "cycle"), "error: family 'cycle' requires --nu"),
+        (("density", "--family", "complete_bipartite", "--m", "2"),
+         "error: family 'complete_bipartite' requires --m and --n"),
+        (("density",), "error: a --family is required here"),
+    ],
+)
+def test_missing_family_flags_exact_stderr(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (2, "", line + "\n")
+
+
+_TRIANGULAR = ("floquet-check", "--family", "path", "--nu", "4", "--product", "strong", "--base", "triangular",
+               "--N", "6")
+
+
+def test_floquet_check_triangular_base_takes_only_d_2(capsys):
+    want = '{"N":6,"max_fraction":0.44444444444444442,"worst_shift":[2,2],"worst_pair":[0,0],"flat_bands":[]}'
+    assert run_cli(capsys, *_TRIANGULAR) == (0, want + "\n", "")
+    assert run_cli(capsys, *_TRIANGULAR, "--d", "2") == (0, want + "\n", "")
+    for d in ("1", "3"):
+        line = f"error: the triangular base has d = 2, got --d {d}\n"
+        assert run_cli(capsys, *_TRIANGULAR, "--d", d) == (2, "", line)
 
 
 def test_argument_errors_exit_2(capsys):
@@ -497,7 +545,7 @@ def test_module_entry_point_matches_in_process(capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (("floquet-check", "--family", "path", "--nu", "2", "--N", "2", "--d", "14"), "40100216 close pairs"),
+        (("floquet-check", "--family", "path", "--nu", "2", "--N", "2", "--d", "15"), "155084752 close pairs"),
         (("classical", "--family", "cycle", "--nu", "5", "--start", "0", "--steps", "2147483647"), "entry updates"),
     ],
 )
@@ -505,6 +553,15 @@ def test_work_ceilings_exit_2_before_the_work(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_scan_walks_40m_close_pairs_within_the_budget(capsys):
+    # one dimension below the rejected case above: 40100216 close pairs, under 2^26
+    argv = ("floquet-check", "--family", "path", "--nu", "2", "--N", "2", "--d", "14")
+    code, out, err = run_cli(capsys, *argv)
+    shift = ",".join(["0"] * 12 + ["1", "1"])
+    assert (code, err) == (0, "")
+    assert out == f'{{"N":2,"max_fraction":0.5,"worst_shift":[{shift}],"worst_pair":[0,0],"flat_bands":[]}}\n'
 
 
 @pytest.mark.parametrize(

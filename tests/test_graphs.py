@@ -1,9 +1,12 @@
 import ast
+import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,7 @@ from crystalwalk import (
     build_torus,
     classical,
     dynamics,
+    evolve,
     floquet,
     floquet_condition_fraction,
     from_edge_list,
@@ -33,7 +37,9 @@ from crystalwalk import (
     zd_product_spec,
 )
 from crystalwalk import graphs
-from crystalwalk.graphs import _int
+from crystalwalk.dynamics import HORIZON_LIMIT
+from crystalwalk.graphs import _int, _real
+from crystalwalk.spectral import cluster_gap
 
 
 @pytest.mark.parametrize(
@@ -522,6 +528,52 @@ def test_int_checks_each_bound_given():
             _int(x, "v", 0, 5)
 
 
+def test_real_takes_lo_exclusive_and_hi_inclusive():
+    assert _real(1, "x", 0, 1) == 1.0 and _real(Fraction(1, 3), "x", 0, 1) == 1 / 3
+    assert type(_real(np.float32(0.5), "x", 0, 1)) is float and _real(True, "x", 0, 1) == 1.0
+    for x in (0, 0.0, -1, math.nextafter(1, 2), math.nan, 10**400):
+        with pytest.raises(ParameterError, match=r"^x must be a finite real in \(0, 1\], got "):
+            _real(x, "x", 0, 1)
+    # without bounds every finite real passes, and nan, +-inf and huge ints do not
+    assert _real(-1.7976931348623157e308, "x") == -1.7976931348623157e308
+    for x in (math.nan, math.inf, -math.inf, -(10**400)):
+        with pytest.raises(ParameterError, match=r"^x must be a finite real in \(-inf, inf\], got "):
+            _real(x, "x")
+
+
+def _float_sites():
+    """The library's float parameters, each as a call taking its value: delta, tol, t and horizon."""
+    op = build_torus(build_named("cycle", [3]), 1, 4)
+    bands = product_spec(zd_product_spec(FiniteGraph(1), 1), build_named("path", [2]), ProductKind.CARTESIAN)
+    return {
+        "delta": lambda x: floquet_condition_fraction(bands, 8, delta=x),
+        "tol": lambda x: cluster_gap(np.array([-1.0, 2.0]), x),
+        "t": lambda x: evolve(op, ((0,), 0), x),
+        "horizon": lambda x: time_averaged(op, ((0,), 0), x),
+    }
+
+
+@pytest.mark.parametrize("site", ["delta", "tol", "t", "horizon"])
+def test_float_parameters_take_any_finite_real_and_nothing_else(site):
+    call = _float_sites()[site]
+    for bad in ("5", " 1e-8 ", None, 1j, complex(1e-8, 0), np.complex128(2)):
+        with pytest.raises(ParameterError, match="must be a finite real in"):
+            call(bad)
+    for good in (Fraction(1, 10**8), np.float32(1e-8), True):
+        call(good)
+
+
+def test_evolve_rejects_a_time_beyond_the_horizon_ceiling_before_any_work():
+    op = build_torus(build_named("complete", [40]), 1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the phases t lambda overflowed at 1e307, with numpy warnings
+        for t in (1e307, -1e307, math.nextafter(HORIZON_LIMIT, math.inf)):
+            with pytest.raises(ParameterError, match=r"^time t must be a finite real in "):
+                evolve(op, ((0,), 0), t)
+        for t in (HORIZON_LIMIT, -HORIZON_LIMIT):
+            assert abs(np.linalg.norm(evolve(op, ((0,), 0), t)) - 1) < 1e-10
+
+
 def _torus_c3(d, N):
     return build_torus(build_named("cycle", [3]), d, N)
 
@@ -598,18 +650,25 @@ def test_edge_lists_and_graphs_share_the_vertex_budget():
         from_edge_list("0 4096\n")
 
 
-_BOUND_TEXTS = (">=", "out of range", "must lie in", "over the budget")
+_BOUND_TEXTS = (">=", "out of range", "must lie in", "over the budget", "finite", "positive")
+_ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", ""))
 
 
 def _bounds_outside_the_helpers(tree):
-    """Lines of hand-written integer bounds and work ceilings outside graphs._int and graphs._budget.
+    """Lines of hand-written bounds and work ceilings outside graphs._int, graphs._real and graphs._budget.
 
-    A bound is a ``raise ParameterError`` whose literal text states one; a
-    ceiling is a comparison naming a ``*_BUDGET`` constant or ``PAIR_SUM_LIMIT``.
+    A bound is a ``raise ParameterError`` whose literal text states one, an
+    ordering comparison naming ``inf`` or ``HORIZON_LIMIT``, or a call of
+    ``isfinite``; a ceiling is a comparison naming a ``*_BUDGET`` constant or
+    ``PAIR_SUM_LIMIT``. An equality test with ``inf`` selects a path and is no bound.
     """
     allowed = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in ("_int", "_budget"):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_int", "_real", "_budget"):
             allowed.update(map(id, ast.walk(node)))
     bad = []
     for node in ast.walk(tree):
@@ -620,15 +679,35 @@ def _bounds_outside_the_helpers(tree):
             if any(t in "".join(texts) for t in _BOUND_TEXTS):
                 bad.append(node.lineno)
         if isinstance(node, ast.Compare):
-            names = [getattr(n, "id", getattr(n, "attr", "")) for n in ast.walk(node)]
-            if any(n.endswith("_BUDGET") or n == "PAIR_SUM_LIMIT" for n in names):
+            names = [_name(n) for n in ast.walk(node)]
+            if any(n.endswith("_BUDGET") or n == "PAIR_SUM_LIMIT" for n in names) or (
+                any(isinstance(op, _ORDER) for op in node.ops) and {"inf", "HORIZON_LIMIT"} & set(names)
+            ):
                 bad.append(node.lineno)
+        if isinstance(node, ast.Call) and _name(node.func) == "isfinite":
+            bad.append(node.lineno)
     return bad
+
+
+# The four float bounds written by hand before graphs._real, with one equality test that is no bound
+_FLOAT_BOUND_SAMPLE = """\
+if not 0.0 < tol < math.inf:
+    raise ParameterError(f"clustering tolerance must be positive and finite, got {tol!r}")
+if not 0 < delta < math.inf:
+    raise ParameterError(f"collision width delta must be positive and finite, got {delta!r}")
+if not math.isfinite(t):
+    raise ParameterError("time t must be finite")
+if not 0 < horizon <= HORIZON_LIMIT:
+    raise ParameterError(f"averaging horizon must be in (0, {HORIZON_LIMIT:g}], got {horizon!r}")
+if args.T == math.inf:
+    pass
+"""
 
 
 def test_every_bound_and_ceiling_goes_through_int_and_budget():
     sample = "if n > floquet.FIBER_BUDGET:\n    raise ParameterError(f'n {n} out of range 0..{m}')\n"
     assert sorted(_bounds_outside_the_helpers(ast.parse(sample))) == [1, 2]
+    assert sorted(_bounds_outside_the_helpers(ast.parse(_FLOAT_BOUND_SAMPLE))) == [1, 2, 3, 4, 5, 6, 7]
     src = Path(crystalwalk.__file__).parent
     bad = {}
     for path in sorted(src.glob("*.py")):

@@ -19,17 +19,21 @@ from hypothesis import example, given, settings, strategies as st
 
 from crystalwalk import (
     FiniteGraph,
+    PeriodicGraphSpec,
+    ProductKind,
     build_named,
     build_torus,
     d_cycle_exact,
     d_path_exact,
     eigendecompose_symmetric,
     general_density,
+    honeycomb_spec,
     infinite_time_averaged,
     limit_prediction,
     limiting_density,
     zd_product_spec,
 )
+from test_floquet import _crossing_spec
 
 pytest.importorskip("sympy")
 from sympy.polys.domains import QQ  # noqa: E402
@@ -143,3 +147,67 @@ def test_infinite_time_average_is_the_exact_torus_density_from_every_start(graph
             if graph.nu == 2:  # path2 x C6
                 # the factored prediction ignores the cross-band cluster, so here it is not the limit
                 assert np.abs(limit_prediction(op, start) - row).max() > 1e-3
+
+
+def periodic_exact_density(spec, N):
+    """``general_density(spec, N)`` exactly: the commutant of A among the translation-invariant operators.
+
+    An operator X on the C_N^d torus of the cell that commutes with every
+    translation is fixed by its blocks X_c(p, q) = X((0, p), (c, q)), nu^2
+    N^d unknowns at index c nu^2 + p nu + q. A X = X A is a linear system in
+    them: an offset row (a, b, n) adds X_(c - n)(b, q) to (A X)_c(a, q) and
+    X_(c - n)(p, a) to (X A)_c(p, b). The joint eigenprojections of A and the
+    translations are P_s(theta) (x) |theta><theta|, so with B a rational
+    basis of the kernel, one vector per row, and B_D its nu columns (0, p,
+    p), B_D^T (B B^T)^-1 B_D = (1/N^d) sum_(theta, s) |P_s(theta)(p, q)|^2,
+    the grid quadrature. Only integer offsets enter, so no root of unity does.
+    Returns a nu x nu list of Fractions.
+    """
+    nu, shape = spec.nu, (N,) * spec.d
+    size = nu * nu * N**spec.d
+    m = [[0] * size for _ in range(size)]
+    for c, digits in enumerate(np.ndindex(*shape)):
+        for a, b, *n in spec.offset_edges.tolist():
+            shifted = int(np.ravel_multi_index(tuple((np.array(digits) - n) % N), shape)) * nu * nu
+            for x in range(nu):
+                m[c * nu * nu + a * nu + x][shifted + b * nu + x] += 1  # A X, equation (c, a, q = x)
+                m[c * nu * nu + x * nu + b][shifted + x * nu + a] -= 1  # X A, equation (c, p = x, b)
+    basis = DomainMatrix([[QQ(x) for x in row] for row in m], (size, size), QQ).nullspace()
+    diag = basis.extract(range(basis.shape[0]), [p * nu + p for p in range(nu)])
+    exact = diag.transpose() * (basis * basis.transpose()).inv() * diag
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in exact.to_list()]
+
+
+def z_product_spec(graph, kind):
+    """The product of ``graph`` with Z as a spec.
+
+    The box part has rows (p, p, +-1) and (u, v, 0), the tensor part (u, v, +-1); strong is both.
+    """
+    directed = graph.edges.tolist() + graph.edges[:, ::-1].tolist()
+    tensor = [(u, v, s) for u, v in directed for s in (1, -1)]
+    if kind is ProductKind.TENSOR:
+        return PeriodicGraphSpec(d=1, nu=graph.nu, offset_edges=tensor)
+    box = [(p, p, s) for p in range(graph.nu) for s in (1, -1)] + [(u, v, 0) for u, v in directed]
+    return PeriodicGraphSpec(d=1, nu=graph.nu, offset_edges=box + tensor)
+
+
+# Cells whose fibers do not share one set of eigenprojections, each with nu^2 N^d <= 100 unknowns:
+# honeycomb, whose eigenvectors move with theta (the Dirac points lie on the grid when 3 | N); a
+# crossing spec of test_floquet (degenerate fibers at the sixths); the tensor product with Z, whose
+# fiber 2cos(2 pi theta) A_G vanishes at theta = 1/4 and 3/4; and the strong one, whose fiber
+# (1 + 2cos(2 pi theta)) A_G + 2cos(2 pi theta) I is -I at theta = 1/3 and 2/3
+_CELLS_BEYOND_ZD = [
+    *(pytest.param(honeycomb_spec(), N, id=f"honeycomb-{N}") for N in range(1, 6)),
+    pytest.param(_crossing_spec(), 6, id="crossing-6"),
+    pytest.param(z_product_spec(build_named("path", [3]), ProductKind.TENSOR), 4, id="tensor-path3-4"),
+    pytest.param(z_product_spec(build_named("cycle", [4]), ProductKind.STRONG), 3, id="strong-cycle4-3"),
+]
+
+
+@pytest.mark.parametrize("spec,N", _CELLS_BEYOND_ZD)
+def test_quadrature_of_cells_beyond_zd_products_is_the_exact_commutant_density(spec, N):
+    exact = periodic_exact_density(spec, N)
+    got = general_density(spec, N).values
+    assert np.abs(got - np.array(exact, dtype=float)).max() <= _AGREEMENT_TOL
+    if spec.nu == 2 and N == 3:  # honeycomb with its Dirac points on the grid: 1/2 + 1/N^2
+        assert exact[0][0] == Fraction(11, 18)
