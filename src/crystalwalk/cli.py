@@ -14,6 +14,7 @@ returns, so nothing carries over from one call to the next.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import NoReturn, Sequence
 
@@ -37,7 +38,16 @@ from .spectral import NumericalError
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad argument as every other input error is reported: one ``error:`` line, exit 2."""
+    """Reports a bad argument as every other input error is reported: one ``error:`` line, exit 2.
+
+    A word that reads as a negative float, exponent and ``-inf`` included, is
+    a flag's value rather than an unknown flag, so that it reaches the
+    flag's own bound check; no option string of the parser reads as one.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.I)
 
     def error(self, message: str) -> NoReturn:
         raise ParameterError(message)
@@ -174,9 +184,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 def _cmd_closed_form(args: argparse.Namespace) -> int:
     family, params = _family_params(args)
-    density = closed_forms.closed_form_density(family, params)
-    labels = build_named(family, params).vertex_labels()
-    _emit(serialize.density_csv(density.values, labels), args.output)
+    graph = build_named(family, params)
+    density = closed_forms.closed_form_density(family, params, graph)
+    _emit(serialize.density_csv(density.values, graph.vertex_labels()), args.output)
     return 0
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ParameterError, _int, build_named
+from .graphs import FiniteGraph, ParameterError, _int, build_named
 from .spectral import DensityMatrix
 
 __all__ = [
@@ -101,16 +101,17 @@ def d_hypercube_exact(m: int, u: int) -> Fraction:
     return Fraction(total, 1 << (2 * m))
 
 
-def closed_form_density(family: str, params: Sequence[int]) -> DensityMatrix:
+def closed_form_density(family: str, params: Sequence[int], graph: FiniteGraph | None = None) -> DensityMatrix:
     """Assemble the full closed-form density matrix for a supported family.
 
     Vertex indexing matches ``build_named``: 0-based storage with the family's
     conventional labels on top. Hypercube entries are looked up by the Hamming
-    distance between the binary expansions of the endpoints.
+    distance between the binary expansions of the endpoints. A caller that
+    holds ``build_named(family, params)`` already passes it as ``graph``.
     """
     if family not in CLOSED_FORM_FAMILIES:
         raise ParameterError(f"no closed form for family {family!r}")
-    size = build_named(family, params).nu
+    size = (build_named(family, params) if graph is None else graph).nu
     if family == "cycle":
         values = [[float(d_cycle_exact(size, p, q)) for q in range(size)] for p in range(size)]
     elif family == "path":

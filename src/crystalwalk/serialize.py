@@ -3,13 +3,13 @@
 Machine-facing JSON carries 17 significant digits (round-trip exact for
 float64); human-facing tables carry 12. Every float is printed with
 ``%.<digits>g``, which is what ``format_float`` prints, so identical inputs
-always produce identical bytes. When at most a quarter of the values are
-distinct, ``_distinct_strings`` formats each distinct bit pattern once and
-the text is looked up from those strings: ``density_json`` row by row
-(``_density_rows``) and every CSV table (``_table``) in chunks of lines.
-Otherwise a bitwise-symmetric density formats its upper triangle once and
-mirrors those strings (``_symmetric_rows``), any other JSON rows go through
-``_float_rows``, and a CSV table fills one %-template.
+always produce identical bytes. A CSV table (``_table``) fills one %-template
+built axis by axis from its key labels. When at most a quarter of the values
+are distinct, ``_distinct_strings`` formats each distinct bit pattern once
+and the text is looked up from those strings: ``density_json`` row by row
+(``_density_rows``), a table in one lookup of all its values. Otherwise a
+bitwise-symmetric density formats its upper triangle once and mirrors those
+strings (``_symmetric_rows``), and any other JSON rows use ``_float_rows``.
 
 A 12-digit table entry can sit on an exact rounding tie, such as hypercube
 m=9's d = 35/65536 = 0.0005340576171875; its last digit then follows the
@@ -18,7 +18,6 @@ last-ulp noise of the summation order. The 17-digit JSON stays exact.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,9 +57,6 @@ def _float_list(values: Iterable[float]) -> str:
     return _float_rows(np.asarray(values, dtype=float).reshape(1, -1))[0]
 
 
-_CHUNK_LINES = 2048  # table lines assembled at a time on the distinct-value path
-
-
 def _distinct_strings(bits: np.ndarray, digits: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Sorted distinct bit patterns of ``bits`` and each one formatted once.
 
@@ -78,30 +74,35 @@ def _distinct_strings(bits: np.ndarray, digits: int) -> tuple[np.ndarray, np.nda
     return keys, np.array(text.split(","), dtype=object)
 
 
-def _table(header: str, keys: Iterable[str], *columns: np.ndarray) -> str:
-    """CSV text: the header, then one line ``key,columns[0][i],columns[1][i],...`` per key i.
+def _table(header: str, axes: Sequence[Sequence[str]], *columns: np.ndarray) -> str:
+    """CSV text: the header, then one line ``a_0,...,a_k,columns[0][i],columns[1][i],...`` per key i.
 
-    With few distinct values (``_distinct_strings``) each line is joined
-    from the formatted strings, ``_CHUNK_LINES`` lines at a time, so no list
-    of every line exists at once. Otherwise the whole table fills one
-    %-template.
+    The keys (a_0, ..., a_k) run over the product of ``axes``, the last axis fastest. The
+    template has ``%s`` slots for the strings of ``_distinct_strings``, else ``%.12g`` slots.
     """
-    bits = [np.ascontiguousarray(column, dtype=np.float64).view(np.int64) for column in columns]
-    found = _distinct_strings(np.concatenate(bits), TABLE_DIGITS)
-    if found is None:
-        row = f",%.{TABLE_DIGITS}g" * len(columns) + "\n"
-        # keys are escaped because labels are arbitrary strings
-        template = "%s\n" + "".join(key.replace("%", "%%") + row for key in keys)
-        return template % (header, *np.column_stack(columns).reshape(-1).tolist())
-    sorted_bits, words = found
-    keys = iter(keys)
-    parts = [header + "\n"]
-    for start in range(0, len(bits[0]), _CHUNK_LINES):
-        cells = [words.take(np.searchsorted(sorted_bits, b[start:start + _CHUNK_LINES])).tolist() for b in bits]
-        # islice takes exactly one key per line, so none is lost at a chunk boundary
-        lines = map(",".join, zip(itertools.islice(keys, len(cells[0])), *cells))
-        parts.append("\n".join(lines) + "\n")
-    return "".join(parts)
+    found = _distinct_strings(np.concatenate(columns, dtype=np.float64).view(np.int64), TABLE_DIGITS)
+    row = (f",%.{TABLE_DIGITS}g" if found is None else ",%s") * len(columns)
+    # labels are arbitrary strings, so a % in one is escaped
+    *outer, inner = [[label.replace("%", "%%") for label in axis] for axis in axes]
+    lines = [label + row for label in inner]
+    # a first axis longer than the lines of the others is folded in too; otherwise each of
+    # its labels prefixes every line in one C-speed join
+    while outer and (len(outer) > 1 or len(outer[0]) > len(lines)):
+        lines = [label + "," + line for label in outer.pop() for line in lines]
+    if outer:
+        lines = [label + "," + ("\n" + label + ",").join(lines) for label in outer[0]]
+    lines.insert(0, header.replace("%", "%%"))
+    lines.append("")
+    template = "\n".join(lines)
+    # one name for each step, so that each temporary goes as the next one is made
+    del lines
+    args = np.column_stack(columns).astype(np.float64, copy=False).reshape(-1)
+    if found is not None:
+        args = found[1].take(np.searchsorted(found[0], args.view(np.int64)))
+    del found
+    args = args.tolist()
+    args = tuple(args)
+    return template % args
 
 
 def _symmetric_rows(values: np.ndarray) -> list[str]:
@@ -159,9 +160,7 @@ def density_json(density: DensityMatrix) -> str:
 
 def density_csv(values: np.ndarray, labels: Sequence[str]) -> str:
     """Entrywise density table with header p,q,d in display labeling."""
-    n = len(values)
-    keys = (f"{labels[p]},{labels[q]}" for p in range(n) for q in range(n))
-    return _table("p,q,d", keys, np.asarray(values).reshape(-1))
+    return _table("p,q,d", [labels, labels], np.asarray(values).reshape(-1))
 
 
 def scan_report_json(report: FloquetScanReport) -> str:
@@ -180,9 +179,8 @@ def scan_report_json(report: FloquetScanReport) -> str:
 def distribution_csv(dist: TimeAveragedDistribution) -> str:
     """Per-site masses with one cell coordinate column per torus axis."""
     header = ",".join(f"cell_{i}" for i in range(dist.d)) + ",q,mass"
-    cells = map(",".join, itertools.product([str(k) for k in range(dist.N)], repeat=dist.d))
-    sites = [f",{q}" for q in range(dist.nu)]
-    return _table(header, (cell + q for cell in cells for q in sites), dist.values)
+    cells = [str(k) for k in range(dist.N)]
+    return _table(header, [cells] * dist.d + [[str(q) for q in range(dist.nu)]], dist.values)
 
 
 def walk_report_json(report: WalkReport) -> str:
@@ -203,4 +201,4 @@ def comparison_csv(
 ) -> str:
     """Side-by-side quantum limiting row vs classical stationary law."""
     header = "q,quantum_density,classical_stationary,uniform"
-    return _table(header, labels, quantum_row, stationary, np.full(len(labels), 1.0 / len(labels)))
+    return _table(header, [labels], quantum_row, stationary, np.full(len(labels), 1.0 / len(labels)))

@@ -133,6 +133,23 @@ def test_closed_form_hypercube(capsys):
     assert "0000,1100,0.0234375" in lines
 
 
+def test_closed_form_builds_its_graph_once(capsys, monkeypatch):
+    calls = []
+
+    def build_named(family, params=()):
+        calls.append((family, list(params)))
+        return crystalwalk.build_named(family, params)
+
+    monkeypatch.setattr(cli, "build_named", build_named)
+    monkeypatch.setattr(crystalwalk.closed_forms, "build_named", build_named)
+    code, out, _ = run_cli(capsys, "closed-form", "--family", "hypercube", "--m", "4")
+    assert code == 0
+    assert calls == [("hypercube", [4])]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a2661930094d4582fe7cf337c31feeb58404f73d1e0584cab33fd292292b62f7"
+    )
+
+
 def test_closed_form_rejects_unsolved_family(capsys):
     code, _, _ = run_cli(capsys, "closed-form", "--family", "petersen")
     assert code == 2
@@ -245,7 +262,7 @@ def test_csv_tables_exact_bytes(capsys, argv, digest):
 
 
 def test_simulate_csv_longer_than_a_chunk_exact_bytes(capsys):
-    # 3072 lines over 24 distinct masses: the table crosses a 2048-line chunk boundary
+    # 3072 lines over 24 distinct masses: the %s-template path of serialize._table
     code, out, err = run_cli(
         capsys, "simulate", "--family", "cycle", "--nu", "3", "--d", "2", "--N", "32", "--T", "inf"
     )
@@ -376,6 +393,34 @@ def test_simulate_takes_every_spelling_of_infinity(capsys, spelling):
 )
 def test_simulate_rejects_a_horizon_that_is_not_a_positive_float(capsys, text, line):
     assert run_cli(capsys, *_SIMULATE_C3_N8, f"--T={text}") == (2, "", line + "\n")
+
+
+_SIMULATE_HORIZON = "error: averaging horizon must be a finite real in (0, 1e+300], got "
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        ((*_SIMULATE_C3_N8, "--T", "-1e5"), _SIMULATE_HORIZON + "-100000.0"),
+        ((*_SIMULATE_C3_N8, "--T=-1e5"), _SIMULATE_HORIZON + "-100000.0"),
+        ((*_SIMULATE_C3_N8, "--T", "-inf"), _SIMULATE_HORIZON + "-inf"),
+        ((*_SIMULATE_C3_N8, "--T", "-1x"), "error: argument --T: expected one argument"),  # not a number
+        (
+            ("floquet-check", "--family", "cycle", "--nu", "3", "--N", "8", "--delta", "-1e-9"),
+            "error: collision width delta must be a finite real in (0, inf], got -1e-09",
+        ),
+    ],
+)
+def test_negative_float_words_reach_the_bound_message(capsys, argv, line):
+    # argparse's own negative-number pattern has no exponent and no inf: -1e5 and -inf were unknown flags
+    assert run_cli(capsys, *argv) == (2, "", line + "\n")
+
+
+def test_no_option_string_reads_as_a_negative_number():
+    parsers = [cli._PARSER, *cli._PARSER._subparsers._group_actions[0].choices.values()]
+    options = [option for parser in parsers for option in parser._option_string_actions]
+    assert len(parsers) == 7 and "--T" in options
+    assert not [option for parser in parsers for option in options if parser._negative_number_matcher.match(option)]
 
 
 def test_simulate_rejects_oversized_finite_average(capsys):
