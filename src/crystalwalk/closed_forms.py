@@ -2,7 +2,7 @@
 
 Each family admits an exact rational formula for the limiting density of the
 time-averaged walk. The ``*_exact`` functions return ``fractions.Fraction``
-values, which ``closed_form_density`` converts to float entry by entry.
+values, and ``closed_form_density`` holds the float of each.
 Paths and stars use the 1-based vertex labeling of their family builders
 (the star's center is vertex nu + 1); cycles are 0-based; hypercube entries
 depend only on the Hamming distance u between the two vertices.
@@ -105,22 +105,35 @@ def closed_form_density(family: str, params: Sequence[int], graph: FiniteGraph |
     """Assemble the full closed-form density matrix for a supported family.
 
     Vertex indexing matches ``build_named``: 0-based storage with the family's
-    conventional labels on top. Hypercube entries are looked up by the Hamming
-    distance between the binary expansions of the endpoints. A caller that
-    holds ``build_named(family, params)`` already passes it as ``graph``.
+    conventional labels on top. Cycles, paths and stars take at most four
+    distinct values: each is float() of its ``*_exact`` value at one vertex
+    pair, placed with masks, so the matrix equals the entry-by-entry floats
+    without a ``Fraction`` per entry. Hypercube entries are looked up by the
+    Hamming weight of p XOR q. A caller that holds ``build_named(family,
+    params)`` already passes it as ``graph``.
     """
     if family not in CLOSED_FORM_FAMILIES:
         raise ParameterError(f"no closed form for family {family!r}")
-    size = (build_named(family, params) if graph is None else graph).nu
+    nu = (build_named(family, params) if graph is None else graph).nu
+    p, q = np.ogrid[:nu, :nu]
     if family == "cycle":
-        values = [[float(d_cycle_exact(size, p, q)) for q in range(size)] for p in range(size)]
-    elif family == "path":
-        values = [[float(d_path_exact(size, p + 1, q + 1)) for q in range(size)] for p in range(size)]
-    elif family == "star":
-        values = [[float(d_star_exact(size - 1, p + 1, q + 1)) for q in range(size)] for p in range(size)]
+        hit = p == q if nu % 2 else (q - p) % (nu // 2) == 0  # q = p, or its antipode for even nu
+        values = np.where(hit, float(d_cycle_exact(nu, 0, 0)), float(d_cycle_exact(nu, 0, 1)))
+    elif family == "path":  # labels 1..nu
+        values = np.where((p == q) | (p + q == nu - 1), float(d_path_exact(nu, 1, 1)), float(d_path_exact(nu, 1, 2)))
+        if nu % 2:
+            mid = nu // 2
+            values[mid, mid] = float(d_path_exact(nu, mid + 1, mid + 1))
+    elif family == "star":  # labels 1..nu, the center last
+        center = nu - 1
+        values = np.where(p == q, float(d_star_exact(center, 1, 1)), float(d_star_exact(center, 1, 2)))
+        values[center, :] = values[:, center] = float(d_star_exact(center, 1, nu))
+        values[center, center] = float(d_star_exact(center, nu, nu))
     else:
-        m = size.bit_length() - 1
-        dist_values = [float(d_hypercube_exact(m, u)) for u in range(m + 1)]
-        values = [[dist_values[bin(p ^ q).count("1")] for q in range(size)] for p in range(size)]
-    return DensityMatrix(values=np.array(values), source="closed-form")
-
+        m = nu.bit_length() - 1
+        table = np.array([float(d_hypercube_exact(m, u)) for u in range(m + 1)])
+        # the entry of each value of p XOR q, by its Hamming weight
+        table = table[[bin(x).count("1") for x in range(nu)]]
+        k = np.arange(nu, dtype=np.uint16)  # nu <= graphs.VERTEX_BUDGET = 2^12
+        values = table[k[:, None] ^ k]
+    return DensityMatrix(values=values, source="closed-form")

@@ -16,10 +16,12 @@ of its own is projected on its own. The finite-horizon average keeps every
 pair, weighted by the real part sin(x)/x of its phase average over [0, T]:
 the reflection r -> -r maps the band grid onto itself bit for bit and
 cancels the imaginary parts. Its pair grid is real and the same on every
-orbit of the signed axis permutations, so it evaluates N^d nu (nu + 1) / 2
-real weights per orbit, in memory linear in the states. Both take Delta from
-the cell keys of ``floquet`` (``_cell_keys``: one key subtraction and a table
-gather per pair) and einsum a table S[Delta, j, j'] into the pair grid; the
+orbit of the signed axis permutations. A weight depends on its pair only
+through the base-band values E0 of the two cells and the gap between the two
+bands, so it evaluates one sine per pair of distinct E0 values and distinct
+band gap, in memory linear in the states. Both take Delta from the cell keys
+of ``floquet`` (``_cell_keys``: one key subtraction and a table gather per
+pair) and contract a table S[Delta, j, j'] into the pair grid; the
 infinite-time average counts S in the collision scan's.
 """
 
@@ -59,18 +61,19 @@ __all__ = [
 
 # Dense state vectors only; no truncation anywhere.
 STATE_BUDGET = 1 << 20
-# The exact finite-horizon average evaluates N^d nu (nu + 1) / 2 real pair
-# weights per symmetry orbit of cell offsets, so it gets a much smaller ceiling
-# than vector evolution: 4096 states take about 0.2 s on a 1-D torus and 50 ms
-# on a 2-D one (2-core Xeon, one BLAS thread), in memory linear in the states.
+# The exact finite-horizon average sums N^d nu (nu + 1) / 2 real pair weights
+# per symmetry orbit of cell offsets, so it gets a much smaller ceiling than
+# vector evolution: 4096 states take 45-100 ms on a 1-D torus (48 ms for path2,
+# N = 2048) and 9-35 ms on a 2-D one (9 ms for cycle4, N = 32) on a 2-core Xeon
+# with one BLAS thread, in memory linear in the states.
 PAIR_SUM_LIMIT = 4096
-# Its pair weights are sin(x)/x at x = T (lambda_alpha - lambda_beta). Within
-# PAIR_SUM_LIMIT, nu N^d <= 4096 and N >= 3 give d <= 7 and nu <= 1365, so
-# |lambda| <= 2d + nu < 1400 and |x| < 3000 T: below this horizon ceiling every
-# x, and so every weight, stays finite (doubles end near 1.8e308). It bounds
-# the time |t| of ``evolve`` too: STATE_BUDGET and graphs.VERTEX_BUDGET give
-# d <= 12 and nu <= 4096, so |lambda| <= 2d + nu < 4200 and every phase
-# t lambda stays below 4.2e303.
+# Its pair weights are sin(x)/x at x = T (E0(r) - E0(r') - (mu_j' - mu_j)).
+# Within PAIR_SUM_LIMIT, nu N^d <= 4096 and N >= 3 give d <= 7 and nu <= 1365,
+# so |E0| <= 2d and |mu| < nu give |x| < T (4d + 2 nu) < 3000 T: below this
+# horizon ceiling every x, and so every weight, stays finite (doubles end near
+# 1.8e308). It bounds the time |t| of ``evolve`` too: STATE_BUDGET and
+# graphs.VERTEX_BUDGET give d <= 12 and nu <= 4096, so |lambda| <= 2d + nu <
+# 4200 and every phase t lambda stays below 4.2e303.
 HORIZON_LIMIT = 1e300
 
 _NORM_TOL = 1e-10
@@ -85,18 +88,25 @@ class TorusOperator:
     """Adjacency operator of (d-dimensional N-torus) box (finite graph).
 
     ``spectrum`` is the eigendecomposition of the finite factor and
-    ``eigenvalues`` the full array lambda[r, j] = 2 sum_i cos(2 pi r_i / N)
-    + mu_j of shape (N,)*d + (nu,). It is invariant under the 2^d d! signed
-    permutations of the cell axes (r_i -> -r_i, axes swapped), which
-    ``time_averaged`` relies on: mirror-degenerate cells r and N - r hold
-    bit-identical band values by construction, and swapped axes hold the same
-    sum of cosines, bit for bit up to d = 2 and up to rounding above.
+    ``base_band`` the band E0(r) = 2 sum_i cos(2 pi r_i / N) of shape (N,)*d
+    as ``floquet.base_grid`` builds it. ``eigenvalues`` forms the full array
+    lambda[r, j] = E0(r) + mu_j of shape (N,)*d + (nu,) on each access, so an
+    operator holds N^d floats beyond its factor, not nu N^d. Both are invariant
+    under the 2^d d! signed permutations of the cell axes (r_i -> -r_i, axes
+    swapped), which ``time_averaged`` relies on: mirror-degenerate cells r
+    and N - r hold bit-identical band values by construction, and swapped
+    axes hold the same sum of cosines, bit for bit up to d = 2 and up to
+    rounding above.
     """
 
     spectrum: SpectralDecomposition
     N: int
     d: int
-    eigenvalues: np.ndarray
+    base_band: np.ndarray
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.base_band[..., None] + self.spectrum.eigenvalues
 
     @property
     def nu(self) -> int:
@@ -122,9 +132,9 @@ def build_torus(
     d, N = _int(d, "torus dimension d", 1), _int(N, "cells per axis N", 3)
     _budget("torus needs", graph.nu * N**d, "states", STATE_BUDGET)
     spectrum = eigendecompose_symmetric(graph.adjacency, tol)
-    lam = base_grid(zd_product_spec(FiniteGraph(1), d), N)[..., None] + spectrum.eigenvalues
-    lam.flags.writeable = False
-    return TorusOperator(spectrum=spectrum, N=N, d=d, eigenvalues=lam)
+    e0 = base_grid(zd_product_spec(FiniteGraph(1), d), N)
+    e0.flags.writeable = False
+    return TorusOperator(spectrum=spectrum, N=N, d=d, base_band=e0)
 
 
 def _normalize_start(op: TorusOperator, start: Start) -> tuple[tuple[int, ...], int]:
@@ -252,10 +262,22 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
     S[sigma Delta] = S[Delta] and G[sigma Delta] = G[Delta]: both are computed
     at one canonical offset per orbit (``_canonical_offsets``) and gathered to
     the rest. r -> Delta - r, lambda[-r] = lambda[r] and sinc being even give
-    S[Delta, j', j] = S[Delta, j, j'], so only the band pairs j <= j' are
-    evaluated. Cost: N^d nu (nu + 1) / 2 sinc evaluations per orbit, of which
-    there are C(floor(N/2) + d, d), nu^3 per orbit for G and one FFT, in
-    O(dim nu) memory.
+    S[Delta, j', j] = S[Delta, j, j'].
+
+    The weights take far fewer sines than there are pairs. The argument is
+    T (E0(r) - E0(r - Delta) - g) with the base band E0 (``base_band``) and the
+    band gap g = mu_j' - mu_j, and r -> Delta - r maps it to minus the
+    argument at -g, so S depends on the bands only through |g|. E0 takes V distinct values v_a
+    (about N / 2 in 1-D), and the G distinct gaps include 0 for j = j'. So the
+    table sinc(T (v_a - v_b - g)) over class pairs and gaps holds every weight:
+    F[Delta, g] sums, over r, its entry at the classes of r and r - Delta,
+    found through the cell keys, S[Delta, j, j'] = F[Delta, |mu_j' - mu_j|],
+    and G[Delta, q] = sum_j c_j(q) sum_j' c_j'(q) F[Delta, g(j, j')] takes one
+    GEMM per band j. The table is built for blocks of classes and gathered
+    for blocks of offsets, so that no temporary exceeds max(8 N^d, 2048)
+    entries beyond one class and one offset. Cost: V^2 G sines, N^d G gathered weights per
+    orbit, of which there are C(floor(N/2) + d, d), nu^3 per orbit for G and
+    one FFT, in O(dim nu) memory.
     """
     horizon = _real(horizon, "averaging horizon", 0.0, HORIZON_LIMIT)
     start = _normalize_start(op, start)
@@ -263,33 +285,49 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
     cell, p = start
     N, d, nu = op.N, op.d, op.nu
     cells = N**d
-    lam = op.eigenvalues.reshape(cells, nu)
     reps, orbit = np.unique(_canonical_offsets(N, d), return_inverse=True)
     keys, bias, fields = _cell_keys(N, d, nu * nu * cells)
     rep_keys = keys[reps] - bias
-    ja, jb = np.triu_indices(nu)
-    lam_a, lam_b = lam[:, None, ja], lam[:, jb]
-    scale = horizon / np.pi
+    # the distinct band values v_a of E0 and the class a of every cell, cells grouped by class
+    vals, cls = np.unique(op.base_band.reshape(-1), return_inverse=True)
+    cls = cls.astype(np.int32)  # V <= N^d <= PAIR_SUM_LIMIT
+    by_class = np.argsort(cls, kind="stable")
+    first = np.searchsorted(cls, np.arange(vals.size + 1), sorter=by_class)
+    # the distinct band gaps |mu_j' - mu_j|, 0 for j = j', and the gap of every band pair
+    ev = op.spectrum.eigenvalues
+    gaps, gap = np.unique(np.abs(ev - ev[:, None]), return_inverse=True)
+    V, G = vals.size, gaps.size
     eps = np.finfo(float).eps
-    s = np.empty((reps.size, nu, nu))
-    # blocks of offsets keep the (N^d, block, nu (nu + 1) / 2) temporaries within max(8, nu) * dim entries
-    block = max(1, 8 // nu)
-    for lo in range(0, reps.size, block):
-        # lambda[r - Delta, j']
-        x = lam_b.take(_torus_offsets(keys[:, None] - rep_keys[lo : lo + block], fields), axis=0)
-        np.subtract(lam_a, x, out=x)
-        x *= scale  # T (lambda_alpha - lambda_beta) / pi
-        # np.sinc(x) in place: sin(y) / y at y = pi x, with eps for y = 0
-        x *= np.pi
+    f = np.zeros((G, reps.size))
+    # blocks of classes and of offsets keep the (G, classes, V) table and the (G, cells, offsets) gather
+    # within 8 N^d entries, or 2048 on small tori, whose smaller blocks would cost more numpy calls than memory
+    limit = max(8 * cells, 1 << 11)
+    step = max(1, limit // (V * G))
+    for a in range(0, V, step):
+        # sin(x) / x at x = T (v_a - v_b - g) for the block's classes a, every class b and gap g, with eps for x = 0
+        x = np.subtract(vals[a : a + step, None] - vals, gaps[:, None, None])
+        x *= horizon
         x[x == 0] = eps
         y = np.sin(x)
         y /= x
-        s[lo : lo + block, ja, jb] = s[lo : lo + block, jb, ja] = y.sum(axis=0)
-        del x, y  # so two blocks' temporaries are never alive at once
+        del x  # so a block holds at most two tables at once
+        y = y.reshape(G, -1)
+        r = by_class[first[a] : first[min(a + step, V)]]  # the block's cells
+        row = (cls[r, None] - a) * V  # column of class a, b = 0 in y
+        block = max(1, limit // (r.size * (G + 1)))  # G weights and one index per (cell, offset)
+        for lo in range(0, reps.size, block):
+            # the column of the classes of r and r - Delta in y
+            b = cls.take(_torus_offsets(keys[r, None] - rep_keys[lo : lo + block], fields))
+            b += row
+            f[:, lo : lo + block] += y.take(b, axis=1).sum(axis=1)
+        del y
     w = op.spectrum.eigenvectors
     coef = w[p, :] * w  # coef[q, j] = w_j(p) w_j(q)
-    grid = np.einsum("bjk,qj,qk->bq", s, coef, coef)[orbit]
-    mu = _from_pair_grid(op, cell, grid.reshape(op.grid_shape + (nu,)))
+    gap = gap.reshape(nu, nu)
+    grid = np.zeros((nu, reps.size))
+    for j in range(nu):
+        grid += coef[:, j, None] * (coef @ f[gap[j]])
+    mu = _from_pair_grid(op, cell, grid.T[orbit].reshape(op.grid_shape + (nu,)))
     return _finalize_distribution(op, start, mu, horizon)
 
 
@@ -327,6 +365,7 @@ def infinite_time_averaged(
     lam = op.eigenvalues.reshape(-1)
     order = np.argsort(lam, kind="stable")
     ends = cluster_eigenvalues(lam[order], cluster_tol)
+    del lam  # the nu N^d eigenvalues go before the count table is allocated
     order = order % nu * cells + order // nu  # band-major position j * N^d + r of each r * nu + j
     sizes = np.diff(ends, prepend=0)
     alone = nu * sizes**2 > cells * nu**2 + dim * math.log2(dim)

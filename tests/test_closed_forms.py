@@ -137,6 +137,31 @@ def test_closed_form_matches_numeric(family, params):
     assert np.abs(cf - num).max() <= 1e-9
 
 
+def _exact_entry(family, nu):
+    """float() of the family's exact rational at storage indices (p, q) of a graph on nu vertices."""
+    if family == "cycle":
+        return lambda p, q: float(d_cycle_exact(nu, p, q))
+    if family == "path":
+        return lambda p, q: float(d_path_exact(nu, p + 1, q + 1))
+    if family == "star":
+        return lambda p, q: float(d_star_exact(nu - 1, p + 1, q + 1))
+    m = nu.bit_length() - 1
+    return lambda p, q: float(d_hypercube_exact(m, bin(p ^ q).count("1")))
+
+
+@pytest.mark.parametrize(
+    "family,sizes",
+    [("cycle", range(3, 17)), ("path", range(2, 17)), ("star", range(1, 17)), ("hypercube", range(1, 7))],
+)
+def test_closed_form_density_is_each_exact_value_rounded_once(family, sizes):
+    for size in sizes:
+        got = closed_form_density(family, [size]).values
+        entry = _exact_entry(family, got.shape[0])
+        want = [[entry(p, q) for q in range(got.shape[0])] for p in range(got.shape[0])]
+        assert got.dtype == np.float64
+        assert got.tolist() == want, (family, size)
+
+
 def test_closed_form_density_source_and_labels():
     d = closed_form_density("star", [3])
     assert d.source == "closed-form"

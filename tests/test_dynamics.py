@@ -263,6 +263,20 @@ def test_time_averaged_memory_stays_linear():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("family,params,d,N", [("path", [2], 1, 2048), ("cycle", [4], 2, 32)])
+def test_time_averaged_memory_at_the_pair_sum_limit(family, params, d, N):
+    # an unblocked table of sines over band-value class pairs and band gaps would take 16.8 MB on the path
+    op = build_torus(build_named(family, params), d=d, N=N)
+    assert op.dim == PAIR_SUM_LIMIT
+    tracemalloc.start()
+    try:
+        time_averaged(op, ((5,) * d, 1), 300.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_infinite_average_cell_masses_are_cycle_density():
     # cells of the torus factor equilibrate to the N-cycle limiting density
     op = build_torus(build_named("cycle", [5]), d=1, N=25)
@@ -353,6 +367,39 @@ def test_time_averaged_matches_dense_eigenpairs_on_generated_tori(walk, log_hori
     horizon = 10.0**log_horizon
     got = time_averaged(build_torus(g, d=d, N=N), start, horizon).values
     np.testing.assert_allclose(got, dense_time_average(g, d, N, start, horizon), rtol=0, atol=1e-12)
+
+
+_FOUR_CYCLE = FiniteGraph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
+
+
+@st.composite
+def _edge_list_walks(draw):
+    """A random edge list on n <= 5 vertices, a torus of d <= 2 axes and N in 3..6, a start and a horizon in [1e-3, 1e4]."""
+    n = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    d, N = draw(st.integers(1, 2)), draw(st.integers(3, 6))
+    cell = tuple(draw(st.integers(0, N - 1)) for _ in range(d))
+    horizon = 10.0 ** draw(st.floats(-3.0, 4.0))
+    return FiniteGraph(n, frozenset(edges)), d, N, (cell, draw(st.integers(0, n - 1))), horizon
+
+
+@settings(deadline=None)
+@given(_edge_list_walks())
+@example((_FOUR_CYCLE, 2, 6, ((1, 4), 2), 1e4))  # the gap 2 in four bit patterns
+@example((build_named("complete", [5]), 1, 5, ((3,), 0), 2.5e3))  # the -1 band four times
+@example((build_named("star", [3]), 2, 4, ((0, 3), 0), 7.0))  # the 0 band twice, not bit for bit
+@example((FiniteGraph(3), 1, 3, ((2,), 1), 1e-3))  # no edges: one gap, 0
+def test_time_averaged_matches_dense_eigenpairs_on_edge_list_factors(walk):
+    g, d, N, start, horizon = walk
+    got = time_averaged(build_torus(g, d=d, N=N), start, horizon).values
+    np.testing.assert_allclose(got, dense_time_average(g, d, N, start, horizon), rtol=0, atol=1e-12)
+
+
+def test_four_cycle_gaps_equal_in_exact_arithmetic_differ_in_bits():
+    mu = build_torus(_FOUR_CYCLE, d=1, N=3).spectrum.eigenvalues
+    gaps = np.abs(mu - mu[:, None])
+    assert np.unique(gaps[np.abs(gaps - 2.0) < 1e-12]).size > 1
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
