@@ -373,6 +373,7 @@ def infinite_time_averaged(
     k = np.repeat(np.where(alone, 0, ends), sizes) - np.arange(1, dim + 1)
     same = np.bincount(order[k >= 0] // cells, minlength=nu)  # alpha = beta
     counts = _pair_counts(_pair_codes(order, cells, N, d), np.maximum(k, 0, out=k))
+    del k  # the running sum is dead; the FFT and the lone clusters' projections need none of it
     counts[0] += np.diag(same)
     w = op.spectrum.eigenvectors
     coef = w[p, :] * w  # coef[q, j] = w_j(p) w_j(q)

@@ -69,6 +69,8 @@ DEFAULT_COLLISION_DELTA = 1e-9
 # ``_pair_counts`` table of nu^2 N^d counts, 16 MB at this budget, beside two
 # int32 codes per band value and cell-key tables of at most nu^2 N^d int32
 # entries each (``_pair_codes``). C3 on a 512 x 512 torus needs 2.4M counts.
+# At the budget the whole scan of complete4 x Z^2 at N = 512 peaks at 36 MB
+# (tracemalloc) and the average on a C4 x 512 x 512 torus at 50 MB.
 PAIR_COUNT_BUDGET = 1 << 22
 # The scan's sweep walks every close pair of band values, about 15 ns each
 # (10.4M pairs took 0.14 s, 40.1M 0.69 s), so this budget keeps a walk near a
@@ -257,11 +259,12 @@ def floquet_condition_fraction(
     _budget("collision scan needs", nu * nu * cells, "counts", PAIR_COUNT_BUDGET)
     flat_bands = tuple(flat_band_check(bands, tol))
     grid = _band_grid(bands, N)
-    flat = grid.reshape(nu, cells)
+    flat = [grid.reshape(nu, cells)]
     # shift (0, ..., 0, 1) comes first in C order; count it densely, one band row at a time
     counts = np.stack(
-        [(np.abs(np.roll(row, -1, axis=-1).reshape(-1) - flat) < delta).sum(axis=1) for row in grid]
+        [(np.abs(np.roll(row, -1, axis=-1).reshape(-1) - flat[0]) < delta).sum(axis=1) for row in grid]
     ).reshape(-1)
+    del grid  # the sweep frees the band values once it has sorted them
     if counts.max() < cells:
         counts = _collision_counts(flat, N, d, delta).reshape(-1)[nu * nu :]
     best = int(np.argmax(counts))
@@ -326,17 +329,19 @@ def _torus_offsets(diff: np.ndarray, fields: list[tuple[int, int, np.ndarray]]) 
 
 
 def _close_runs(x: np.ndarray, delta: float, block: int) -> np.ndarray:
-    """k[i] = #{j > i : x[j] - x[i] < delta} of ascending x ending in inf, int64, block positions at a time.
+    """k[i] = #{j > i : x[j] - x[i] < delta} of ascending x ending in inf, int32, block positions at a time.
 
     Rounding is monotone, so x[j] - x[i] < delta holds exactly for j below a
     boundary J_i, and k[i] = J_i - i - 1. ``np.searchsorted(x, x[i] + delta)``
     guesses J_i; where the rounded sum and difference disagree, the guess
     steps up while x[J] passes and down while x[J - 1] fails, a whole group of
     equal values per step, until it sits on the boundary. That is a dozen
-    numpy calls per block while no guess is off.
+    numpy calls per block while no guess is off. The scan holds at most
+    ``PAIR_COUNT_BUDGET`` (2^22) values, so each k[i] fits int32, and it
+    checks ``SCAN_PAIR_BUDGET`` (2^26) before the running sum, so that fits too.
     """
     n = x.size - 1
-    k = np.empty(n, dtype=np.int64)
+    k = np.empty(n, dtype=np.int32)
     for lo in range(0, n, block):
         xi = x[lo : min(lo + block, n)]
         J = np.searchsorted(x, xi + delta)
@@ -352,24 +357,27 @@ def _close_runs(x: np.ndarray, delta: float, block: int) -> np.ndarray:
     return k
 
 
-def _run_pair_chunk(ends: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (i, j) of the pairs lo .. hi - 1 when each position i pairs with i + 1 .. i + k[i].
+def _run_pair_chunk(ends: np.ndarray, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(first, reps, j) of the pairs lo .. hi - 1 when each position i pairs with i + 1 .. i + k[i].
 
     ``ends`` is the running sum of k, so pairs ends[i] - k[i] .. ends[i] - 1
-    belong to i, pair g with j = i + ends[i] - g. i comes from one
-    ``np.repeat`` of the positions, j from one of i + ends[i] and the ramp g.
+    belong to i, pair g with j = i + ends[i] - g. The chunk's pairs (i, j)
+    take i = first, first + 1, ... reps[0], reps[1], ... times each, so a
+    caller repeats what it needs of i without gathering it; j comes from one
+    ``np.repeat`` of i + ends[i] and the ramp g. reps and j have the dtype of
+    ``ends``: int32 for the scan, int64 for the average.
     """
-    first, last = ends.searchsorted([lo, hi - 1], side="right")
+    # needles of the dtype of ends: Python ints would make searchsorted convert all of ends
+    first, last = ends.searchsorted(np.array([lo, hi - 1], dtype=ends.dtype), side="right")
     e = ends[first : last + 1]
     reps = np.minimum(e, hi)
     reps[1:] -= e[:-1]
     reps[0] -= lo
-    pos = np.arange(first, last + 1)
-    i = np.repeat(pos, reps)
+    pos = np.arange(first, last + 1, dtype=ends.dtype)
     pos += e
     j = np.repeat(pos, reps)
-    j -= np.arange(lo, hi)
-    return i, j
+    j -= np.arange(lo, hi, dtype=ends.dtype)
+    return int(first), reps, j
 
 
 def _pair_codes(order: np.ndarray, cells: int, N: int, d: int) -> list:
@@ -405,12 +413,17 @@ def _pair_counts(codes: list, k: np.ndarray) -> np.ndarray:
     successors: (a, b) = (p_(i + t), p_i) for t = 1 .. k[i] counts, and so
     does its mirror (b, a); no position pairs with itself. The pairs are
     counted in chunks of at most N^d pairs from one block of N^d positions,
-    each chunk with one ``_run_pair_chunk``, one code subtraction, one table
-    gather per cell-key field and one ``np.add.at``: O(nu + pairs / N^d)
-    numpy calls and chunk temporaries of at most N^d entries. ``codes`` is
-    emptied, so the codes and tables are freed before the mirror pairs are
-    added, and ``k`` is overwritten with its running sum. int32 counts (each
-    at most N^d), shape (N^d, nu, nu).
+    each chunk with one ``_run_pair_chunk``, one code gather, one code
+    repeat and subtraction, one table gather per cell-key field and one
+    ``np.add.at``: O(nu + pairs / N^d) numpy calls and chunk temporaries of
+    at most N^d entries. ``codes`` is emptied, so the codes and tables are
+    freed before the mirror pairs are added, and ``k`` is overwritten with
+    its running sum. The mirror pairs are added in place, in four blocks of
+    N^d / 4 cells whose gathered mirror rows stay within a quarter of the
+    table: each cell r gets C[r] + C[-r]^T, so a cell with r = -r gets C +
+    C^T, and a cell whose mirror lies in an earlier block, and so holds that
+    sum already, gets its transpose. int32 counts (each at most N^d), shape
+    (N^d, nu, nu).
     """
     code_a, code_b, fields, mirror = codes
     codes.clear()
@@ -424,10 +437,10 @@ def _pair_counts(codes: list, k: np.ndarray) -> np.ndarray:
         start = int(ends[block - 1]) if block else 0
         stop = int(ends[min(block + cells, n) - 1])
         for lo in range(start, stop, cells):
-            i, j = _run_pair_chunk(ends, lo, min(lo + cells, stop))
+            first, reps, j = _run_pair_chunk(ends, lo, min(lo + cells, stop))
             diff = code_a.take(j)
-            diff -= code_b.take(i)
-            del i, j
+            del j
+            diff -= np.repeat(code_b[first : first + reps.size], reps)
             m = _torus_offsets(diff, fields)
             diff &= low
             m += diff
@@ -435,22 +448,34 @@ def _pair_counts(codes: list, k: np.ndarray) -> np.ndarray:
             np.add.at(flat, m, np.int32(1))
             del diff, m
     del code_a, code_b, fields
-    counts += counts[mirror].swapaxes(1, 2)
+    step = -(-cells // 4)
+    for lo in range(0, cells, step):
+        rows = counts[lo : lo + step]
+        neg = mirror[lo : lo + step]
+        mirrored = counts.take(neg, axis=0)
+        rows[neg < lo] = 0  # those mirrors hold their sums already, C[-r] + C[r]^T
+        rows += mirrored.swapaxes(1, 2)
     return counts
 
 
-def _collision_counts(grid: np.ndarray, N: int, d: int, delta: float) -> np.ndarray:
+def _collision_counts(grid: list, N: int, d: int, delta: float) -> np.ndarray:
     """C[m, s, w] = #{r : |E_s(r + m) - E_w(r)| < delta} from one sorted sweep.
 
-    ``grid`` holds E_s(r) at [s, r] with r flat in C order over (N,)*d.
-    Returns C of shape (N,)*d + (nu, nu). Sorted ascending, the hits of
-    position i are the run of its successors closer than delta; ``_close_runs``
-    finds each run's length N^d positions at a time, and ``_pair_counts``
-    counts the runs' pairs. That is O(nu + pairs / N^d) numpy calls.
+    ``grid`` is a one-element list holding E_s(r) at [s, r] with r flat in C
+    order over (N,)*d; it is emptied, so the band values are freed once
+    sorted. Returns C of shape (N,)*d + (nu, nu). Sorted ascending, the hits
+    of position i are the run of its successors closer than delta;
+    ``_close_runs`` finds each run's length N^d positions at a time, and
+    ``_pair_counts`` counts the runs' pairs. That is O(nu + pairs / N^d)
+    numpy calls.
     """
-    nu, cells = grid.shape
-    order = np.argsort(grid, axis=None, kind="stable")
-    x = np.append(grid.reshape(-1)[order], np.inf)  # the inf ends every run at the last position
+    values = grid.pop()
+    nu, cells = values.shape
+    order = np.argsort(values, axis=None, kind="stable")
+    x = np.empty(order.size + 1)
+    values.reshape(-1).take(order, out=x[:-1])
+    x[-1] = np.inf  # the inf ends every run at the last position
+    del values
     k = _close_runs(x, delta, cells)
     del x  # the pair counts need the run lengths only
     _budget("collision scan walks", int(k.sum()), "close pairs", SCAN_PAIR_BUDGET)

@@ -449,7 +449,7 @@ def _occurring_gap(grid):
 
 def _assert_counts_match(bands, N, delta):
     nu, d = bands.nu, bands.base.d
-    got = floquet._collision_counts(_dense_grid(bands, N).reshape(nu, N**d), N, d, delta)
+    got = floquet._collision_counts([_dense_grid(bands, N).reshape(nu, N**d)], N, d, delta)
     for shift, counts in _dense_counts(bands, N, delta):
         if any(shift):  # shift 0 leaves out each point paired with itself
             np.testing.assert_array_equal(got[shift], counts, err_msg=f"shift {shift}, delta {delta!r}")
@@ -522,20 +522,48 @@ def test_scan_budget_boundary(monkeypatch):
 def test_scan_pair_count_memory_stays_within_the_walks():
     # strong star3 x Z^3 at N = 12: 249306 close pairs over 5184 band values.
     # Counting them one offset at a time peaked at the int32 table plus 16.1
-    # N^d int64 entries, N^d-pair chunks peak at 13.0 (in the mirror fill).
-    # The bound sits one N^d array, about 5% of that peak, above the walk's.
+    # N^d int64 entries, N^d-pair chunks with a full copy of the table for the
+    # mirror pairs at 11.8. With the mirror added in place and int32 run ends
+    # the peak is 9.7, in the walk. The bound sits 0.8 N^d int64 entries,
+    # about 6% of that peak, above it.
     bands = product_spec(zd_base(3), build_named("star", [2]), ProductKind.STRONG)
     N, nu = 12, bands.nu
     grid = floquet._band_grid(bands, N).reshape(nu, N**3)
-    floquet._collision_counts(grid, N, 3, DEFAULT_COLLISION_DELTA)  # first calls allocate numpy's own caches
+    floquet._collision_counts([grid], N, 3, DEFAULT_COLLISION_DELTA)  # first calls allocate numpy's own caches
     tracemalloc.start()
     try:
-        counts = floquet._collision_counts(grid, N, 3, DEFAULT_COLLISION_DELTA)
+        counts = floquet._collision_counts([grid], N, 3, DEFAULT_COLLISION_DELTA)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert counts.sum() == 2 * 249306
-    assert peak <= counts.nbytes + 17 * 8 * N**3
+    assert peak <= counts.nbytes + 10.5 * 8 * N**3
+
+
+@pytest.mark.parametrize(
+    "base,family,params,rule,N",
+    [
+        (zd_base(2), "complete", [4], ProductKind.CARTESIAN, 40),
+        (zd_base(2), "complete", [4], ProductKind.CARTESIAN, 256),
+        (zd_base(3), "star", [3], ProductKind.STRONG, 12),
+        (zd_base(1), "cycle", [5], ProductKind.CARTESIAN, 4096),
+    ],
+)
+def test_scan_memory_stays_within_its_count_table(base, family, params, rule, N):
+    # The whole scan, band grid and first shift included, peaks at 1.93-2.40
+    # times its int32 count table. With a full copy of the table for the
+    # mirror pairs, int64 run ends and the band grid alive through the walk it
+    # peaked at 2.93-3.42.
+    bands = product_spec(base, build_named(family, params), rule)
+    table = 4 * bands.nu**2 * N**base.d
+    assert floquet_condition_fraction(bands, N).max_fraction < 1  # the scan sweeps
+    tracemalloc.start()
+    try:
+        floquet_condition_fraction(bands, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * table
 
 
 def test_quadrature_budget_rejects_before_allocating():
@@ -566,6 +594,22 @@ def test_scan_pair_budget_boundary(monkeypatch):
         floquet_condition_fraction(bands, 4)
     monkeypatch.undo()
     assert floquet_condition_fraction(bands, 4) == report
+
+
+def test_scan_pair_budget_is_checked_before_the_int32_running_sum(monkeypatch):
+    # The scan's run lengths and their running sum are int32: no sum within the budget overflows,
+    # and a scan over it never reaches the walk that forms the sum.
+    assert floquet.SCAN_PAIR_BUDGET < 2**31
+    bands = product_spec(zd_base(3), build_named("path", [2]), ProductKind.CARTESIAN)
+
+    def walk(*args):
+        raise AssertionError("the walk ran over the budget")
+
+    monkeypatch.setattr(floquet, "SCAN_PAIR_BUDGET", 10)
+    monkeypatch.setattr(floquet, "_pair_codes", walk)
+    monkeypatch.setattr(floquet, "_pair_counts", walk)
+    with pytest.raises(ParameterError, match="close pairs, over the budget"):
+        floquet_condition_fraction(bands, 4)
 
 
 def test_scan_pair_budget_keeps_the_dense_first_shift_exit(monkeypatch):
@@ -697,7 +741,8 @@ def _chunked_pairs(k, chunk):
     pairs = []
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        i, j = floquet._run_pair_chunk(ends, lo, hi)
+        first, reps, j = floquet._run_pair_chunk(ends, lo, hi)
+        i = np.repeat(np.arange(first, first + reps.size), reps)
         assert i.size == j.size == hi - lo
         pairs += zip(i.tolist(), j.tolist())
     return sorted(pairs)
@@ -736,7 +781,7 @@ def _assert_close_runs_match(x, delta):
     want = np.bincount([i for i, _ in brute], minlength=n).astype(np.int64)
     for block in (1, 3, max(n, 1)):
         got = floquet._close_runs(x, delta, block)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         np.testing.assert_array_equal(got, want, err_msg=f"delta {delta!r}, block {block}")
     _assert_runs_match(want, brute)
     return want
@@ -852,5 +897,32 @@ def test_pair_counts_match_a_direct_count_of_every_pair(d, N, nu):
     assert codes[0].dtype == (np.int64 if (d, nu) == (11, 3) else np.int32)
     assert all(table.size <= nu * nu * cells for _, _, table in codes[2])
     got = floquet._pair_counts(codes, k)
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("d,N,nu", [(1, 7, 3), (1, 8, 2), (2, 5, 1), (2, 6, 3), (3, 3, 2), (3, 4, 2)])
+def test_pair_counts_equal_the_full_copy_mirror(d, N, nu):
+    # the in-place mirror against the table it replaced: the pairs (p_(i + t), p_i) counted
+    # directly, then counts += counts[-r].swapaxes(1, 2) from a full copy; even N has cells
+    # r = -r besides r = 0, which get C + C^T
+    rng = np.random.default_rng([d, N, nu])
+    cells = N**d
+    n = nu * cells
+    order = rng.permutation(n)
+    k = np.minimum(rng.integers(0, 6, n), n - 1 - np.arange(n))
+    i = np.repeat(np.arange(n), k)
+    j = i + np.arange(i.size) - np.repeat(np.cumsum(k) - k, k) + 1
+    a, b = order[j], order[i]
+    want = np.zeros((cells, nu, nu), dtype=np.int64)
+    np.add.at(want, (_unravelled_offset(a % cells, b % cells, N, d), a // cells, b // cells), 1)
+    r = np.arange(cells)
+    mirror = _unravelled_offset(np.zeros_like(r), r, N, d)
+    selves = r[mirror == r]
+    assert selves.size == (2**d if N % 2 == 0 else 1)
+    if nu > 1:
+        assert (want[selves] != want[selves].swapaxes(1, 2)).any()  # the self cells' C + C^T is tested
+    want += want[mirror].swapaxes(1, 2)
+    got = floquet._pair_counts(floquet._pair_codes(order, cells, N, d), k.copy())
     assert got.dtype == np.int32
     np.testing.assert_array_equal(got, want)
