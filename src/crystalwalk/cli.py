@@ -2,7 +2,8 @@
 
 Subcommands: density, closed-form, floquet-check, simulate, classical,
 compare. Output is deterministic: identical invocations produce identical
-bytes. Exit status is 0 on success, 2 for argument or input errors, 1 when a
+bytes. Exit status is 0 on success, 2 for argument or input errors and for
+an edge list or ``-o`` file that cannot be read or written, 1 when a
 numeric tolerance or invariant fails; each failure prints one stderr line,
 ``error: ...`` or ``numeric failure: ...``, argparse's errors included.
 
@@ -147,7 +148,7 @@ def _resolve_graph(args: argparse.Namespace) -> FiniteGraph:
         try:
             with open(args.edge_list, encoding="utf-8") as fh:
                 return from_edge_list(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParameterError(f"cannot read edge list: {exc}") from exc
     return build_named(*_family_params(args))
 
@@ -156,8 +157,11 @@ def _emit(text: str, output: str | None, summary: str | None = None) -> None:
     # With -o the summary goes to stdout; otherwise it must not pollute the
     # machine-readable stream, so it goes to stderr.
     if output is not None:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write output: {exc}") from exc
         if summary is not None:
             print(summary)
     else:

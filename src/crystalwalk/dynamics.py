@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import floquet
-from .floquet import _cell_digits, _cell_keys, _pair_codes, _pair_counts, _torus_offsets, base_grid
+from .floquet import _cell_digits, _cell_keys, _pair_counts, _torus_offsets, base_grid
 from .graphs import FiniteGraph, ParameterError, _budget, _int, _real, zd_product_spec
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
@@ -347,11 +347,15 @@ def infinite_time_averaged(
     S[Delta, j, j'] is the collision scan's count table (``_pair_counts``)
     over runs that pair the sorted eigenpair i with its k_i = e - i - 1
     successors up to its cluster's end e, plus one count per eigenpair at
-    Delta = 0 for alpha = beta. The table counts the pairs of all runs in
-    chunks of at most N^d, in O(nu + sum |C|^2 / N^d) numpy calls. As in
-    ``time_averaged``, G[Delta, q] = sum_(j, j') c_j(q) c_j'(q) S[Delta, j, j']
-    and one inverse FFT of G over the cell axes gives the sum over all
-    clusters: O(sum |C|^2 + N^d nu^3 + dim log N) work. A cluster with
+    Delta = 0 for alpha = beta. The eigenvalues mu_j + E0(r) are sorted in
+    the scan's band-major layout, j N^d + r, so the sorted positions go to
+    ``_pair_counts`` as they are and it frees them before the walk; only the
+    positions of the clusters projected alone are copied. The table counts
+    the pairs of all runs in chunks of at most N^d, in O(nu + sum |C|^2 /
+    N^d) numpy calls. As in ``time_averaged``, G[Delta, q] = sum_(j, j')
+    c_j(q) c_j'(q) S[Delta, j, j'] and one inverse FFT of G over the cell
+    axes gives the sum over all clusters: O(sum |C|^2 + N^d nu^3 + dim log
+    N) work. A cluster with
     nu |C|^2 > N^d nu^2 + dim log2(dim) (a flat or highly degenerate band) is
     projected on its own instead, with k_i = 0, so a counted cluster has at
     most N^d nu + dim log2(dim) / nu pairs. Averages needing more than
@@ -362,17 +366,19 @@ def infinite_time_averaged(
     N, d, nu, dim = op.N, op.d, op.nu, op.dim
     cells = N**d
     _budget("infinite-time average needs", nu * nu * cells, "counts", floquet.PAIR_COUNT_BUDGET)
-    lam = op.eigenvalues.reshape(-1)
-    order = np.argsort(lam, kind="stable")
-    ends = cluster_eigenvalues(lam[order], cluster_tol)
+    # band-major lambda[j, r] = mu_j + E0(r), bit for bit the sums ``op.eigenvalues`` forms, in the scan's layout
+    lam = np.add.outer(op.spectrum.eigenvalues, op.base_band.reshape(-1)).reshape(-1)
+    order = [np.argsort(lam, kind="stable")]
+    ends = cluster_eigenvalues(lam[order[0]], cluster_tol)
     del lam  # the nu N^d eigenvalues go before the count table is allocated
-    order = order % nu * cells + order // nu  # band-major position j * N^d + r of each r * nu + j
     sizes = np.diff(ends, prepend=0)
     alone = nu * sizes**2 > cells * nu**2 + dim * math.log2(dim)
     # successors of each sorted position in its cluster, < 0 where the cluster is projected alone
     k = np.repeat(np.where(alone, 0, ends), sizes) - np.arange(1, dim + 1)
-    same = np.bincount(order[k >= 0] // cells, minlength=nu)  # alpha = beta
-    counts = _pair_counts(_pair_codes(order, cells, N, d), np.maximum(k, 0, out=k))
+    same = np.bincount(order[0][k >= 0] // cells, minlength=nu)  # alpha = beta
+    # copies, so that no view keeps the positions alive once ``_pair_counts`` drops them
+    lone = [order[0][lo:hi].copy() for lo, hi in zip(ends[alone] - sizes[alone], ends[alone])]
+    counts = _pair_counts(order, np.maximum(k, 0, out=k), N, d)
     del k  # the running sum is dead; the FFT and the lone clusters' projections need none of it
     counts[0] += np.diag(same)
     w = op.spectrum.eigenvectors
@@ -380,9 +386,9 @@ def infinite_time_averaged(
     grid = np.einsum("bjk,qj,qk->bq", counts, coef, coef)
     del counts  # the N^d nu^2 table goes before the inverse FFT allocates
     mu = _from_pair_grid(op, cell, grid.reshape(op.grid_shape + (nu,)))
-    for lo, hi in zip(ends[alone] - sizes[alone], ends[alone]):
+    for positions in lone:
         weights = np.zeros((nu, cells))
-        weights.reshape(-1)[order[lo:hi]] = 1.0
+        weights.reshape(-1)[positions] = 1.0
         a = _assemble(op, start, weights.T.reshape(op.grid_shape + (nu,)))
         mu += a.real**2 + a.imag**2
     return _finalize_distribution(op, start, mu, math.inf)

@@ -68,9 +68,9 @@ DEFAULT_COLLISION_DELTA = 1e-9
 # The collision scan and the infinite-time torus average each fill one int32
 # ``_pair_counts`` table of nu^2 N^d counts, 16 MB at this budget, beside two
 # int32 codes per band value and cell-key tables of at most nu^2 N^d int32
-# entries each (``_pair_codes``). C3 on a 512 x 512 torus needs 2.4M counts.
-# At the budget the whole scan of complete4 x Z^2 at N = 512 peaks at 36 MB
-# (tracemalloc) and the average on a C4 x 512 x 512 torus at 50 MB.
+# entries each, built by the same call. C3 on a 512 x 512 torus needs 2.4M
+# counts. At the budget the whole scan of complete4 x Z^2 at N = 512 peaks at
+# 36 MB (tracemalloc) and the average on a C4 x 512 x 512 torus at 42 MB.
 PAIR_COUNT_BUDGET = 1 << 22
 # The scan's sweep walks every close pair of band values, about 15 ns each
 # (10.4M pairs took 0.14 s, 40.1M 0.69 s), so this budget keeps a walk near a
@@ -380,18 +380,34 @@ def _run_pair_chunk(ends: np.ndarray, lo: int, hi: int) -> tuple[int, np.ndarray
     return int(first), reps, j
 
 
-def _pair_codes(order: np.ndarray, cells: int, N: int, d: int) -> list:
-    """Codes of the sorted band-major positions order[i] = s * N^d + r for ``_pair_counts``.
+def _pair_counts(order: list, k: np.ndarray, N: int, d: int) -> np.ndarray:
+    """C[m, s, w] = #{counted pairs of a = (s, r_a), b = (w, r_b) with r_a - r_b = m}.
 
-    Returns the list [a, b, fields, mirror]: a[i] = key << sh + s nu and
-    b[i] = (key - bias) << sh - s from the cell key of r (``_cell_keys``),
-    with 2^sh >= nu^2, so a[j] - b[i] = (key_j - key_i + bias) << sh + s_j nu
-    + s_i. The ``fields`` read nu^2 (r_j - r_i) mod N from it and the low
-    bits hold the band pair, so a pair's flat count index takes no division.
-    ``mirror`` holds the flat index of -r mod N of every cell r. The codes
-    are int32 when every difference fits, else int64.
+    ``order`` is a one-element list holding the band-major positions p_i =
+    s * N^d + r in sorted order, and sorted position i pairs with its k[i]
+    successors: (a, b) = (p_(i + t), p_i) for t = 1 .. k[i] counts, and so
+    does its mirror (b, a); no position pairs with itself. Position i gets
+    the codes a_i = key << sh + s nu and b_i = (key - bias) << sh - s from
+    the cell key of r (``_cell_keys``), 2^sh >= nu^2, so the fields read nu^2
+    (r_j - r_i) mod N from a_j - b_i and its low bits hold the band pair: a
+    pair's flat count index takes no division. The codes are int32 when
+    every difference fits, else int64; ``order`` is emptied, so the
+    positions are freed once the codes exist. The pairs are counted in
+    chunks of at most N^d pairs from one block of N^d positions, each with
+    one ``_run_pair_chunk``, one code gather, repeat and subtraction, one
+    table gather per field and one ``np.add.at``: O(nu + pairs / N^d) numpy
+    calls and chunk temporaries of at most N^d entries. ``k`` is overwritten
+    with its running sum. The codes and tables are freed before the mirror
+    pairs are added in place, in four blocks of N^d / 4 cells whose gathered
+    mirror rows stay within a quarter of the table: each cell r gets C[r] +
+    C[-r]^T, so a cell with r = -r gets C + C^T, and a cell whose mirror lies
+    in an earlier block, and so holds that sum already, gets its transpose.
+    int32 counts (each at most N^d), shape (N^d, nu, nu).
     """
-    nu = order.size // cells
+    positions = order.pop()
+    cells = N**d
+    n = positions.size
+    nu = n // cells
     sh = (nu * nu - 1).bit_length()
     keys, bias, fields = _cell_keys(N, d, nu * nu * cells, sh, nu * nu)
     mirror = _torus_offsets(bias - keys, fields) // (nu * nu)
@@ -399,37 +415,11 @@ def _pair_codes(order: np.ndarray, cells: int, N: int, d: int) -> list:
     keys = keys.astype(dtype)
     band = np.arange(nu, dtype=dtype)[:, None]
     lut = np.add(keys, band * nu)  # band-major, one buffer for both lookups
-    a = lut.reshape(-1).take(order)
+    code_a = lut.reshape(-1).take(positions)
     keys -= bias
-    b = np.subtract(keys, band, out=lut).reshape(-1).take(order)
-    return [a, b, fields, mirror]
-
-
-def _pair_counts(codes: list, k: np.ndarray) -> np.ndarray:
-    """C[m, s, w] = #{counted pairs of a = (s, r_a), b = (w, r_b) with r_a - r_b = m}.
-
-    ``codes`` are the ``_pair_codes`` of band-major positions p_i = s * N^d
-    + r in sorted order, and sorted position i pairs with its k[i]
-    successors: (a, b) = (p_(i + t), p_i) for t = 1 .. k[i] counts, and so
-    does its mirror (b, a); no position pairs with itself. The pairs are
-    counted in chunks of at most N^d pairs from one block of N^d positions,
-    each chunk with one ``_run_pair_chunk``, one code gather, one code
-    repeat and subtraction, one table gather per cell-key field and one
-    ``np.add.at``: O(nu + pairs / N^d) numpy calls and chunk temporaries of
-    at most N^d entries. ``codes`` is emptied, so the codes and tables are
-    freed before the mirror pairs are added, and ``k`` is overwritten with
-    its running sum. The mirror pairs are added in place, in four blocks of
-    N^d / 4 cells whose gathered mirror rows stay within a quarter of the
-    table: each cell r gets C[r] + C[-r]^T, so a cell with r = -r gets C +
-    C^T, and a cell whose mirror lies in an earlier block, and so holds that
-    sum already, gets its transpose. int32 counts (each at most N^d), shape
-    (N^d, nu, nu).
-    """
-    code_a, code_b, fields, mirror = codes
-    codes.clear()
-    n, cells = code_a.size, mirror.size
-    nu = n // cells
-    low = (1 << (nu * nu - 1).bit_length()) - 1
+    code_b = np.subtract(keys, band, out=lut).reshape(-1).take(positions)
+    del positions, keys, lut  # the walk needs the codes only
+    low = (1 << sh) - 1
     ends = np.cumsum(k, out=k)
     counts = np.zeros((cells, nu, nu), dtype=np.int32)
     flat = counts.reshape(-1)
@@ -466,23 +456,21 @@ def _collision_counts(grid: list, N: int, d: int, delta: float) -> np.ndarray:
     sorted. Returns C of shape (N,)*d + (nu, nu). Sorted ascending, the hits
     of position i are the run of its successors closer than delta;
     ``_close_runs`` finds each run's length N^d positions at a time, and
-    ``_pair_counts`` counts the runs' pairs. That is O(nu + pairs / N^d)
+    ``_pair_counts`` counts the runs' pairs from the sorted band-major
+    positions, held in a list that it empties. That is O(nu + pairs / N^d)
     numpy calls.
     """
     values = grid.pop()
     nu, cells = values.shape
-    order = np.argsort(values, axis=None, kind="stable")
-    x = np.empty(order.size + 1)
-    values.reshape(-1).take(order, out=x[:-1])
+    order = [np.argsort(values, axis=None, kind="stable")]
+    x = np.empty(order[0].size + 1)
+    values.reshape(-1).take(order[0], out=x[:-1])
     x[-1] = np.inf  # the inf ends every run at the last position
     del values
     k = _close_runs(x, delta, cells)
     del x  # the pair counts need the run lengths only
     _budget("collision scan walks", int(k.sum()), "close pairs", SCAN_PAIR_BUDGET)
-    codes = _pair_codes(order, cells, N, d)
-    del order  # the walk needs the codes only
-    counts = _pair_counts(codes, k)
-    return counts.reshape((N,) * d + (nu, nu))
+    return _pair_counts(order, k, N, d).reshape((N,) * d + (nu, nu))
 
 
 def _block_fibers(nu: int) -> int:

@@ -522,6 +522,28 @@ def test_bad_edge_list_content_exits_2(capsys, tmp_path):
     assert "self-loop" in err
 
 
+def test_edge_list_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0 1\n1 \xff2\n")
+    code, out, err = run_cli(capsys, "density", "--edge-list", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read edge list: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["missing/dist.csv", "."])
+def test_unwritable_output_exits_2(capsys, tmp_path, target):
+    # a missing directory, then a directory; simulate would print its summary to stdout after the write
+    argv = ("simulate", "--family", "path", "--nu", "2", "--N", "8", "--T", "inf", "-o", str(tmp_path / target))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_numeric_failures_exit_1(capsys, monkeypatch):
     def boom(graph, tol):
         raise NumericalError("synthetic failure")

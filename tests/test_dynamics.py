@@ -277,11 +277,10 @@ def test_time_averaged_memory_at_the_pair_sum_limit(family, params, d, N):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("family,params,d,N,bound", [("cycle", [3], 2, 72, 6.5), ("path", [3], 2, 56, 6.6)])
+@pytest.mark.parametrize("family,params,d,N,bound", [("cycle", [3], 2, 72, 5.45), ("path", [3], 2, 56, 5.55)])
 def test_infinite_average_memory(family, params, d, N, bound):
-    # Peaks of 6.20 and 6.30 times the distribution, about 5% under the bound. With a full
-    # copy of the count table for the mirror pairs and the run lengths alive through the
-    # inverse FFT they were 7.20 and 7.31.
+    # Peaks of 5.19 and 5.30 times the distribution, about 5% under the bound. With the int64
+    # sorted positions alive through the walk and the inverse FFT they were 6.19 and 6.30.
     op = build_torus(build_named(family, params), d=d, N=N)
     infinite_time_averaged(op, ((1,) * d, 0))  # first calls allocate numpy's own caches
     tracemalloc.start()

@@ -606,7 +606,6 @@ def test_scan_pair_budget_is_checked_before_the_int32_running_sum(monkeypatch):
         raise AssertionError("the walk ran over the budget")
 
     monkeypatch.setattr(floquet, "SCAN_PAIR_BUDGET", 10)
-    monkeypatch.setattr(floquet, "_pair_codes", walk)
     monkeypatch.setattr(floquet, "_pair_counts", walk)
     with pytest.raises(ParameterError, match="close pairs, over the budget"):
         floquet_condition_fraction(bands, 4)
@@ -834,7 +833,9 @@ def test_pair_counts_match_cluster_pair_enumeration(d, N, seed):
     alone = rng.random(sizes.size) < 0.3
     alone[np.argmax(sizes)] = False
     span = np.repeat(np.where(alone, 0, ends), sizes) - np.arange(n)
-    got = floquet._pair_counts(floquet._pair_codes(order, cells, N, d), np.maximum(span - 1, 0))
+    positions = [order]
+    got = floquet._pair_counts(positions, np.maximum(span - 1, 0), N, d)
+    assert positions == []  # the sorted positions are freed with the list
     want = np.zeros((cells, nu, nu), dtype=int)
     for lo, hi, skip in zip(ends - sizes, ends, alone):
         run = [] if skip else order[lo:hi].tolist()
@@ -878,7 +879,7 @@ def test_torus_offset_matches_unravelled_difference(d, N):
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
 @pytest.mark.parametrize("d,N", [(1, 7), (3, 4), (8, 3), (11, 3)])
-def test_pair_counts_match_a_direct_count_of_every_pair(d, N, nu):
+def test_pair_counts_match_a_direct_count_of_every_pair(d, N, nu, monkeypatch):
     # the scan's rule: sorted position i pairs with its k[i] successors, k drawn at random on
     # about 10000 positions; (11, 3) at nu = 3 needs int64 codes, every other case int32
     rng = np.random.default_rng([d, N, nu])
@@ -893,10 +894,18 @@ def test_pair_counts_match_a_direct_count_of_every_pair(d, N, nu):
     want = np.zeros((cells, nu, nu), dtype=np.int64)
     np.add.at(want, (_unravelled_offset(a % cells, b % cells, N, d), a // cells, b // cells), 1)
     np.add.at(want, (_unravelled_offset(b % cells, a % cells, N, d), b // cells, a // cells), 1)
-    codes = floquet._pair_codes(order, cells, N, d)
-    assert codes[0].dtype == (np.int64 if (d, nu) == (11, 3) else np.int32)
-    assert all(table.size <= nu * nu * cells for _, _, table in codes[2])
-    got = floquet._pair_counts(codes, k)
+    torus_offsets, calls = floquet._torus_offsets, []
+
+    def offsets(diff, fields):
+        calls.append((diff.dtype, [table.size for _, _, table in fields]))
+        return torus_offsets(diff, fields)
+
+    monkeypatch.setattr(floquet, "_torus_offsets", offsets)
+    got = floquet._pair_counts([order], k, N, d)
+    # the first call finds the mirror cells, every later one reads a chunk of code differences
+    assert len(calls) > 1
+    assert {dtype for dtype, _ in calls[1:]} == {np.dtype(np.int64 if (d, nu) == (11, 3) else np.int32)}
+    assert all(size <= nu * nu * cells for _, sizes in calls for size in sizes)
     assert got.dtype == np.int32
     np.testing.assert_array_equal(got, want)
 
@@ -923,6 +932,6 @@ def test_pair_counts_equal_the_full_copy_mirror(d, N, nu):
     if nu > 1:
         assert (want[selves] != want[selves].swapaxes(1, 2)).any()  # the self cells' C + C^T is tested
     want += want[mirror].swapaxes(1, 2)
-    got = floquet._pair_counts(floquet._pair_codes(order, cells, N, d), k.copy())
+    got = floquet._pair_counts([order], k.copy(), N, d)
     assert got.dtype == np.int32
     np.testing.assert_array_equal(got, want)
