@@ -147,7 +147,7 @@ def _resolve_graph(args: argparse.Namespace) -> FiniteGraph:
             raise ParameterError("give either --family or --edge-list, not both")
         try:
             with open(args.edge_list, encoding="utf-8") as fh:
-                return from_edge_list(fh.read())
+                return from_edge_list(fh.read().removeprefix("\ufeff"))  # a leading byte-order mark is skipped
         except (OSError, UnicodeDecodeError) as exc:
             raise ParameterError(f"cannot read edge list: {exc}") from exc
     return build_named(*_family_params(args))

@@ -21,8 +21,8 @@ through the base-band values E0 of the two cells and the gap between the two
 bands, so it evaluates one sine per pair of distinct E0 values and distinct
 band gap, in memory linear in the states. Both take Delta from the cell keys
 of ``floquet`` (``_cell_keys``: one key subtraction and a table gather per
-pair) and contract a table S[Delta, j, j'] into the pair grid; the
-infinite-time average counts S in the collision scan's.
+pair) and hand a table S[Delta, j, j'] to ``_from_pair_grid``, one GEMM per
+band to the pair grid; the infinite-time average counts S in the scan's table.
 """
 
 from __future__ import annotations
@@ -216,15 +216,27 @@ def _finalize_distribution(
     )
 
 
-def _from_pair_grid(op: TorusOperator, cell: tuple[int, ...], grid: np.ndarray) -> np.ndarray:
-    """Flat distribution roll(ifftn(G), n) / N^d from a pair grid G[Delta, q].
+def _from_pair_grid(
+    op: TorusOperator, start: tuple[tuple[int, ...], int], table: list, pair: np.ndarray, orbit: np.ndarray | slice
+) -> np.ndarray:
+    """Flat distribution roll(ifftn(G), n) / N^d of the walk from (n, p), both averages' tail.
 
-    Raises NumericalError when the inverse FFT leaves an imaginary residue
-    above the realness tolerance.
+    G[Delta, q] = sum_(j, j') c_j(q) c_j'(q) T[pair[j, j'], orbit[Delta]], c_j(q) = w_j(p) w_j(q),
+    takes one GEMM per band j on the float64 cast of T[pair[j]]. The table T comes in a one-element
+    list, emptied so that T is freed before the inverse FFT allocates. Raises NumericalError when
+    the FFT leaves an imaginary residue above the realness tolerance.
     """
+    cell, p = start
+    w = op.spectrum.eigenvectors
+    coef = w[p, :] * w  # coef[q, j] = w_j(p) w_j(q)
+    t = table.pop()
+    grid = np.zeros((op.nu, t.shape[1]))
+    for j in range(op.nu):
+        grid += coef[:, j, None] * (coef @ t[pair[j]].astype(float, copy=False))
+    del t
     axes = tuple(range(op.d))
     cells = op.N**op.d
-    psi = np.fft.ifftn(grid, axes=axes)
+    psi = np.fft.ifftn(grid.T[orbit].reshape(op.grid_shape + (op.nu,)), axes=axes)
     _within(float(np.abs(psi.imag).max()) / cells, _REALNESS_TOL, "averaged distribution not real")
     mu = np.roll(psi.real, cell, axis=axes).reshape(-1)
     mu /= cells
@@ -271,18 +283,16 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
     (about N / 2 in 1-D), and the G distinct gaps include 0 for j = j'. So the
     table sinc(T (v_a - v_b - g)) over class pairs and gaps holds every weight:
     F[Delta, g] sums, over r, its entry at the classes of r and r - Delta,
-    found through the cell keys, S[Delta, j, j'] = F[Delta, |mu_j' - mu_j|],
-    and G[Delta, q] = sum_j c_j(q) sum_j' c_j'(q) F[Delta, g(j, j')] takes one
-    GEMM per band j. The table is built for blocks of classes and gathered
+    found through the cell keys, and S[Delta, j, j'] = F[Delta, |mu_j' - mu_j|]
+    goes to ``_from_pair_grid``. F is built for blocks of classes and gathered
     for blocks of offsets, so that no temporary exceeds max(8 N^d, 2048)
-    entries beyond one class and one offset. Cost: V^2 G sines, N^d G gathered weights per
-    orbit, of which there are C(floor(N/2) + d, d), nu^3 per orbit for G and
-    one FFT, in O(dim nu) memory.
+    entries beyond one class and one offset. Cost: V^2 G sines, N^d G gathered
+    weights per orbit, of which there are C(floor(N/2) + d, d), nu^3 per orbit
+    in one GEMM per band and one FFT, in O(dim nu) memory.
     """
     horizon = _real(horizon, "averaging horizon", 0.0, HORIZON_LIMIT)
     start = _normalize_start(op, start)
     _budget("finite-horizon average needs", op.dim, "states", PAIR_SUM_LIMIT)
-    cell, p = start
     N, d, nu = op.N, op.d, op.nu
     cells = N**d
     reps, orbit = np.unique(_canonical_offsets(N, d), return_inverse=True)
@@ -321,13 +331,7 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
             b += row
             f[:, lo : lo + block] += y.take(b, axis=1).sum(axis=1)
         del y
-    w = op.spectrum.eigenvectors
-    coef = w[p, :] * w  # coef[q, j] = w_j(p) w_j(q)
-    gap = gap.reshape(nu, nu)
-    grid = np.zeros((nu, reps.size))
-    for j in range(nu):
-        grid += coef[:, j, None] * (coef @ f[gap[j]])
-    mu = _from_pair_grid(op, cell, grid.T[orbit].reshape(op.grid_shape + (nu,)))
+    mu = _from_pair_grid(op, start, [f], gap.reshape(nu, nu), orbit)
     return _finalize_distribution(op, start, mu, horizon)
 
 
@@ -352,17 +356,15 @@ def infinite_time_averaged(
     ``_pair_counts`` as they are and it frees them before the walk; only the
     positions of the clusters projected alone are copied. The table counts
     the pairs of all runs in chunks of at most N^d, in O(nu + sum |C|^2 /
-    N^d) numpy calls. As in ``time_averaged``, G[Delta, q] = sum_(j, j')
-    c_j(q) c_j'(q) S[Delta, j, j'] and one inverse FFT of G over the cell
-    axes gives the sum over all clusters: O(sum |C|^2 + N^d nu^3 + dim log
-    N) work. A cluster with
-    nu |C|^2 > N^d nu^2 + dim log2(dim) (a flat or highly degenerate band) is
-    projected on its own instead, with k_i = 0, so a counted cluster has at
-    most N^d nu + dim log2(dim) / nu pairs. Averages needing more than
-    ``floquet.PAIR_COUNT_BUDGET`` counts are rejected before anything is allocated.
+    N^d) numpy calls. As in ``time_averaged``, ``_from_pair_grid`` contracts
+    S into G with one GEMM per band, N^d nu^3 multiply-adds in BLAS, and one
+    inverse FFT of G sums all clusters: O(sum |C|^2 + N^d nu^3 + dim log N)
+    work. A cluster with nu |C|^2 > N^d nu^2 + dim log2(dim) (a flat or highly
+    degenerate band) is projected on its own instead, with k_i = 0, so a
+    counted cluster has at most N^d nu + dim log2(dim) / nu pairs. Averages
+    over ``floquet.PAIR_COUNT_BUDGET`` counts are rejected before allocating.
     """
     start = _normalize_start(op, start)
-    cell, p = start
     N, d, nu, dim = op.N, op.d, op.nu, op.dim
     cells = N**d
     _budget("infinite-time average needs", nu * nu * cells, "counts", floquet.PAIR_COUNT_BUDGET)
@@ -378,14 +380,11 @@ def infinite_time_averaged(
     same = np.bincount(order[0][k >= 0] // cells, minlength=nu)  # alpha = beta
     # copies, so that no view keeps the positions alive once ``_pair_counts`` drops them
     lone = [order[0][lo:hi].copy() for lo, hi in zip(ends[alone] - sizes[alone], ends[alone])]
-    counts = _pair_counts(order, np.maximum(k, 0, out=k), N, d)
+    # T[j nu + j', Delta], a view of the count table that ``_from_pair_grid`` frees before its inverse FFT
+    counts = [_pair_counts(order, np.maximum(k, 0, out=k), N, d).reshape(cells, nu * nu).T]
     del k  # the running sum is dead; the FFT and the lone clusters' projections need none of it
-    counts[0] += np.diag(same)
-    w = op.spectrum.eigenvectors
-    coef = w[p, :] * w  # coef[q, j] = w_j(p) w_j(q)
-    grid = np.einsum("bjk,qj,qk->bq", counts, coef, coef)
-    del counts  # the N^d nu^2 table goes before the inverse FFT allocates
-    mu = _from_pair_grid(op, cell, grid.reshape(op.grid_shape + (nu,)))
+    counts[0][:: nu + 1, 0] += same  # rows j nu + j at Delta = 0
+    mu = _from_pair_grid(op, start, counts, np.arange(nu * nu).reshape(nu, nu), slice(None))
     for positions in lone:
         weights = np.zeros((nu, cells))
         weights.reshape(-1)[positions] = 1.0

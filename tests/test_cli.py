@@ -224,6 +224,12 @@ def test_floquet_check_readme_examples_exact_bytes(capsys, argv, want):
             "cb2d7be394546a7c4db5c2b515c157adf0c679210392830294111bc79447aa94",
             "tv_to_prediction = 0.218749567895\n",
         ),
+        # not in the README: 60 bands over Z_3, one GEMM each in the pair-grid tail of the average
+        (
+            ("--family", "cycle", "--nu", "60", "--N", "3", "--T", "inf"),
+            "f706d130b9ab690bf2bf48f4f8cc372692efc7271c4951ca6687111dc00b6c7f",
+            "tv_to_prediction = 0.222222222222\n",
+        ),
     ],
 )
 def test_simulate_readme_examples_exact_bytes(capsys, argv, digest, summary):
@@ -530,6 +536,15 @@ def test_edge_list_that_is_not_utf8_exits_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: cannot read edge list: 'utf-8' codec can't decode")
     assert err.count("\n") == 1
+
+
+def test_edge_list_byte_order_mark_is_skipped(capsys, tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(b"0 1\n1 2\n")
+    marked.write_bytes(b"\xef\xbb\xbf0 1\n1 2\n")
+    want = run_cli(capsys, "density", "--edge-list", str(plain))
+    assert want[0] == 0
+    assert run_cli(capsys, "density", "--edge-list", str(marked)) == want
 
 
 @pytest.mark.parametrize("target", ["missing/dist.csv", "."])

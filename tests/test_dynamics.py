@@ -242,6 +242,8 @@ def dense_time_average(g, d, N, start, horizon):
         ("path", [2], 1, 7, ((4,), 1)),
         # d = 3: swapped axes hold the same band values only up to rounding
         ("path", [2], 3, 6, ((1, 4, 2), 1)),
+        # 60 bands over Z_3, one GEMM each in the pair-grid tail
+        ("cycle", [60], 1, 3, ((1,), 17)),
     ],
 )
 def test_time_averaged_matches_dense_eigenpairs(family, params, d, N, start, horizon):
@@ -279,8 +281,9 @@ def test_time_averaged_memory_at_the_pair_sum_limit(family, params, d, N):
 
 @pytest.mark.parametrize("family,params,d,N,bound", [("cycle", [3], 2, 72, 5.45), ("path", [3], 2, 56, 5.55)])
 def test_infinite_average_memory(family, params, d, N, bound):
-    # Peaks of 5.19 and 5.30 times the distribution, about 5% under the bound. With the int64
-    # sorted positions alive through the walk and the inverse FFT they were 6.19 and 6.30.
+    # Peaks of 5.20 and 5.47 times the distribution, 5% and 1.5% under the bound; the path's is
+    # the pair-grid tail's, table, grid, one band's cast and its GEMM output at once. With the
+    # int64 sorted positions alive through the walk and the inverse FFT they were 6.19 and 6.30.
     op = build_torus(build_named(family, params), d=d, N=N)
     infinite_time_averaged(op, ((1,) * d, 0))  # first calls allocate numpy's own caches
     tracemalloc.start()
@@ -320,6 +323,8 @@ def test_infinite_average_is_the_long_time_limit():
         ("cycle", [4], 2, 6, ((1, 3), 2), 1, True),
         ("complete", [8], 1, 4, ((1,), 5), 1, False),  # the 14-fold -1 band at r = 1, 3 goes alone
         ("cycle", [3], 4, 3, ((0, 2, 1, 0), 1), 4, True),
+        # 60 bands over Z_3: mu_0 + E0(1) = 2 - 1 and mu_20 + E0(0) = -1 + 2 share a cluster
+        ("cycle", [60], 1, 3, ((1,), 17), 0, True),
     ],
 )
 def test_infinite_average_matches_dense_projections(
@@ -443,6 +448,51 @@ def test_infinite_average_runs_one_inverse_fft(monkeypatch):
     assert len(calls) == 1
 
 
+def test_averages_reach_one_pair_grid_tail_without_einsum(monkeypatch):
+    op = build_torus(build_named("cycle", [5]), d=2, N=6)
+    tails, einsums = [], []
+    tail, einsum = dynamics._from_pair_grid, np.einsum
+    monkeypatch.setattr(dynamics, "_from_pair_grid", lambda *a: tails.append(1) or tail(*a))
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: einsums.append(1) or einsum(*a, **k))
+    for average in (lambda: infinite_time_averaged(op, ((1, 4), 2)), lambda: time_averaged(op, ((1, 4), 2), 7.5)):
+        tails.clear()
+        average()
+        assert len(tails) == 1
+    assert einsums == []
+
+
+def _pair_grid_reference(op, start, table, pair, orbit):
+    """roll(ifftn(G), n) / N^d with S[Delta, j, j'] = T[pair[j, j'], orbit[Delta]] materialised."""
+    (cell, p), axes = start, tuple(range(op.d))
+    coef = op.spectrum.eigenvectors[p, :] * op.spectrum.eigenvectors
+    s = np.moveaxis(table[pair][..., orbit], -1, 0).astype(float)
+    grid = np.einsum("bjk,qj,qk->bq", s, coef, coef)
+    psi = np.fft.ifftn(grid.reshape(op.grid_shape + (op.nu,)), axes=axes)
+    return np.roll(psi.real, cell, axis=axes).reshape(-1) / op.N**op.d
+
+
+@pytest.mark.parametrize("d,N", [(1, 7), (2, 6)])
+@pytest.mark.parametrize("nu", [1, 3, 7])
+def test_pair_grid_tail_matches_the_three_operand_contraction(nu, d, N):
+    rng = np.random.default_rng(nu * 10 + d)
+    g = FiniteGraph(nu, frozenset((u, v) for u in range(nu) for v in range(u + 1, nu) if rng.random() < 0.6))
+    op = build_torus(g, d=d, N=N)
+    start = (tuple(rng.integers(0, N, d)), int(rng.integers(nu)))
+    # one column per orbit of the signed axis permutations, so that the pair grid is even and its FFT real
+    reps, orbit = np.unique(dynamics._canonical_offsets(N, d), return_inverse=True)
+    assert 1 < reps.size < N**d
+    # int32 counts per band pair, held transposed as the infinite-time average holds its table
+    counts = rng.integers(0, 6, (reps.size, nu * nu)).astype(np.int32).T
+    # float sums per band gap, with repeated gaps
+    gap = rng.integers(0, max(1, nu - 1), (nu, nu))
+    sums = rng.random((int(gap.max()) + 1, reps.size))
+    for table, pair in ((counts, np.arange(nu * nu).reshape(nu, nu)), (sums, gap)):
+        held = [table]
+        got = dynamics._from_pair_grid(op, start, held, pair, orbit)
+        assert held == []
+        np.testing.assert_allclose(got, _pair_grid_reference(op, start, table, pair, orbit), rtol=0, atol=1e-12)
+
+
 def test_limit_prediction_tiles_factor_density():
     g = build_named("cycle", [5])
     op = build_torus(g, d=1, N=8)
@@ -522,7 +572,7 @@ def test_distribution_checks_fail_on_nan():
         dynamics.TimeAveragedDistribution(values=values, horizon=1.0, start=start, N=4, d=1, nu=2)
     with pytest.raises(NumericalError, match="negative"):
         dynamics._finalize_distribution(op, start, values, 1.0)
-    grid = np.ones((4, 2), dtype=complex)
-    grid[1, 0] = complex(0.0, np.nan)
+    table = np.ones((1, 4))
+    table[0, 1] = np.nan
     with pytest.raises(NumericalError, match="not real"):
-        dynamics._from_pair_grid(op, (0,), grid)
+        dynamics._from_pair_grid(op, start, [table], np.zeros((2, 2), dtype=int), slice(None))
