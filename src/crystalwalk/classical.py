@@ -94,11 +94,19 @@ def iterate_distribution(
 
 @dataclass(frozen=True)
 class WalkReport:
-    """Stationary law, bipartiteness, and optional iterates of the walk."""
+    """Stationary law, bipartiteness, and optional iterates of the walk, as read-only arrays."""
 
     stationary: np.ndarray
     bipartite: bool
     iterates: tuple[np.ndarray, ...] | None = None
+
+    def __post_init__(self) -> None:
+        arrays = [np.asarray(a, dtype=float) for a in (self.stationary, *(self.iterates or ()))]
+        for a in arrays:
+            a.setflags(write=False)
+        object.__setattr__(self, "stationary", arrays[0])
+        if self.iterates is not None:
+            object.__setattr__(self, "iterates", tuple(arrays[1:]))
 
 
 def walk_report(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from . import classical as classical_mod
 from . import closed_forms, dynamics, floquet, serialize, spectral
@@ -74,7 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
 
-    p = sub.add_parser("density", help="numeric limiting density of a finite graph")
+    def add_command(name: str, run: Callable[[argparse.Namespace], int], summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    p = add_command("density", _cmd_density, "numeric limiting density of a finite graph")
     add_family(p)
     p.add_argument("--edge-list", metavar="FILE", help="read the graph from an edge-list file")
     p.add_argument("--periodic", choices=["honeycomb"], help="grid quadrature for a built-in periodic graph")
@@ -83,11 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true", help="emit a p,q,d table instead of JSON")
     add_output(p)
 
-    p = sub.add_parser("closed-form", help="closed-form density table for a solvable family")
+    p = add_command("closed-form", _cmd_closed_form, "closed-form density table for a solvable family")
     add_family(p, closed_forms.CLOSED_FORM_FAMILIES)
     add_output(p)
 
-    p = sub.add_parser("floquet-check", help="band collision scan of a lattice product")
+    p = add_command("floquet-check", _cmd_floquet_check, "band collision scan of a lattice product")
     add_family(p)
     p.add_argument("--product", choices=sorted(k.value for k in ProductKind), default="cartesian",
                    help="product rule (default cartesian)")
@@ -100,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_tol(p)
     add_output(p)
 
-    p = sub.add_parser("simulate", help="time-averaged walk on a torus product")
+    p = add_command("simulate", _cmd_simulate, "time-averaged walk on a torus product")
     add_family(p)
     p.add_argument("--edge-list", metavar="FILE", help="read the finite factor from an edge-list file")
     p.add_argument("--d", type=int, default=1, help="torus dimension (default 1)")
@@ -112,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_tol(p)
     add_output(p)
 
-    p = sub.add_parser("classical", help="classical random-walk report")
+    p = add_command("classical", _cmd_classical, "classical random-walk report")
     add_family(p)
     p.add_argument("--edge-list", metavar="FILE", help="read the graph from an edge-list file")
     p.add_argument("--start", type=int, help="start vertex for iteration")
@@ -120,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lazy", action="store_true", help="use the lazy walk (I + P)/2")
     add_output(p)
 
-    p = sub.add_parser("compare", help="quantum limiting row vs classical stationary law")
+    p = add_command("compare", _cmd_compare, "quantum limiting row vs classical stationary law")
     add_family(p)
     p.add_argument("--edge-list", metavar="FILE", help="read the graph from an edge-list file")
     p.add_argument("--start-p", type=int, default=0, help="quantum start vertex (default 0)")
@@ -240,16 +245,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "density": _cmd_density,
-    "closed-form": _cmd_closed_form,
-    "floquet-check": _cmd_floquet_check,
-    "simulate": _cmd_simulate,
-    "classical": _cmd_classical,
-    "compare": _cmd_compare,
-}
-
-
 # Built once per process: parse_args leaves the parser as it was, so every
 # in-process call of main reuses it.
 _PARSER = build_parser()
@@ -258,7 +253,7 @@ _PARSER = build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (ParameterError, EdgeListError) as exc:

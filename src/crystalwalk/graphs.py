@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -276,13 +277,17 @@ def build_named(family: str, params: Sequence[int] = ()) -> FiniteGraph:
     return FiniteGraph(10, edges, tuple(str(i) for i in range(10)))
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def from_edge_list(text: str) -> FiniteGraph:
     """Parse an edge-list text into a FiniteGraph.
 
-    One edge per line as ``u v`` with non-negative integer vertex ids.
-    Everything after a ``#`` is a comment; blank lines are skipped. Duplicate
-    edges are merged, self loops raise EdgeListError. The vertex count is
-    1 + the largest index mentioned.
+    One edge per line as ``u v`` with non-negative vertex ids in ASCII
+    decimal digits (no ``+``, no ``_`` and no other script's digits, which
+    ``int`` would accept). Everything after a ``#`` is a comment; blank
+    lines are skipped. Duplicate edges are merged, self loops raise
+    EdgeListError. The vertex count is 1 + the largest index mentioned.
     """
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -293,8 +298,10 @@ def from_edge_list(text: str) -> FiniteGraph:
         if len(parts) != 2:
             raise EdgeListError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
         try:
+            if not all(map(_DECIMAL.fullmatch, parts)):
+                raise ValueError("not a decimal vertex id")
             u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
+        except ValueError as exc:  # int() also refuses ids over its digit limit
             raise EdgeListError(f"line {lineno}: non-integer vertex in {raw.strip()!r}") from exc
         if u < 0 or v < 0:
             raise EdgeListError(f"line {lineno}: negative vertex id")
@@ -354,7 +361,7 @@ class PeriodicGraphSpec:
 
     @cached_property
     def _offset_targets(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Distinct offsets in ascending order, shape (m, d), and the flat targets p * nu + q of each.
+        """Distinct offsets in ascending order, shape (m, d), and the flat targets p * nu + q of each, read-only.
 
         Each offset's rows are one run of the (n, p, q) order, so no target repeats within it.
         """
@@ -362,8 +369,11 @@ class PeriodicGraphSpec:
         new = np.ones(len(rows), dtype=bool)
         new[1:] = (rows[1:, 2:] != rows[:-1, 2:]).any(axis=1)
         firsts = np.flatnonzero(new)
-        flat = rows[:, 0] * self.nu + rows[:, 1]
-        return rows[firsts, 2:].astype(float), [flat[a:b] for a, b in zip(firsts, [*firsts[1:], len(rows)])]
+        offsets, flat = rows[firsts, 2:].astype(float), rows[:, 0] * self.nu + rows[:, 1]
+        # setflags: assigning flags.writeable leaves a 57-byte object per array in tracemalloc's count (numpy 2.4)
+        offsets.setflags(write=False)
+        flat.setflags(write=False)  # and so its views
+        return offsets, [flat[a:b] for a, b in zip(firsts, [*firsts[1:], len(rows)])]
 
 
 def zd_product_spec(graph: FiniteGraph, d: int = 1) -> PeriodicGraphSpec:

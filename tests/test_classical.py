@@ -158,3 +158,10 @@ def test_walk_report():
     np.testing.assert_allclose(
         report.iterates[0], iterate_distribution(g, 2, 4, lazy=True), atol=1e-15
     )
+
+
+def test_walk_report_arrays_are_read_only():
+    report = walk_report(build_named("cycle", [5]), start=0, steps=3)
+    for a in (report.stationary, *report.iterates):
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0

@@ -510,6 +510,13 @@ def test_argument_errors_exit_2(capsys):
     assert run_cli(capsys, "density", "--edge-list", "/no/such/file")[0] == 2
 
 
+def test_each_subcommand_parses_to_its_handler():
+    commands = ["density", "closed-form", "floquet-check", "simulate", "classical", "compare"]
+    assert cli._PARSER._subparsers._group_actions[0].choices.keys() == set(commands)
+    for name in commands:
+        assert cli._PARSER.parse_args([name]).run is getattr(cli, "_cmd_" + name.replace("-", "_"))
+
+
 def test_family_and_edge_list_conflict(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("0 1\n")
@@ -545,6 +552,24 @@ def test_edge_list_byte_order_mark_is_skipped(capsys, tmp_path):
     want = run_cli(capsys, "density", "--edge-list", str(plain))
     assert want[0] == 0
     assert run_cli(capsys, "density", "--edge-list", str(marked)) == want
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("0 1_0", "non-integer vertex in '0 1_0'"),  # int() would read 10
+        ("+0 1", "non-integer vertex in '+0 1'"),
+        ("0 \u0661", "non-integer vertex in '0 \u0661'"),  # ARABIC-INDIC DIGIT ONE
+        ("0 " + "1" * 5000, f"non-integer vertex in '0 {'1' * 5000}'"),  # over int()'s digit limit
+        ("-1 2", "negative vertex id"),
+        ("-1_0 2", "non-integer vertex in '-1_0 2'"),
+    ],
+    ids=["underscore", "plus", "arabic-indic", "over-digit-limit", "negative", "negative-underscore"],
+)
+def test_edge_list_vertex_ids_are_ascii_decimal(capsys, tmp_path, line, message):
+    path = tmp_path / "g.txt"
+    path.write_text(f"{line}\n", encoding="utf-8")
+    assert run_cli(capsys, "density", "--edge-list", str(path)) == (2, "", f"error: line 1: {message}\n")
 
 
 @pytest.mark.parametrize("target", ["missing/dist.csv", "."])

@@ -360,6 +360,14 @@ def test_periodic_spec_deduplicates_and_sorts():
     assert given[0].tolist() == [0, 1, 1] and given.flags.writeable
 
 
+def test_cached_offset_targets_are_read_only():
+    """Every fiber matrix of a spec reads these arrays, so none may be scaled in place."""
+    offsets, targets = honeycomb_spec()._offset_targets
+    for a in (offsets, *targets):
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2
+
+
 def _zd_rows_oracle(graph, d):
     """The offset rows of the Z^d box product written out entry by entry, as sorted (n, p, q) keys."""
     entries = set()

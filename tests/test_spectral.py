@@ -617,3 +617,14 @@ def test_every_exported_name_has_a_caller():
     for path in sources:
         used.update(_referenced_names(ast.parse(path.read_text())))
     assert sorted(set(crystalwalk.__all__) - used) == []
+
+
+def test_package_exports_each_module_list_once():
+    modules = [crystalwalk.graphs, crystalwalk.spectral, crystalwalk.closed_forms,
+               crystalwalk.floquet, crystalwalk.dynamics, crystalwalk.classical]
+    want = ["__version__"] + [name for m in modules for name in m.__all__]
+    assert crystalwalk.__all__ == want
+    assert len(set(want)) == len(want)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(crystalwalk, name) is getattr(m, name), name
