@@ -133,7 +133,7 @@ def build_torus(
     _budget("torus needs", graph.nu * N**d, "states", STATE_BUDGET)
     spectrum = eigendecompose_symmetric(graph.adjacency, tol)
     e0 = base_grid(zd_product_spec(FiniteGraph(1), d), N)
-    e0.flags.writeable = False
+    e0.setflags(write=False)
     return TorusOperator(spectrum=spectrum, N=N, d=d, base_band=e0)
 
 
@@ -198,7 +198,7 @@ class TimeAveragedDistribution:
             raise ValueError("distribution length must equal nu * N^d")
         _within(-v.min(), 0.0, "distribution has negative entries")
         _within(abs(float(v.sum()) - 1.0), _MASS_TOL, "distribution mass deviates from 1")
-        v.flags.writeable = False
+        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
 

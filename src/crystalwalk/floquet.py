@@ -24,9 +24,9 @@ The grid quadrature walks the grid in blocks of K = max(1, 64 // nu^2, 24 // nu)
 fibers, so a block of several fibers holds at most 288 matrix entries: per
 block one stacked fiber-matrix build, one stacked ``eigh``, the row-wise
 clustering rule of ``spectral`` and one ``squared_projection_sum`` per
-cluster pattern, so a block costs O(offsets + patterns) numpy calls instead
-of K times a per-fiber loop. It adds the fibers in grid order and so gives
-the per-fiber loop's values bit for bit.
+cluster pattern, so a block costs a fixed few dozen numpy calls instead of K
+times a per-fiber loop. It adds the fibers in grid order and so gives the
+per-fiber loop's values bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from .spectral import (
     EigenSolverError,
     SpectralDecomposition,
     _cluster_splits,
+    _cluster_tol,
+    _split_ends,
     _within,
     cluster_gap,
     eigendecompose_symmetric,
@@ -96,32 +98,32 @@ def build_floquet_matrix(spec: PeriodicGraphSpec, theta: float | Sequence[float]
     matrix, or a stack of shape (K, d), giving (K, nu, nu). Each distinct
     offset n contributes one phase column e^(2 pi i theta.n), added to its
     (p, q) entries in ascending order of n, so each matrix of a stack equals
-    the single-theta call bit for bit.
+    the single-theta call bit for bit: one gather and one addition per level
+    of ``PeriodicGraphSpec._offset_targets``, whatever the number of offsets.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     if th.ndim > 2 or th.shape[-1] != spec.d:
         raise ParameterError(f"theta must have {spec.d} component(s)")
     nu = spec.nu
-    offsets, targets = spec._offset_targets
-    # e^(2 pi i theta.n), one column per distinct offset. The argument is built
-    # in place, both parts as the product 2j * pi * x forms them: a NaN theta
-    # makes the real part NaN too, so exp stays quiet and the check below fails.
-    x = th.reshape(-1, spec.d) @ offsets.T
-    phases = np.empty(x.shape, dtype=complex)
-    np.multiply(x, 0.0, out=phases.real)
-    np.multiply(x, 2 * np.pi, out=phases.imag)
+    offsets, levels = spec._offset_targets
+    # e^(2 pi i theta.n), a row per distinct offset and a column per theta,
+    # over a row of zeros that pads the levels. A NaN theta makes the real
+    # part of 2j * pi * x NaN too, so exp stays quiet and the check fails.
+    x = offsets @ th.reshape(-1, spec.d).T
+    phases = np.empty((x.shape[0] + 1, x.shape[1]), dtype=complex)
+    phases[-1] = 0.0
+    p = phases[:-1]
+    np.multiply(x, 2j * np.pi, out=p)
     del x
-    np.exp(phases, out=phases)
-    h = np.zeros(phases.shape[0] * nu * nu, dtype=complex)
-    rows = np.arange(0, h.size, nu * nu)[:, None]
-    for col, flat in enumerate(targets):
-        # take and put: fancy indexing would allocate a few KB of index machinery per call
-        at = rows + flat
-        entries = h.take(at)
-        entries += phases[:, col, None]
-        h.put(at, entries)
-    del phases
-    h = h.reshape(th.shape[:-1] + (nu, nu))
+    np.exp(p, out=p)
+    # Each entry starts at +0 and gains its phases in ascending order of n, as
+    # a loop over the offsets would add them. Such a sum is never -0, so
+    # neither the padding's +0 nor the sign of a phase's zero part moves a bit.
+    h = np.zeros((nu * nu, phases.shape[1]), dtype=complex)
+    for entries in levels:
+        h += phases.take(entries, axis=0)
+    del phases, p
+    h = np.ascontiguousarray(h.T).reshape(th.shape[:-1] + (nu, nu))  # fiber k was column k
     skew = h.conj()
     skew -= h.swapaxes(-1, -2)  # H^H - H, transposed
     _within(np.abs(skew).max(initial=0.0), _HERMITICITY_TOL, "fiber matrix is not Hermitian")
@@ -478,27 +480,18 @@ def _block_fibers(nu: int) -> int:
     return max(1, _BLOCK_ENTRIES // nu**2, _BLOCK_ROWS // nu)
 
 
-def _fiber_densities(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
-    """sum_s |P_s|^2 of each fiber of a block, shape (K, nu, nu), in the block's order.
+def _mixed_densities(vecs: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """sum_s |P_s|^2 of each fiber of a block whose cluster patterns differ, shape (K, nu, nu).
 
-    Fibers are grouped by their cluster pattern, so each group shares the
-    ends that ``squared_projection_sum`` takes.
+    One ``squared_projection_sum`` per pattern, over the fibers that share it.
     """
-    split = _cluster_splits(vals, tol)
-    nu = vals.shape[1]
-    patterns = [0]
-    if len(split) > 1:
-        # one integer code per split pattern; a block holds more than one fiber
-        # only while nu <= _BLOCK_ROWS / 2 (``_block_fibers``), so the nu - 1 bits fit
-        codes = split @ (1 << np.arange(nu - 1))
-        ranked = np.sort(codes)  # np.unique would allocate about 1 MB on its first call
-        patterns = ranked[np.append(True, ranked[1:] != ranked[:-1])].tolist()
-    if len(patterns) == 1:
-        return squared_projection_sum(vecs, np.append(np.flatnonzero(split[0]) + 1, nu))
     d = np.empty(vecs.shape, dtype=float)
-    for code in patterns:
-        rows = np.flatnonzero(codes == code)
-        d[rows] = squared_projection_sum(vecs[rows], np.append(np.flatnonzero(split[rows[0]]) + 1, nu))
+    todo = np.ones(len(split), dtype=bool)
+    while todo.any():
+        same = (split == split[todo.argmax()]).all(axis=1)
+        rows = np.flatnonzero(same)
+        d[rows] = squared_projection_sum(vecs[rows], _split_ends(split[rows[0]]))
+        todo &= ~same
     return d
 
 
@@ -513,22 +506,27 @@ def general_density(
     call, diagonalizes them with one stacked ``eigh``, clusters every row
     with the shared single-linkage rule, and adds the squared moduli of the
     distinct-eigenvalue projections, one ``squared_projection_sum`` per
-    cluster pattern in the block. That is O(offsets + patterns) numpy calls
-    and O(K nu^3) work per block, O(K nu^2) memory. The fibers are summed in
-    grid order, so the result is bit for bit that of a loop over single
+    cluster pattern in the block. A block whose fibers all repeat the last
+    uniform block's pattern reuses its cluster ends, which is all that
+    crosses blocks. That is O(K nu^3) work per block and O(K nu^2) memory.
+    ``tol`` is checked once, before the first fiber. The fibers are summed
+    in grid order, so the result is bit for bit that of a loop over single
     fibers. The ``DensityMatrix`` checks the result's symmetry, its range and
     its row sums (within 1e-10). Grids of more than ``FIBER_BUDGET`` points
     are rejected before anything is allocated.
     """
     N = _int(N, "grid size N", 1)
+    tol = _cluster_tol(tol)
     fibers = N**spec.d
     _budget("grid quadrature needs", fibers, "fibers", FIBER_BUDGET)
     shape = (N,) * spec.d
     block = _block_fibers(spec.nu)
     acc = np.zeros((spec.nu, spec.nu))
+    pattern = ends = None  # the cluster pattern that every fiber of a recent block shared, and its ends
     for lo in range(0, fibers, block):
         hi = min(lo + block, fibers)
-        theta = np.stack(np.unravel_index(np.arange(lo, hi), shape), axis=-1) / N
+        theta = np.array(np.unravel_index(np.arange(lo, hi), shape), dtype=float).T
+        theta /= N
         try:
             vals, vecs = np.linalg.eigh(build_floquet_matrix(spec, theta))
         except np.linalg.LinAlgError as exc:
@@ -536,9 +534,15 @@ def general_density(
             raise EigenSolverError(
                 f"fiber eigendecomposition failed in the block of grid points {first} to {last}"
             ) from exc
-        d = _fiber_densities(vals, vecs, tol)
+        split = _cluster_splits(vals, tol)
+        if pattern is None or not (split == pattern).all():
+            if (split == split[0]).all():  # a copy, so this block's split goes with the block
+                pattern, ends = split[0].copy(), _split_ends(split[0])
+            else:
+                pattern = None
+        d = _mixed_densities(vecs, split) if pattern is None else squared_projection_sum(vecs, ends)
         d[0] += acc  # then the sum over the block adds fiber after fiber, as a per-fiber loop would
         acc = d.sum(axis=0)
-        del vals, vecs, d  # so two blocks' temporaries are never alive at once
+        del vals, vecs, split, d  # so two blocks' temporaries are never alive at once
     acc /= fibers
     return DensityMatrix(values=acc, source="quadrature")

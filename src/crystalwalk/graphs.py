@@ -170,7 +170,7 @@ class FiniteGraph:
             _int(q, "vertex", 0, nu - 1)
         uv.sort(axis=1)
         uv = _sorted_rows(uv, (0, 1))
-        uv.flags.writeable = False
+        uv.setflags(write=False)
         object.__setattr__(self, "edges", uv)
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
@@ -185,7 +185,7 @@ class FiniteGraph:
         u, v = self.edges.T
         a[u, v] = 1.0
         a[v, u] = 1.0
-        a.flags.writeable = False
+        a.setflags(write=False)
         return a
 
     def degrees(self) -> np.ndarray:
@@ -285,9 +285,10 @@ def from_edge_list(text: str) -> FiniteGraph:
 
     One edge per line as ``u v`` with non-negative vertex ids in ASCII
     decimal digits (no ``+``, no ``_`` and no other script's digits, which
-    ``int`` would accept). Everything after a ``#`` is a comment; blank
-    lines are skipped. Duplicate edges are merged, self loops raise
-    EdgeListError. The vertex count is 1 + the largest index mentioned.
+    ``int`` would accept); a leading ``-``, as in ``-0``, makes a negative
+    id. Everything after a ``#`` is a comment; blank lines are skipped.
+    Duplicate edges are merged, self loops raise EdgeListError. The vertex
+    count is 1 + the largest index mentioned.
     """
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -303,7 +304,7 @@ def from_edge_list(text: str) -> FiniteGraph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:  # int() also refuses ids over its digit limit
             raise EdgeListError(f"line {lineno}: non-integer vertex in {raw.strip()!r}") from exc
-        if u < 0 or v < 0:
+        if parts[0][0] == "-" or parts[1][0] == "-":  # -0 too, which int() reads as 0
             raise EdgeListError(f"line {lineno}: negative vertex id")
         if u == v:
             raise EdgeListError(f"line {lineno}: self-loop at vertex {u}")
@@ -356,24 +357,32 @@ class PeriodicGraphSpec:
             p, q, *off = next(r for r in rows.tolist() if tuple(r) not in have)
             lone = (p, q, tuple(off))
             raise ParameterError(f"offset edges not symmetric: {lone} present without its reverse")
-        rows.flags.writeable = False
+        rows.setflags(write=False)
         object.__setattr__(self, "offset_edges", rows)
 
     @cached_property
-    def _offset_targets(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Distinct offsets in ascending order, shape (m, d), and the flat targets p * nu + q of each, read-only.
+    def _offset_targets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct offsets in ascending order, shape (m, d), and the (L, nu^2) table of levels, read-only.
 
-        Each offset's rows are one run of the (n, p, q) order, so no target repeats within it.
+        Entry p * nu + q of a fiber matrix sums the phases of its rows (p, q, n) in ascending order of n.
+        Level l holds the offset index of each entry's (l + 1)-th row, or m past the entry's last row.
         """
         rows = self.offset_edges
         new = np.ones(len(rows), dtype=bool)
         new[1:] = (rows[1:, 2:] != rows[:-1, 2:]).any(axis=1)
-        firsts = np.flatnonzero(new)
-        offsets, flat = rows[firsts, 2:].astype(float), rows[:, 0] * self.nu + rows[:, 1]
+        offsets = rows[:, 2:].compress(new, axis=0).astype(float)
+        flat = rows[:, 0] * self.nu + rows[:, 1]
+        order = np.argsort(flat, kind="stable")  # each entry's rows stay in ascending order of n
+        flat = flat.take(order)
+        rank = np.arange(len(flat)) - flat.searchsorted(flat)  # a row's place among its entry's rows
+        # in the narrowest unsigned dtype, as the table lives as long as the spec
+        levels = np.full((rank.max(initial=-1) + 1, self.nu**2), len(offsets), np.min_scalar_type(len(offsets)))
+        # take, compress and put: fancy indexing would allocate a few KB of index machinery
+        levels.put(rank * self.nu**2 + flat, (np.cumsum(new) - 1).take(order))
         # setflags: assigning flags.writeable leaves a 57-byte object per array in tracemalloc's count (numpy 2.4)
         offsets.setflags(write=False)
-        flat.setflags(write=False)  # and so its views
-        return offsets, [flat[a:b] for a, b in zip(firsts, [*firsts[1:], len(rows)])]
+        levels.setflags(write=False)  # and so its rows
+        return offsets, levels
 
 
 def zd_product_spec(graph: FiniteGraph, d: int = 1) -> PeriodicGraphSpec:

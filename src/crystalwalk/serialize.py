@@ -58,20 +58,28 @@ def _float_list(values: Iterable[float]) -> str:
 
 
 def _distinct_strings(bits: np.ndarray, digits: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sorted distinct bit patterns of ``bits`` and each one formatted once.
+    """A code per entry of ``bits`` and each distinct bit pattern formatted once.
 
     ``bits`` is a float64 array viewed as int64, so -0.0 stays apart from
-    0.0. Returns None when the distinct values are more than a quarter of the
-    entries: above that, the distinct strings cost more time and memory than
-    they save.
+    0.0. ``words[codes]`` are the strings of ``bits``; the codes, of its
+    shape, take the narrowest unsigned dtype. Returns None when the distinct
+    values are more than a quarter of the entries: above that, the distinct
+    strings cost more time and memory than they save. A sort counts them,
+    and only then does an argsort rank every entry, which costs less than a
+    binary search per entry once they number in the hundreds.
     """
     keys = np.sort(bits, axis=None)
     first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    if 4 * np.count_nonzero(first) > keys.size:
+    count = np.count_nonzero(first)
+    if 4 * count > keys.size:
         return None
-    keys = keys[first]
-    text = ",".join([f"%.{digits}g"] * keys.size) % tuple(keys.view(np.float64).tolist())
-    return keys, np.array(text.split(","), dtype=object)
+    text = ",".join([f"%.{digits}g"] * count) % tuple(keys[first].view(np.float64).tolist())
+    del keys
+    rank = np.cumsum(first, dtype=np.min_scalar_type(count))
+    rank -= 1  # the code of each sorted entry
+    codes = np.empty(bits.shape, dtype=rank.dtype)
+    codes.put(np.argsort(bits, axis=None), rank)
+    return codes, np.array(text.split(","), dtype=object)
 
 
 def _table(header: str, axes: Sequence[Sequence[str]], *columns: np.ndarray) -> str:
@@ -96,9 +104,10 @@ def _table(header: str, axes: Sequence[Sequence[str]], *columns: np.ndarray) -> 
     template = "\n".join(lines)
     # one name for each step, so that each temporary goes as the next one is made
     del lines
-    args = np.column_stack(columns).astype(np.float64, copy=False).reshape(-1)
-    if found is not None:
-        args = found[1].take(np.searchsorted(found[0], args.view(np.int64)))
+    if found is None:
+        args = np.column_stack(columns).astype(np.float64, copy=False).reshape(-1)
+    else:  # the codes of the concatenated columns, interleaved as the lines read them
+        args = found[1].take(found[0].reshape(len(columns), -1).T.reshape(-1))
     del found
     args = args.tolist()
     args = tuple(args)
@@ -141,9 +150,9 @@ def _density_rows(values: np.ndarray) -> list[str]:
     """
     bits = np.ascontiguousarray(values).view(np.int64)
     found = _distinct_strings(bits, JSON_DIGITS)
-    if found is not None:
-        keys, words = found
-        return ["[" + ",".join(words.take(np.searchsorted(keys, row)).tolist()) + "]" for row in bits]
+    if found is not None:  # the codes go with this frame, before density_json joins the rows
+        codes, words = found
+        return ["[" + ",".join(words.take(row).tolist()) + "]" for row in codes]
     if np.array_equal(bits, bits.T):
         return _symmetric_rows(values)
     return _float_rows(values)

@@ -64,30 +64,45 @@ def _within(err: float, tol: float, what: str, error: type[Exception] = Numerica
         raise error(f"{what}: deviation {err:.3e}")
 
 
+def _cluster_tol(tol) -> float:
+    """``tol`` as a float when it is a finite real above 0 (``graphs._real``), else ParameterError."""
+    return _real(tol, "clustering tolerance", 0.0)
+
+
+def _gap(values: np.ndarray, tol: float) -> np.ndarray:
+    """``cluster_gap`` of an accepted tolerance, keeping the last axis with length 1."""
+    return min(tol, 2.0) * np.abs(values).max(axis=-1, initial=1.0, keepdims=True)
+
+
 def cluster_gap(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> float | np.ndarray:
     """Clustering gap tol * max(1, max|value|) over the last axis of eigenvalues.
 
     A float for a 1-D array, one gap per row for a stack of rows. Raises
-    ParameterError unless tol is a finite real above 0 (``graphs._real``),
-    once per call, so once per quadrature block. No two values of a row are
-    more than 2 max|value| apart, so tol = 2 already joins every row into one
-    cluster; larger tolerances are taken as 2, which keeps the gap finite.
+    ParameterError unless tol is a finite real above 0 (``_cluster_tol``).
+    No two values of a row are more than 2 max|value| apart, so tol = 2
+    already joins every row into one cluster; larger tolerances are taken as
+    2, which keeps the gap finite.
     """
-    tol = _real(tol, "clustering tolerance", 0.0)
-    return min(tol, 2.0) * np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
+    return _gap(values, _cluster_tol(tol))[..., 0]
 
 
-def _cluster_splits(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
+def _cluster_splits(values: np.ndarray, tol: float) -> np.ndarray:
     """Where each row of ascending eigenvalues starts a new cluster, shape (..., n - 1).
 
     Single linkage: consecutive values of a row no further apart than the
     row's ``cluster_gap`` share a cluster, so ``split[..., j]`` is True where
     value j + 1 opens the next one. This is the package's one clustering rule.
+    The callers check ``tol`` (``_cluster_tol``), the quadrature once for all its blocks.
     """
     step = values[..., 1:] - values[..., :-1]  # np.diff and np.any cost more per block of Bloch fibers
-    if (step < 0).any():
+    if step.min(initial=0.0) < 0:
         raise ValueError("values must be ascending")
-    return step > cluster_gap(values, tol)[..., None]
+    return step > _gap(values, tol)
+
+
+def _split_ends(split: np.ndarray) -> np.ndarray:
+    """Cluster ends of one row of ``_cluster_splits``, rising to its length + 1."""
+    return np.append(np.flatnonzero(split) + 1, split.size + 1)
 
 
 def cluster_eigenvalues(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
@@ -100,10 +115,10 @@ def cluster_eigenvalues(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) ->
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    split = _cluster_splits(values, tol)  # before the empty return, so tol is checked there too
+    split = _cluster_splits(values, _cluster_tol(tol))  # before the empty return, so tol is checked there too
     if values.size == 0:
         return np.zeros(0, dtype=np.intp)
-    return np.append(np.nonzero(split)[0] + 1, values.size)
+    return _split_ends(split)
 
 
 @dataclass(frozen=True)
@@ -128,9 +143,9 @@ class SpectralDecomposition:
             raise ValueError("eigenvectors must be square and match eigenvalues")
         if ends.ndim != 1 or np.any(np.diff(ends, prepend=0) <= 0) or ends.max(initial=0) != n:
             raise ValueError("cluster ends must rise strictly to the eigenvalue count")
-        vals.flags.writeable = False
-        vecs.flags.writeable = False
-        ends.flags.writeable = False
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        ends.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
         object.__setattr__(self, "ends", ends)
@@ -203,7 +218,7 @@ class DensityMatrix:
         outside = np.maximum(-1e-12 - d.min(), d.max() - (1.0 + 1e-12))
         _within(outside, 0.0, "density entries outside [0, 1]")
         _within(np.abs(d.sum(axis=1) - 1.0).max(), _ROW_SUM_TOL, "density rows do not sum to 1")
-        d.flags.writeable = False
+        d.setflags(write=False)
         object.__setattr__(self, "values", d)
 
     @property
@@ -249,8 +264,9 @@ def squared_projection_sum(vecs: np.ndarray, ends: np.ndarray) -> np.ndarray:
     a < b enter 2 Y Y^T, where Y holds the x_ab (a complex x viewed as
     interleaved real and imaginary parts, so Y Y^T = Re X X^H), n pairs per
     GEMM so that no temporary exceeds n x n entries. A spectrum of simple
-    eigenvalues runs the first GEMM alone. Larger clusters form their
-    projection, one block at a time.
+    eigenvalues runs the first GEMM alone, and when no cluster is larger
+    than ``_pair_max(n)`` that GEMM reads V itself, with no gathered copy.
+    Larger clusters form their projection, one block at a time.
     """
     n = vecs.shape[-1]
     pair_max = _pair_max(n)
@@ -268,7 +284,8 @@ def squared_projection_sum(vecs: np.ndarray, ends: np.ndarray) -> np.ndarray:
                 first.extend([a] * (hi - 1 - a))
                 second.extend(range(a + 1, hi))
         lo = hi
-    w = np.abs(vecs.take(own, axis=-1)) ** 2  # take: no indexing buffers for a stack
+    # take: no indexing buffers for a stack; a spectrum without large clusters keeps every column
+    w = np.abs(vecs if len(own) == n else vecs.take(own, axis=-1)) ** 2
     d = w @ w.swapaxes(-1, -2)
     del w
     for c in range(0, len(first), n):  # n pairs per GEMM: no temporary above n x n entries

@@ -563,8 +563,11 @@ def test_edge_list_byte_order_mark_is_skipped(capsys, tmp_path):
         ("0 " + "1" * 5000, f"non-integer vertex in '0 {'1' * 5000}'"),  # over int()'s digit limit
         ("-1 2", "negative vertex id"),
         ("-1_0 2", "non-integer vertex in '-1_0 2'"),
+        ("-0 1", "negative vertex id"),  # int() would read 0
+        ("1 -00", "negative vertex id"),
     ],
-    ids=["underscore", "plus", "arabic-indic", "over-digit-limit", "negative", "negative-underscore"],
+    ids=["underscore", "plus", "arabic-indic", "over-digit-limit", "negative", "negative-underscore", "negative-zero",
+         "negative-zeros"],
 )
 def test_edge_list_vertex_ids_are_ascii_decimal(capsys, tmp_path, line, message):
     path = tmp_path / "g.txt"

@@ -232,12 +232,10 @@ def test_blocked_quadrature_is_the_per_fiber_loop_bit_for_bit(monkeypatch, spec,
     assert mixed == (block > 1 and expected)
 
 
-def test_block_fibers_keep_the_pattern_codes_in_an_int64():
+def test_block_fibers_hold_at_most_288_entries():
     fibers = {nu: floquet._block_fibers(nu) for nu in range(1, 200)}
     assert [fibers[nu] for nu in (2, 6, 8, 10, 12, 13)] == [16, 4, 3, 2, 2, 1]
     assert max(k * nu**2 for nu, k in fibers.items() if k > 1) == 288
-    # _fiber_densities codes a multi-fiber block's cluster patterns in nu - 1 bits below the sign bit
-    assert all(k == 1 for nu, k in fibers.items() if nu - 1 > 63)
 
 
 _STACK_SPECS = [
@@ -631,6 +629,16 @@ def test_quadrature_eigh_failure_names_the_block(monkeypatch):
         general_density(zd_product_spec(build_named("petersen", []), d=2), 4)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, "x"])
+def test_quadrature_checks_the_clustering_tolerance_before_any_fiber(monkeypatch, tol):
+    def fail(*args, **kwargs):
+        raise AssertionError("a fiber was diagonalized")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ParameterError, match="clustering tolerance"):
+        general_density(honeycomb_spec(), 8, tol)
+
+
 @pytest.mark.parametrize(
     "spec,N",
     [
@@ -641,7 +649,7 @@ def test_quadrature_eigh_failure_names_the_block(monkeypatch):
     ],
 )
 def test_quadrature_memory_stays_within_one_block(spec, N):
-    # 7.9, 12.8, 9.9 and 12.3 KB with blocks of ``_block_fibers(nu)`` fibers (numpy 2.4.6);
+    # 7.8, 12.4, 9.4 and 11.7 KB with blocks of ``_block_fibers(nu)`` fibers (numpy 2.4.6);
     # a larger block fails here before it moves the benchmark's quadrature peak
     general_density(spec, N)  # first calls allocate numpy's own caches
     tracemalloc.start()

@@ -584,6 +584,17 @@ def test_every_tolerance_check_goes_through_within():
     assert translations == 2  # the eigh failures in spectral and floquet, which are not residuals
 
 
+def test_arrays_are_frozen_with_setflags():
+    """Assigning ``flags.writeable`` leaves an object per array in tracemalloc's count; ``setflags`` leaves none."""
+    src = Path(crystalwalk.__file__).parent
+    bad = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign) and any(ast.unparse(t).endswith("flags.writeable") for t in node.targets):
+                bad.setdefault(path.name, []).append(node.lineno)
+    assert bad == {}
+
+
 def _referenced_names(tree):
     """Identifiers a module uses: loaded names, attributes, imports and string constants.
 
