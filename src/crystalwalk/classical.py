@@ -115,9 +115,11 @@ def walk_report(
     steps: int | None = None,
     lazy: bool = False,
 ) -> WalkReport:
-    """Bundle the classical quantities; iterates included when start and steps given."""
+    """Bundle the classical quantities, iterates included when start and steps, which go together, are given."""
+    if (start is None) != (steps is None):
+        raise ParameterError("start and steps must be given together")
     iterates = None
-    if start is not None and steps is not None:
+    if start is not None:
         iterates = (iterate_distribution(graph, start, steps, lazy=lazy),)
     return WalkReport(
         stationary=stationary_distribution(graph),

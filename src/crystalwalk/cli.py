@@ -10,6 +10,10 @@ numeric tolerance or invariant fails; each failure prints one stderr line,
 The argument parser is built once, at import, and every call of ``main``
 in the process parses with it; a call's arguments live in the namespace it
 returns, so nothing carries over from one call to the next.
+
+Each subcommand's handler returns its payload and an optional summary line;
+``main`` writes them, through ``_emit``, the one place output is written.
+A handler's graphs and arrays are thus freed before the write begins.
 """
 
 from __future__ import annotations
@@ -61,39 +65,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family(p: argparse.ArgumentParser, families: Sequence[str] = FAMILIES) -> None:
-        p.add_argument("--family", choices=list(families), help="named graph family")
-        p.add_argument("--nu", type=int, help="vertex count (cycle, path, complete) or leaf count (star)")
-        p.add_argument("--m", type=int, help="hypercube dimension, or first part of complete_bipartite")
-        p.add_argument("--n", type=int, help="second part of complete_bipartite")
-
     def add_tol(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol", type=float, default=spectral.DEFAULT_CLUSTER_TOL,
                        help="eigenvalue clustering tolerance (default 1e-8)")
 
-    def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
-
-    def add_command(name: str, run: Callable[[argparse.Namespace], int], summary: str) -> argparse.ArgumentParser:
+    # A handler returns its payload and summary line; edge_list names what the subcommand's --edge-list file holds.
+    def add_command(name: str, run: Callable[[argparse.Namespace], tuple[str, str | None]], summary: str,
+                    families: Sequence[str] = FAMILIES, edge_list: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
+        p.add_argument("--family", choices=list(families), help="named graph family")
+        p.add_argument("--nu", type=int, help="vertex count (cycle, path, complete) or leaf count (star)")
+        p.add_argument("--m", type=int, help="hypercube dimension, or first part of complete_bipartite")
+        p.add_argument("--n", type=int, help="second part of complete_bipartite")
+        if edge_list is not None:
+            p.add_argument("--edge-list", metavar="FILE", help=f"read the {edge_list} from an edge-list file")
         return p
 
-    p = add_command("density", _cmd_density, "numeric limiting density of a finite graph")
-    add_family(p)
-    p.add_argument("--edge-list", metavar="FILE", help="read the graph from an edge-list file")
+    p = add_command("density", _cmd_density, "numeric limiting density of a finite graph", edge_list="graph")
     p.add_argument("--periodic", choices=["honeycomb"], help="grid quadrature for a built-in periodic graph")
     p.add_argument("--N", type=int, default=64, help="grid points per axis for --periodic (default 64)")
     add_tol(p)
     p.add_argument("--csv", action="store_true", help="emit a p,q,d table instead of JSON")
-    add_output(p)
 
-    p = add_command("closed-form", _cmd_closed_form, "closed-form density table for a solvable family")
-    add_family(p, closed_forms.CLOSED_FORM_FAMILIES)
-    add_output(p)
+    add_command("closed-form", _cmd_closed_form, "closed-form density table for a solvable family",
+                families=closed_forms.CLOSED_FORM_FAMILIES)
 
     p = add_command("floquet-check", _cmd_floquet_check, "band collision scan of a lattice product")
-    add_family(p)
     p.add_argument("--product", choices=sorted(k.value for k in ProductKind), default="cartesian",
                    help="product rule (default cartesian)")
     p.add_argument("--base", choices=["zd", "triangular"], default="zd",
@@ -103,11 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=floquet.DEFAULT_COLLISION_DELTA,
                    help="collision width (default 1e-9)")
     add_tol(p)
-    add_output(p)
 
-    p = add_command("simulate", _cmd_simulate, "time-averaged walk on a torus product")
-    add_family(p)
-    p.add_argument("--edge-list", metavar="FILE", help="read the finite factor from an edge-list file")
+    p = add_command("simulate", _cmd_simulate, "time-averaged walk on a torus product", edge_list="finite factor")
     p.add_argument("--d", type=int, default=1, help="torus dimension (default 1)")
     p.add_argument("--N", type=int, default=64, help="cells per axis (default 64)")
     p.add_argument("--T", type=float, default=1e4, help="averaging horizon <= 1e300, or inf (default 1e4)")
@@ -115,22 +110,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start cell coordinates (default origin)")
     p.add_argument("--start-p", type=int, default=0, help="start vertex in the cell (default 0)")
     add_tol(p)
-    add_output(p)
 
-    p = add_command("classical", _cmd_classical, "classical random-walk report")
-    add_family(p)
-    p.add_argument("--edge-list", metavar="FILE", help="read the graph from an edge-list file")
+    p = add_command("classical", _cmd_classical, "classical random-walk report", edge_list="graph")
     p.add_argument("--start", type=int, help="start vertex for iteration")
     p.add_argument("--steps", type=int, help="number of steps to iterate")
     p.add_argument("--lazy", action="store_true", help="use the lazy walk (I + P)/2")
-    add_output(p)
 
-    p = add_command("compare", _cmd_compare, "quantum limiting row vs classical stationary law")
-    add_family(p)
-    p.add_argument("--edge-list", metavar="FILE", help="read the graph from an edge-list file")
+    p = add_command("compare", _cmd_compare, "quantum limiting row vs classical stationary law", edge_list="graph")
     p.add_argument("--start-p", type=int, default=0, help="quantum start vertex (default 0)")
     add_tol(p)
-    add_output(p)
+
+    for p in sub.choices.values():  # -o comes last on every subcommand
+        p.add_argument("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
 
     return parser
 
@@ -147,7 +138,7 @@ def _family_params(args: argparse.Namespace) -> tuple[str, list[int]]:
 
 
 def _resolve_graph(args: argparse.Namespace) -> FiniteGraph:
-    if getattr(args, "edge_list", None) is not None:
+    if args.edge_list is not None:
         if args.family is not None:
             raise ParameterError("give either --family or --edge-list, not both")
         try:
@@ -158,7 +149,7 @@ def _resolve_graph(args: argparse.Namespace) -> FiniteGraph:
     return build_named(*_family_params(args))
 
 
-def _emit(text: str, output: str | None, summary: str | None = None) -> None:
+def _emit(text: str, summary: str | None, output: str | None) -> None:
     # With -o the summary goes to stdout; otherwise it must not pollute the
     # machine-readable stream, so it goes to stderr.
     if output is not None:
@@ -175,7 +166,7 @@ def _emit(text: str, output: str | None, summary: str | None = None) -> None:
             print(summary, file=sys.stderr)
 
 
-def _cmd_density(args: argparse.Namespace) -> int:
+def _cmd_density(args: argparse.Namespace) -> tuple[str, None]:
     if args.periodic is not None:
         if args.family is not None or args.edge_list is not None:
             raise ParameterError("--periodic excludes --family and --edge-list")
@@ -187,19 +178,17 @@ def _cmd_density(args: argparse.Namespace) -> int:
         labels = graph.vertex_labels()
         del graph  # frees the cached n x n adjacency before the payload is built
     text = serialize.density_csv(density.values, labels) if args.csv else serialize.density_json(density)
-    _emit(text, args.output)
-    return 0
+    return text, None
 
 
-def _cmd_closed_form(args: argparse.Namespace) -> int:
+def _cmd_closed_form(args: argparse.Namespace) -> tuple[str, None]:
     family, params = _family_params(args)
     graph = build_named(family, params)
     density = closed_forms.closed_form_density(family, params, graph)
-    _emit(serialize.density_csv(density.values, graph.vertex_labels()), args.output)
-    return 0
+    return serialize.density_csv(density.values, graph.vertex_labels()), None
 
 
-def _cmd_floquet_check(args: argparse.Namespace) -> int:
+def _cmd_floquet_check(args: argparse.Namespace) -> tuple[str, None]:
     d = 1 if args.d is None else args.d
     base = triangular_spec() if args.base == "triangular" else zd_product_spec(FiniteGraph(1), d)
     if args.d not in (None, base.d):
@@ -207,11 +196,10 @@ def _cmd_floquet_check(args: argparse.Namespace) -> int:
     graph = build_named(*_family_params(args))
     bands = floquet.product_spec(base, graph, ProductKind(args.product))
     report = floquet.floquet_condition_fraction(bands, args.N, delta=args.delta, tol=args.tol)
-    _emit(serialize.scan_report_json(report), args.output)
-    return 0
+    return serialize.scan_report_json(report), None
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[str, str]:
     graph = _resolve_graph(args)
     op = dynamics.build_torus(graph, args.d, args.N, tol=args.tol)
     cell = tuple(args.start_cell) if args.start_cell else (0,) * args.d
@@ -222,27 +210,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         dist = dynamics.time_averaged(op, start, args.T)
     tv = dynamics.total_variation(dist.values, dynamics.limit_prediction(op, start))
     summary = f"tv_to_prediction = {serialize.format_float(tv, serialize.TABLE_DIGITS)}"
-    _emit(serialize.distribution_csv(dist), args.output, summary=summary)
-    return 0
+    return serialize.distribution_csv(dist), summary
 
 
-def _cmd_classical(args: argparse.Namespace) -> int:
+def _cmd_classical(args: argparse.Namespace) -> tuple[str, None]:
     graph = _resolve_graph(args)
-    if (args.start is None) != (args.steps is None):
-        raise ParameterError("--start and --steps must be given together")
     report = classical_mod.walk_report(graph, start=args.start, steps=args.steps, lazy=args.lazy)
-    _emit(serialize.walk_report_json(report), args.output)
-    return 0
+    return serialize.walk_report_json(report), None
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> tuple[str, None]:
     graph = _resolve_graph(args)
     _int(args.start_p, "start vertex", 0, graph.nu - 1)
     density = spectral.limiting_density(graph, tol=args.tol)
     stationary = classical_mod.stationary_distribution(graph)
-    text = serialize.comparison_csv(graph.vertex_labels(), density.values[args.start_p], stationary)
-    _emit(text, args.output)
-    return 0
+    return serialize.comparison_csv(graph.vertex_labels(), density.values[args.start_p], stationary), None
 
 
 # Built once per process: parse_args leaves the parser as it was, so every
@@ -253,7 +235,8 @@ _PARSER = build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        return args.run(args)
+        _emit(*args.run(args), args.output)  # the handler's frame, and the arrays it held, are gone by now
+        return 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (ParameterError, EdgeListError) as exc:
@@ -262,7 +245,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NumericalError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import floquet
-from .floquet import _cell_digits, _cell_keys, _pair_counts, _torus_offsets, base_grid
+from .floquet import _cell_keys, _pair_counts, _torus_offsets, base_grid
 from .graphs import FiniteGraph, ParameterError, _budget, _int, _real, zd_product_spec
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
@@ -250,7 +250,7 @@ def _canonical_offsets(N: int, d: int) -> np.ndarray:
     offsets in one orbit of the signed axis permutations share one canonical
     offset, which is its own canonical offset.
     """
-    k = np.stack(np.broadcast_arrays(*_cell_digits(N, d))).reshape(d, -1)
+    k = np.indices((N,) * d).reshape(d, -1)
     k = np.minimum(k, N - k)
     k.sort(axis=0)
     return np.ravel_multi_index(k, (N,) * d)

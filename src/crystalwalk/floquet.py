@@ -173,15 +173,6 @@ def flat_band_check(bands: BandStructure, tol: float = DEFAULT_CLUSTER_TOL) -> l
     return [int(j) for j in np.nonzero(np.abs(mu + 1.0) <= scale)[0]]
 
 
-def _cell_digits(N: int, d: int) -> list[np.ndarray]:
-    """Digit r_i of every cell r = sum_i r_i N^(d-1-i) of the (N,)*d grid, one open-grid array per axis.
-
-    Axis i's array has shape (N,) + (1,) * (d - 1 - i), so a sum over the axes broadcasts to (N,)*d in C order.
-    """
-    k = np.arange(N)
-    return [k.reshape((-1,) + (1,) * (d - 1 - i)) for i in range(d)]
-
-
 def base_grid(base: PeriodicGraphSpec, N: int) -> np.ndarray:
     """Band of a one-vertex spec sampled on the grid {0..N-1}^d / N, shape (N,) * d.
 
@@ -191,8 +182,8 @@ def base_grid(base: PeriodicGraphSpec, N: int) -> np.ndarray:
     added shortest n first, then in descending lexicographic order: e_0, ...,
     e_(d-1) on Z^d and e_1, e_2, e_1 + e_2 on the triangular lattice.
     """
-    digits = _cell_digits(N, base.d)
-    k = digits[-1]  # 0 .. N - 1
+    digits = np.indices((N,) * base.d, sparse=True)
+    k = digits[-1]  # 0 .. N - 1 along the last axis
     c = 2.0 * np.cos(2.0 * np.pi * np.minimum(k, N - k) / N)
     # one vertex: the rows are the offsets, ascending and closed under n -> -n, so the last half is +n
     rows = base.offset_edges
@@ -304,12 +295,10 @@ def _cell_keys(
             g, size = g + 1, size * 2 * N
         groups.append((lo, g))
         lo += g
-    digits = _cell_digits(N, d)
+    digits = np.indices((N,) * d, sparse=True)
     keys, bias, shift, fields = 0, 0, low, []
     for lo, g in reversed(groups):
-        e = _cell_digits(2 * N, g)
-        if lo == 0:
-            e[0] = e[0][:N]
+        e = np.indices((N if lo == 0 else 2 * N,) + (2 * N,) * (g - 1), sparse=True)
         table = sum((x % N * (unit * N ** (d - 1 - lo - j))).astype(np.int32) for j, x in enumerate(e))
         width = ((2 * N) ** g - 1).bit_length()
         fields.append((shift, (1 << width) - 1, table.reshape(-1)))

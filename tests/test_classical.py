@@ -160,6 +160,15 @@ def test_walk_report():
     )
 
 
+@pytest.mark.parametrize("lone", [{"start": 0}, {"steps": 3}])
+def test_walk_report_refuses_a_lone_start_or_steps(lone):
+    with pytest.raises(ParameterError, match="start and steps must be given together"):
+        walk_report(build_named("cycle", [5]), **lone)
+    # before any work: the isolated vertices would fail the stationary law first
+    with pytest.raises(ParameterError, match="together"):
+        walk_report(FiniteGraph(3), **lone)
+
+
 def test_walk_report_arrays_are_read_only():
     report = walk_report(build_named("cycle", [5]), start=0, steps=3)
     for a in (report.stationary, *report.iterates):

@@ -1,10 +1,15 @@
+import ast
+import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -515,6 +520,62 @@ def test_each_subcommand_parses_to_its_handler():
     assert cli._PARSER._subparsers._group_actions[0].choices.keys() == set(commands)
     for name in commands:
         assert cli._PARSER.parse_args([name]).run is getattr(cli, "_cmd_" + name.replace("-", "_"))
+
+
+def test_each_subcommand_declares_its_flags_in_help_order():
+    # Family flags first and -o last everywhere; --help lists the flags in this order.
+    own = {
+        "density": ["--edge-list", "--periodic", "--N", "--tol", "--csv"],
+        "closed-form": [],
+        "floquet-check": ["--product", "--base", "--d", "--N", "--delta", "--tol"],
+        "simulate": ["--edge-list", "--d", "--N", "--T", "--start-cell", "--start-p", "--tol"],
+        "classical": ["--edge-list", "--start", "--steps", "--lazy"],
+        "compare": ["--edge-list", "--start-p", "--tol"],
+    }
+    subparsers = cli._PARSER._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(own)
+    for name, flags in own.items():
+        declared = [s for action in subparsers[name]._actions for s in action.option_strings]
+        assert declared == ["-h", "--help", "--family", "--nu", "--m", "--n", *flags, "-o", "--output"], name
+
+
+def _output_calls(tree):
+    """{function name: sorted output calls made in its body} for every function of the tree."""
+    writes = {"_emit", "print", "sys.stdout.write", "sys.stderr.write"}
+    calls = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            found = {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)} & writes
+            if found:
+                calls[fn.name] = sorted(found)
+    return calls
+
+
+def test_handlers_return_their_payload_and_main_alone_writes_it():
+    sample = "def _cmd_x(args):\n    _emit(text, None, args.output)\n    print('done', file=sys.stderr)\n    return 0\n"
+    assert _output_calls(ast.parse(sample)) == {"_cmd_x": ["_emit", "print"]}
+    calls = _output_calls(ast.parse(Path(cli.__file__).read_text()))
+    assert calls == {"_emit": ["print", "sys.stdout.write"], "main": ["_emit", "print"]}
+
+
+def test_output_file_is_written_after_the_handler_frees_its_arrays(tmp_path):
+    # Writing to -o encodes a copy of the payload; the torus operator and the
+    # distribution are gone by then, so the peak stays that of a stdout run.
+    argv = ["simulate", "--family", "cycle", "--nu", "3", "--d", "2", "--N", "72", "--T", "inf"]
+    to_file = argv + ["-o", str(tmp_path / "dist.csv")]
+
+    def peak(argv):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(to_file)  # first-call caches
+    assert peak(to_file) - peak(argv) <= 8 * 1024
 
 
 def test_family_and_edge_list_conflict(capsys, tmp_path):
