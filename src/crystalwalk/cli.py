@@ -126,11 +126,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_size_flags(args: argparse.Namespace, source: str, names: Sequence[str] = ()) -> None:
+    """ParameterError when a size flag is given that ``source`` does not take, one outside ``names``."""
+    extra = [f"--{name}" for name in ("nu", "m", "n") if name not in names and getattr(args, name) is not None]
+    if extra:
+        raise ParameterError(f"{source} takes no " + " or ".join(extra))
+
+
 def _family_params(args: argparse.Namespace) -> tuple[str, list[int]]:
     family = args.family
     if family is None:
         raise ParameterError("a --family is required here")
     names = [name for name, _ in _FAMILY_PARAMS[family]]
+    _refuse_size_flags(args, f"family {family!r}", names)
     params = [getattr(args, name) for name in names]
     if None in params:
         raise ParameterError(f"family {family!r} requires " + " and ".join(f"--{name}" for name in names))
@@ -141,6 +149,7 @@ def _resolve_graph(args: argparse.Namespace) -> FiniteGraph:
     if args.edge_list is not None:
         if args.family is not None:
             raise ParameterError("give either --family or --edge-list, not both")
+        _refuse_size_flags(args, "--edge-list")
         try:
             with open(args.edge_list, encoding="utf-8") as fh:
                 return from_edge_list(fh.read().removeprefix("\ufeff"))  # a leading byte-order mark is skipped
@@ -170,6 +179,7 @@ def _cmd_density(args: argparse.Namespace) -> tuple[str, None]:
     if args.periodic is not None:
         if args.family is not None or args.edge_list is not None:
             raise ParameterError("--periodic excludes --family and --edge-list")
+        _refuse_size_flags(args, "--periodic")
         density = floquet.general_density(honeycomb_spec(), args.N, tol=args.tol)
         labels = tuple(str(q) for q in range(density.nu))
     else:
@@ -183,9 +193,8 @@ def _cmd_density(args: argparse.Namespace) -> tuple[str, None]:
 
 def _cmd_closed_form(args: argparse.Namespace) -> tuple[str, None]:
     family, params = _family_params(args)
-    graph = build_named(family, params)
-    density = closed_forms.closed_form_density(family, params, graph)
-    return serialize.density_csv(density.values, graph.vertex_labels()), None
+    density = closed_forms.closed_form_density(family, params)
+    return serialize.density_csv(density.values, build_named(family, params).vertex_labels()), None
 
 
 def _cmd_floquet_check(args: argparse.Namespace) -> tuple[str, None]:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import FiniteGraph, ParameterError, _int, build_named
+from .graphs import ParameterError, _family_size, _int
 from .spectral import DensityMatrix
 
 __all__ = [
@@ -101,7 +101,7 @@ def d_hypercube_exact(m: int, u: int) -> Fraction:
     return Fraction(total, 1 << (2 * m))
 
 
-def closed_form_density(family: str, params: Sequence[int], graph: FiniteGraph | None = None) -> DensityMatrix:
+def closed_form_density(family: str, params: Sequence[int]) -> DensityMatrix:
     """Assemble the full closed-form density matrix for a supported family.
 
     Vertex indexing matches ``build_named``: 0-based storage with the family's
@@ -109,12 +109,12 @@ def closed_form_density(family: str, params: Sequence[int], graph: FiniteGraph |
     distinct values: each is float() of its ``*_exact`` value at one vertex
     pair, placed with masks, so the matrix equals the entry-by-entry floats
     without a ``Fraction`` per entry. Hypercube entries are looked up by the
-    Hamming weight of p XOR q. A caller that holds ``build_named(family,
-    params)`` already passes it as ``graph``.
+    Hamming weight of p XOR q. The parameters and the vertex count are
+    checked as ``build_named`` checks them, but no graph is built.
     """
     if family not in CLOSED_FORM_FAMILIES:
         raise ParameterError(f"no closed form for family {family!r}")
-    nu = (build_named(family, params) if graph is None else graph).nu
+    params, nu = _family_size(family, params)
     p, q = np.ogrid[:nu, :nu]
     if family == "cycle":
         hit = p == q if nu % 2 else (q - p) % (nu // 2) == 0  # q = p, or its antipode for even nu
@@ -130,7 +130,7 @@ def closed_form_density(family: str, params: Sequence[int], graph: FiniteGraph |
         values[center, :] = values[:, center] = float(d_star_exact(center, 1, nu))
         values[center, center] = float(d_star_exact(center, nu, nu))
     else:
-        m = nu.bit_length() - 1
+        (m,) = params
         table = np.array([float(d_hypercube_exact(m, u)) for u in range(m + 1)])
         # the entry of each value of p XOR q, by its Hamming weight
         table = table[[bin(x).count("1") for x in range(nu)]]

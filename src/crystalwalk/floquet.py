@@ -138,23 +138,36 @@ class BandStructure:
     as ``zd_product_spec(FiniteGraph(1), d)`` or ``triangular_spec()``. The
     bands are E_j(theta) = rule(E_0(theta), mu_j) over the eigenvalues mu_j
     of the finite factor: E_0 + mu_j for the box product, mu_j * E_0 for the
-    tensor product, (1 + mu_j) E_0 + mu_j for the strong product.
+    tensor product, (1 + mu_j) E_0 + mu_j for the strong product. ``rule``
+    is a ``ProductKind`` or its value, such as ``"tensor"``; any other value
+    raises ParameterError.
     """
 
     base: PeriodicGraphSpec
     spectrum: SpectralDecomposition
     rule: ProductKind
 
+    def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "rule", ProductKind(self.rule))
+        except ValueError as exc:
+            raise ParameterError(f"unknown product rule {self.rule!r}") from exc
+
     @property
     def nu(self) -> int:
         return self.spectrum.nu
 
 
-def product_spec(base: PeriodicGraphSpec, graph: FiniteGraph, kind: ProductKind) -> BandStructure:
-    """Band structure of the product of a one-vertex base spec with a finite graph."""
+def _one_vertex(base: PeriodicGraphSpec) -> PeriodicGraphSpec:
+    """``base`` when it has one vertex per cell, as a product base and ``base_grid`` need."""
     if base.nu != 1:
         raise ParameterError(f"a product base must have one vertex per cell, got {base.nu}")
-    return BandStructure(base=base, spectrum=eigendecompose_symmetric(graph.adjacency), rule=kind)
+    return base
+
+
+def product_spec(base: PeriodicGraphSpec, graph: FiniteGraph, kind: ProductKind) -> BandStructure:
+    """Band structure of the product of a one-vertex base spec with a finite graph."""
+    return BandStructure(base=_one_vertex(base), spectrum=eigendecompose_symmetric(graph.adjacency), rule=kind)
 
 
 def flat_band_check(bands: BandStructure, tol: float = DEFAULT_CLUSTER_TOL) -> list[int]:
@@ -180,9 +193,11 @@ def base_grid(base: PeriodicGraphSpec, N: int) -> np.ndarray:
     at j = n.k mod N, so mirrored grid points are bit-identical and exact
     band degeneracies under k -> N-k survive floating point. The pairs are
     added shortest n first, then in descending lexicographic order: e_0, ...,
-    e_(d-1) on Z^d and e_1, e_2, e_1 + e_2 on the triangular lattice.
+    e_(d-1) on Z^d and e_1, e_2, e_1 + e_2 on the triangular lattice. A spec
+    of more than one vertex, or N not an integer >= 1, raises ParameterError.
     """
-    digits = np.indices((N,) * base.d, sparse=True)
+    N = _int(N, "grid size N", 1)
+    digits = np.indices((N,) * _one_vertex(base).d, sparse=True)
     k = digits[-1]  # 0 .. N - 1 along the last axis
     c = 2.0 * np.cos(2.0 * np.pi * np.minimum(k, N - k) / N)
     # one vertex: the rows are the offsets, ascending and closed under n -> -n, so the last half is +n

@@ -145,7 +145,8 @@ class FiniteGraph:
     ``edges``, any sized collection of integer vertex pairs, is normalized
     to one read-only (m, 2) int64 array of ascending rows u < v, so repeats
     and reversed pairs merge; self loops and ids that are not integers are
-    rejected. ``labels``, when present, holds one display name per vertex.
+    rejected. ``labels``, when present, is any iterable of one display name
+    per vertex, stored as the tuple of their str().
     Family builders fill it with the conventional numbering of the family
     (paths and stars are 1-based, hypercube vertices are bit strings).
     Graphs of more than ``VERTEX_BUDGET`` vertices are rejected, and so are
@@ -173,7 +174,7 @@ class FiniteGraph:
         uv.setflags(write=False)
         object.__setattr__(self, "edges", uv)
         if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
+            labels = tuple(map(str, self.labels))
             if len(labels) != nu:
                 raise ParameterError("labels length must equal vertex count")
             object.__setattr__(self, "labels", labels)
@@ -210,14 +211,23 @@ _FAMILY_PARAMS = {
 FAMILIES = tuple(_FAMILY_PARAMS)
 
 
-def _arity(family: str, params: Sequence[int]) -> list[int]:
-    """The family's parameters as ints, each at least its minimum in ``_FAMILY_PARAMS``."""
+def _family_size(family: str, params: Sequence[int]) -> tuple[list[int], int]:
+    """The family's parameters as ints and its vertex count, checked before any array is built.
+
+    Each parameter is at least its minimum in ``_FAMILY_PARAMS`` and the count is within ``VERTEX_BUDGET``.
+    """
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
     lo = [m for _, m in _FAMILY_PARAMS[family]]
     if len(params) != len(lo):
         raise ParameterError(f"family {family!r} takes {len(lo)} parameter(s), got {len(params)}")
-    return [_int(p, f"family {family!r} parameter", m) for p, m in zip(params, lo)]
+    params = [_int(p, f"family {family!r} parameter", m) for p, m in zip(params, lo)]
+    if family == "hypercube":
+        # 2^m vertices: the bound is the vertex budget's, checked on m so that no huge 2^m is formed
+        nu = 1 << _int(params[0], f"family {family!r} parameter", 1, VERTEX_BUDGET.bit_length() - 1)
+    else:  # a star has its leaves and a center, a complete bipartite graph both parts
+        nu = 10 if family == "petersen" else sum(params) + (family == "star")
+    return params, _vertices(f"family {family!r}", nu)
 
 
 def build_named(family: str, params: Sequence[int] = ()) -> FiniteGraph:
@@ -234,47 +244,30 @@ def build_named(family: str, params: Sequence[int] = ()) -> FiniteGraph:
     params:
         Integer parameters of the family, see above.
     """
-    params = _arity(family, params)
+    params, nu = _family_size(family, params)
+    v = np.arange(nu)
+    labels = range(1, nu + 1)  # 1-based unless a branch sets them; FiniteGraph makes the names
     if family == "cycle":
-        (nu,) = params
-        _vertices(f"family {family!r}", nu)
-        edges = _pairs(np.arange(nu), np.arange(1, nu + 1) % nu)
-        return FiniteGraph(nu, edges, tuple(str(i) for i in range(nu)))
-    if family == "path":
-        (nu,) = params
-        _vertices(f"family {family!r}", nu)
-        edges = _pairs(np.arange(nu - 1), np.arange(1, nu))
-        return FiniteGraph(nu, edges, tuple(str(i + 1) for i in range(nu)))
-    if family == "star":
-        (nu,) = params
-        _vertices(f"family {family!r}", nu + 1)
-        # Leaves are 0..nu-1 (displayed 1..nu), the center is the last index.
-        edges = _pairs(np.arange(nu), nu)
-        return FiniteGraph(nu + 1, edges, tuple(str(i + 1) for i in range(nu + 1)))
-    if family == "complete":
-        (nu,) = params
-        _vertices(f"family {family!r}", nu)
-        edges = np.argwhere(np.less.outer(np.arange(nu), np.arange(nu)))
-        return FiniteGraph(nu, edges, tuple(str(i + 1) for i in range(nu)))
-    if family == "complete_bipartite":
-        m, n = params
-        _vertices(f"family {family!r}", m + n)
-        edges = _pairs(np.arange(m)[:, None], np.arange(m, m + n))
-        return FiniteGraph(m + n, edges, tuple(str(i + 1) for i in range(m + n)))
-    if family == "hypercube":
+        edges, labels = _pairs(v, (v + 1) % nu), range(nu)
+    elif family == "path":
+        edges = _pairs(v[:-1], v[1:])
+    elif family == "star":  # leaves 0..nu-2 (displayed 1..nu-1), the center is the last index
+        edges = _pairs(v[:-1], nu - 1)
+    elif family == "complete":
+        edges = np.argwhere(np.less.outer(v, v))
+    elif family == "complete_bipartite":
+        edges = _pairs(v[: params[0], None], v[params[0] :])
+    elif family == "hypercube":
         (m,) = params
-        # 2^m vertices: the bound is the vertex budget's, checked on m so that no huge 2^m is formed
-        nu = 1 << _int(m, f"family {family!r} parameter", 1, VERTEX_BUDGET.bit_length() - 1)
-        x = np.arange(nu)[:, None]
-        edges = _pairs(x, x ^ (1 << np.arange(m)))  # each edge twice, merged by FiniteGraph
-        labels = tuple(format(v, f"0{m}b")[::-1] for v in range(nu))
-        return FiniteGraph(nu, edges, labels)
-    # The Petersen graph, the last family. Standard drawing, one broadcast row each: the outer
-    # 5-cycle i ~ i + 1, the spokes i ~ i + 5 and the inner 5-cycle taken with step 2. Isomorphic
-    # to the usual disjointness graph on 2-element subsets of a 5-element set.
-    i = np.arange(5)
-    edges = _pairs(i + [[0], [0], [5]], (i + [[1], [0], [2]]) % 5 + [[0], [5], [5]])
-    return FiniteGraph(10, edges, tuple(str(i) for i in range(10)))
+        edges = _pairs(v[:, None], v[:, None] ^ (1 << np.arange(m)))  # each edge twice, merged by FiniteGraph
+        labels = (format(x, f"0{m}b")[::-1] for x in range(nu))
+    else:
+        # The Petersen graph. Standard drawing, one broadcast row each: the outer 5-cycle i ~ i + 1,
+        # the spokes i ~ i + 5 and the inner 5-cycle taken with step 2. Isomorphic to the usual
+        # disjointness graph on 2-element subsets of a 5-element set.
+        i = np.arange(5)
+        edges, labels = _pairs(i + [[0], [0], [5]], (i + [[1], [0], [2]]) % 5 + [[0], [5], [5]]), range(nu)
+    return FiniteGraph(nu, edges, labels)
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")

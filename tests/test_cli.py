@@ -146,13 +146,30 @@ def test_closed_form_builds_its_graph_once(capsys, monkeypatch):
         return crystalwalk.build_named(family, params)
 
     monkeypatch.setattr(cli, "build_named", build_named)
-    monkeypatch.setattr(crystalwalk.closed_forms, "build_named", build_named)
     code, out, _ = run_cli(capsys, "closed-form", "--family", "hypercube", "--m", "4")
     assert code == 0
     assert calls == [("hypercube", [4])]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a2661930094d4582fe7cf337c31feeb58404f73d1e0584cab33fd292292b62f7"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("density --family petersen --nu 12", "family 'petersen' takes no --nu"),
+        ("density --family cycle --nu 5 --m 3 --n 4", "family 'cycle' takes no --m or --n"),
+        ("density --periodic honeycomb --N 4 --nu 7", "--periodic takes no --nu"),
+        ("closed-form --family hypercube --m 3 --nu 9", "family 'hypercube' takes no --nu"),
+        ("simulate --family path --nu 2 --m 5 --N 3 --T inf", "family 'path' takes no --m"),
+        ("compare --edge-list FILE --n 2", "--edge-list takes no --n"),
+    ],
+)
+def test_a_size_flag_the_input_does_not_take_is_refused(capsys, tmp_path, argv, message):
+    path = tmp_path / "triangle.txt"
+    path.write_text("0 1\n1 2\n0 2\n")
+    code, out, err = run_cli(capsys, *argv.replace("FILE", str(path)).split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_closed_form_rejects_unsolved_family(capsys):

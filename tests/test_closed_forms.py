@@ -14,6 +14,7 @@ from crystalwalk import (
     d_star_exact,
     limiting_density,
 )
+from crystalwalk import closed_forms, graphs
 
 
 @pytest.mark.parametrize(
@@ -209,3 +210,53 @@ def test_out_of_range_rejected(call):
 def test_non_integer_arguments_rejected(call):
     with pytest.raises(ParameterError, match="must be an integer"):
         call()
+
+
+def test_closed_form_density_builds_no_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graphs, "build_named", refuse)
+    monkeypatch.setattr(graphs, "FiniteGraph", refuse)
+    assert not hasattr(closed_forms, "build_named") and not hasattr(closed_forms, "FiniteGraph")
+    for family, params, nu in [("cycle", [6], 6), ("path", [5], 5), ("star", [4], 5), ("hypercube", [3], 8)]:
+        assert closed_form_density(family, params).nu == nu
+
+
+# cycle 2 and 5000, star 4096 (4097 vertices), hypercube 0, 13 and 64, a float, a missing parameter;
+# a family without a closed form (complete_bipartite, petersen, an unknown name) is refused by name first
+@pytest.mark.parametrize(
+    "family,params",
+    [("cycle", [2]), ("cycle", [5000]), ("star", [4096]), ("hypercube", [0]), ("hypercube", [13]),
+     ("hypercube", [64]), ("cycle", [3.0]), ("cycle", [])],
+)
+def test_closed_form_density_checks_its_parameters_as_build_named_does(family, params):
+    with pytest.raises(ParameterError) as built:
+        build_named(family, params)
+    with pytest.raises(ParameterError) as closed:
+        closed_form_density(family, params)
+    assert str(closed.value) == str(built.value)
+
+
+@pytest.mark.parametrize(
+    "family,params,built",
+    [("complete_bipartite", [4000, 97], "needs 4097 vertices"), ("petersen", [1], "takes 0 parameter"),
+     ("nope", [3], "unknown family")],
+)
+def test_a_family_without_a_closed_form_is_refused_by_name(family, params, built):
+    with pytest.raises(ParameterError, match=built):
+        build_named(family, params)
+    with pytest.raises(ParameterError, match=f"no closed form for family '{family}'"):
+        closed_form_density(family, params)
+
+
+def test_the_star_that_fills_the_vertex_budget_is_accepted_by_both(monkeypatch):
+    assert graphs._family_size("star", [4095]) == ([4095], graphs.VERTEX_BUDGET)
+    assert build_named("star", [4095]).nu == graphs.VERTEX_BUDGET
+    # the full 4096 x 4096 closed form would take 128 MiB, so its boundary is checked at a budget of 12
+    monkeypatch.setattr(graphs, "VERTEX_BUDGET", 12)
+    assert closed_form_density("star", [11]).nu == build_named("star", [11]).nu == 12
+    message = "family 'star' needs 13 vertices, over the budget 12"
+    for build in (build_named, closed_form_density):
+        with pytest.raises(ParameterError, match=message):
+            build("star", [12])

@@ -139,6 +139,20 @@ def test_base_grid_is_the_fiber_matrix_of_any_one_vertex_spec():
     np.testing.assert_allclose(floquet.base_grid(spec, N), want, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec,N,message",
+    [
+        (honeycomb_spec(), 4, "one vertex per cell, got 2"),  # its rows are no offsets of one band
+        (zd_product_spec(build_named("path", [2]), 1), 4, "one vertex per cell, got 2"),
+        (zd_base(1), 2.5, "grid size N must be an integer, got 2.5"),
+        (zd_base(1), 0, "grid size N must be >= 1"),
+    ],
+)
+def test_base_grid_rejects_a_spec_of_several_vertices_and_a_bad_grid_size(spec, N, message):
+    with pytest.raises(ParameterError, match=message):
+        floquet.base_grid(spec, N)
+
+
 def test_triangular_spec_offsets():
     spec = triangular_spec()
     assert (spec.d, spec.nu) == (2, 1)
@@ -292,6 +306,25 @@ def test_product_bands_tensor_and_strong():
     strong = product_spec(zd_base(1), build_named("path", [2]), ProductKind.STRONG)
     vals = product_bands(strong, 0.2)
     np.testing.assert_allclose(np.sort(vals), np.sort([(1 - 1) * e0 - 1, 2 * e0 + 1]), atol=1e-9)
+
+
+def test_a_product_rule_given_by_its_value_is_that_rule():
+    c4 = build_named("cycle", [4])
+    by_value = floquet_condition_fraction(product_spec(zd_base(1), c4, "tensor"), 16)
+    assert by_value == floquet_condition_fraction(product_spec(zd_base(1), c4, ProductKind.TENSOR), 16)
+    assert (by_value.max_fraction, by_value.worst_pair, by_value.flat_bands) == (1.0, (1, 1), (1, 2))
+    spectrum = product_spec(zd_base(1), c4, ProductKind.STRONG).spectrum
+    assert floquet.BandStructure(zd_base(1), spectrum, "tensor").rule is ProductKind.TENSOR
+
+
+@pytest.mark.parametrize("rule", ["bogus", "Tensor", None, 1])
+def test_an_unknown_product_rule_is_rejected(rule):
+    c4 = build_named("cycle", [4])
+    with pytest.raises(ParameterError, match="unknown product rule"):
+        product_spec(zd_base(1), c4, rule)
+    spectrum = product_spec(zd_base(1), c4, ProductKind.STRONG).spectrum
+    with pytest.raises(ParameterError, match="unknown product rule"):
+        floquet.BandStructure(zd_base(1), spectrum, rule)
 
 
 def test_flat_band_check():

@@ -651,6 +651,18 @@ def test_oversized_families_are_rejected_before_any_array(family, params):
     assert peak < 16 * 2**10
 
 
+@pytest.mark.parametrize(
+    "family,sizes",
+    [("cycle", [[n] for n in range(3, 40)]), ("path", [[n] for n in range(2, 40)]),
+     ("star", [[n] for n in range(1, 40)]), ("complete", [[n] for n in range(2, 30)]),
+     ("complete_bipartite", [[m, n] for m in range(1, 8) for n in range(1, 8)]),
+     ("hypercube", [[m] for m in range(1, 10)]), ("petersen", [[]])],
+)
+def test_family_size_is_the_vertex_count_of_the_built_graph(family, sizes):
+    for params in sizes:
+        assert graphs._family_size(family, params) == (params, build_named(family, params).nu)
+
+
 def test_edge_lists_and_graphs_share_the_vertex_budget():
     assert len(build_named("hypercube", [12]).labels) == graphs.VERTEX_BUDGET
     assert FiniteGraph(4096).nu == 4096
