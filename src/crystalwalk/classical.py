@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import FiniteGraph, ParameterError, _budget, _int
+from .graphs import FiniteGraph, ParameterError, _budget, _int, _store
 from .spectral import _within
 
 __all__ = [
@@ -101,12 +101,11 @@ class WalkReport:
     iterates: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
-        arrays = [np.asarray(a, dtype=float) for a in (self.stationary, *(self.iterates or ()))]
-        for a in arrays:
+        stationary = np.asarray(self.stationary, dtype=float)
+        iterates = None if self.iterates is None else tuple(np.asarray(a, dtype=float) for a in self.iterates)
+        for a in iterates or ():  # ``_store`` freezes the top-level arrays only
             a.setflags(write=False)
-        object.__setattr__(self, "stationary", arrays[0])
-        if self.iterates is not None:
-            object.__setattr__(self, "iterates", tuple(arrays[1:]))
+        _store(self, stationary=stationary, iterates=iterates)
 
 
 def walk_report(

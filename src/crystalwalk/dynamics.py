@@ -35,7 +35,7 @@ import numpy as np
 
 from . import floquet
 from .floquet import _cell_keys, _pair_counts, _torus_offsets, base_grid
-from .graphs import FiniteGraph, ParameterError, _budget, _int, _real, zd_product_spec
+from .graphs import FiniteGraph, ParameterError, _budget, _int, _real, _store, zd_product_spec
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     SpectralDecomposition,
@@ -186,8 +186,6 @@ class TimeAveragedDistribution:
     """
 
     values: np.ndarray
-    horizon: float
-    start: tuple[tuple[int, ...], int]
     N: int
     d: int
     nu: int
@@ -198,22 +196,12 @@ class TimeAveragedDistribution:
             raise ValueError("distribution length must equal nu * N^d")
         _within(-v.min(), 0.0, "distribution has negative entries")
         _within(abs(float(v.sum()) - 1.0), _MASS_TOL, "distribution mass deviates from 1")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _store(self, values=v)
 
 
-def _finalize_distribution(
-    op: TorusOperator, start: tuple[tuple[int, ...], int], values: np.ndarray, horizon: float
-) -> TimeAveragedDistribution:
+def _finalize_distribution(op: TorusOperator, values: np.ndarray) -> TimeAveragedDistribution:
     _within(-values.min(), _REALNESS_TOL, "averaged distribution has negative mass")
-    return TimeAveragedDistribution(
-        values=np.maximum(values, 0.0),
-        horizon=horizon,
-        start=start,
-        N=op.N,
-        d=op.d,
-        nu=op.nu,
-    )
+    return TimeAveragedDistribution(values=np.maximum(values, 0.0), N=op.N, d=op.d, nu=op.nu)
 
 
 def _from_pair_grid(
@@ -332,7 +320,7 @@ def time_averaged(op: TorusOperator, start: Start, horizon: float) -> TimeAverag
             f[:, lo : lo + block] += y.take(b, axis=1).sum(axis=1)
         del y
     mu = _from_pair_grid(op, start, [f], gap.reshape(nu, nu), orbit)
-    return _finalize_distribution(op, start, mu, horizon)
+    return _finalize_distribution(op, mu)
 
 
 def infinite_time_averaged(
@@ -390,7 +378,7 @@ def infinite_time_averaged(
         weights.reshape(-1)[positions] = 1.0
         a = _assemble(op, start, weights.T.reshape(op.grid_shape + (nu,)))
         mu += a.real**2 + a.imag**2
-    return _finalize_distribution(op, start, mu, math.inf)
+    return _finalize_distribution(op, mu)
 
 
 def total_variation(a: np.ndarray, b: np.ndarray) -> float:

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import FiniteGraph, ParameterError, PeriodicGraphSpec, ProductKind, _budget, _int, _real
+from .graphs import FiniteGraph, ParameterError, PeriodicGraphSpec, ProductKind, _budget, _int, _real, _store
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DensityMatrix,
@@ -73,6 +73,7 @@ DEFAULT_COLLISION_DELTA = 1e-9
 # entries each, built by the same call. C3 on a 512 x 512 torus needs 2.4M
 # counts. At the budget the whole scan of complete4 x Z^2 at N = 512 peaks at
 # 36 MB (tracemalloc) and the average on a C4 x 512 x 512 torus at 42 MB.
+# ``base_grid`` holds its N^d points, 32 MB of doubles at most, to the same budget.
 PAIR_COUNT_BUDGET = 1 << 22
 # The scan's sweep walks every close pair of band values, about 15 ns each
 # (10.4M pairs took 0.14 s, 40.1M 0.69 s), so this budget keeps a walk near a
@@ -149,9 +150,10 @@ class BandStructure:
 
     def __post_init__(self) -> None:
         try:
-            object.__setattr__(self, "rule", ProductKind(self.rule))
+            rule = ProductKind(self.rule)
         except ValueError as exc:
             raise ParameterError(f"unknown product rule {self.rule!r}") from exc
+        _store(self, rule=rule)
 
     @property
     def nu(self) -> int:
@@ -194,17 +196,19 @@ def base_grid(base: PeriodicGraphSpec, N: int) -> np.ndarray:
     band degeneracies under k -> N-k survive floating point. The pairs are
     added shortest n first, then in descending lexicographic order: e_0, ...,
     e_(d-1) on Z^d and e_1, e_2, e_1 + e_2 on the triangular lattice. A spec
-    of more than one vertex, or N not an integer >= 1, raises ParameterError.
+    of more than one vertex, N not an integer >= 1, or a grid of more than
+    ``PAIR_COUNT_BUDGET`` points raises ParameterError before any array.
     """
-    N = _int(N, "grid size N", 1)
-    digits = np.indices((N,) * _one_vertex(base).d, sparse=True)
+    N, d = _int(N, "grid size N", 1), _one_vertex(base).d
+    _budget("base band grid needs", N**d, "points", PAIR_COUNT_BUDGET)
+    digits = np.indices((N,) * d, sparse=True)
     k = digits[-1]  # 0 .. N - 1 along the last axis
     c = 2.0 * np.cos(2.0 * np.pi * np.minimum(k, N - k) / N)
     # one vertex: the rows are the offsets, ascending and closed under n -> -n, so the last half is +n
     rows = base.offset_edges
     half = rows[len(rows) // 2 :, 2:].tolist()[::-1]
     half.sort(key=lambda n: sum(map(abs, n)))  # stable, so equal lengths stay in descending order
-    grid = np.zeros((N,) * base.d)
+    grid = np.zeros((N,) * d)
     for n in half:
         # j = n.k mod N; take wraps the index sum, whose terms are below N^2 each
         j = sum(s % N * digits[i] for i, s in enumerate(n) if s % N)

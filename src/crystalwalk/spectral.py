@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import FiniteGraph, _real
+from .graphs import FiniteGraph, _real, _store
 
 __all__ = [
     "DEFAULT_CLUSTER_TOL",
@@ -45,6 +45,7 @@ _SYMMETRY_TOL = 1e-12
 _RECONSTRUCTION_REL = 1e-9
 _ORTHONORMALITY_TOL = 1e-10
 _ROW_SUM_TOL = 1e-10
+_ENDS_ERROR = "cluster ends must rise strictly to the eigenvalue count"
 
 
 class NumericalError(RuntimeError):
@@ -128,6 +129,7 @@ class SpectralDecomposition:
     ``eigenvalues`` is ascending, ``eigenvectors`` holds orthonormal columns
     in the same order, and ``ends`` holds the exclusive end of each cluster
     of numerically distinct eigenvalues, as ``cluster_eigenvalues`` returns.
+    Columns that are not orthonormal within 1e-10 raise NumericalError.
     """
 
     eigenvalues: np.ndarray
@@ -142,13 +144,10 @@ class SpectralDecomposition:
         if vecs.shape != (n, n):
             raise ValueError("eigenvectors must be square and match eigenvalues")
         if ends.ndim != 1 or np.any(np.diff(ends, prepend=0) <= 0) or ends.max(initial=0) != n:
-            raise ValueError("cluster ends must rise strictly to the eigenvalue count")
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        ends.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-        object.__setattr__(self, "ends", ends)
+            raise ValueError(_ENDS_ERROR)
+        err = np.abs(vecs.T @ vecs - np.eye(n)).max(initial=0.0)
+        _within(err, _ORTHONORMALITY_TOL, "eigenvectors not orthonormal")
+        _store(self, eigenvalues=vals, eigenvectors=vecs, ends=ends)
 
     @property
     def clusters(self) -> tuple[range, ...]:
@@ -159,12 +158,6 @@ class SpectralDecomposition:
     @property
     def nu(self) -> int:
         return self.eigenvalues.size
-
-    def validate(self) -> None:
-        """Check orthonormality of the eigenvector columns."""
-        v = self.eigenvectors
-        err = np.abs(v.T @ v - np.eye(self.nu)).max()
-        _within(err, _ORTHONORMALITY_TOL, "eigenvectors not orthonormal")
 
 
 def eigendecompose_symmetric(
@@ -188,11 +181,7 @@ def eigendecompose_symmetric(
     recon = np.abs(m - (vecs * vals) @ vecs.T).max()
     _within(recon, _RECONSTRUCTION_REL * scale, "decomposition does not reconstruct input",
             EigenSolverError)
-    dec = SpectralDecomposition(
-        eigenvalues=vals, eigenvectors=vecs, ends=cluster_eigenvalues(vals, tol)
-    )
-    dec.validate()
-    return dec
+    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs, ends=cluster_eigenvalues(vals, tol))
 
 
 @dataclass(frozen=True)
@@ -218,8 +207,7 @@ class DensityMatrix:
         outside = np.maximum(-1e-12 - d.min(), d.max() - (1.0 + 1e-12))
         _within(outside, 0.0, "density entries outside [0, 1]")
         _within(np.abs(d.sum(axis=1) - 1.0).max(), _ROW_SUM_TOL, "density rows do not sum to 1")
-        d.setflags(write=False)
-        object.__setattr__(self, "values", d)
+        _store(self, values=d)
 
     @property
     def nu(self) -> int:
@@ -266,9 +254,12 @@ def squared_projection_sum(vecs: np.ndarray, ends: np.ndarray) -> np.ndarray:
     GEMM so that no temporary exceeds n x n entries. A spectrum of simple
     eigenvalues runs the first GEMM alone, and when no cluster is larger
     than ``_pair_max(n)`` that GEMM reads V itself, with no gathered copy.
-    Larger clusters form their projection, one block at a time.
+    Larger clusters form their projection, one block at a time. Ends that
+    do not rise strictly to n raise ValueError.
     """
     n = vecs.shape[-1]
+    if ends.ndim != 1:
+        raise ValueError(_ENDS_ERROR)
     pair_max = _pair_max(n)
     own: list[int] = []
     first: list[int] = []
@@ -276,6 +267,8 @@ def squared_projection_sum(vecs: np.ndarray, ends: np.ndarray) -> np.ndarray:
     blocks = []
     lo = 0
     for hi in ends.tolist():  # lists: numpy index building costs more than a quadrature block's few columns
+        if hi <= lo:
+            raise ValueError(_ENDS_ERROR)
         if hi - lo > pair_max:
             blocks.append((lo, hi))
         else:
@@ -284,6 +277,8 @@ def squared_projection_sum(vecs: np.ndarray, ends: np.ndarray) -> np.ndarray:
                 first.extend([a] * (hi - 1 - a))
                 second.extend(range(a + 1, hi))
         lo = hi
+    if lo != n:
+        raise ValueError(_ENDS_ERROR)
     # take: no indexing buffers for a stack; a spectrum without large clusters keeps every column
     w = np.abs(vecs if len(own) == n else vecs.take(own, axis=-1)) ** 2
     d = w @ w.swapaxes(-1, -2)

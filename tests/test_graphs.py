@@ -1,4 +1,5 @@
 import ast
+import gc
 import math
 import os
 import re
@@ -605,6 +606,10 @@ _CEILINGS = {
     "PAIR_COUNT_BUDGET-scan": (
         floquet, "PAIR_COUNT_BUDGET", lambda: _scan_path2(2, 8), 4 * 8**2, "collision scan needs {} counts",
     ),
+    "PAIR_COUNT_BUDGET-base": (
+        floquet, "PAIR_COUNT_BUDGET", lambda: floquet.base_grid(zd_product_spec(FiniteGraph(1), 2), 8),
+        8**2, "base band grid needs {} points",
+    ),
     "PAIR_COUNT_BUDGET-average": (
         floquet, "PAIR_COUNT_BUDGET", lambda: infinite_time_averaged(_torus_c3(2, 8), ((1, 2), 0)),
         9 * 8**2, "infinite-time average needs {} counts",
@@ -641,14 +646,31 @@ def test_every_work_ceiling_runs_at_its_budget_and_rejects_one_more(monkeypatch,
      ("complete_bipartite", [1, 4096]), ("hypercube", [13]), ("hypercube", [10**18])],
 )
 def test_oversized_families_are_rejected_before_any_array(family, params):
+    gc.collect()
     tracemalloc.start()
     try:
-        with pytest.raises(ParameterError, match="4096|1..12"):
+        with pytest.raises(ParameterError) as exc:
             build_named(family, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**10
+    assert re.search("4096|1..12", str(exc.value))
+
+
+@pytest.mark.parametrize("d,N", [(3, 10**6), (2, 2049), (1, 2**22 + 1)])  # 7 EiB, then just over the budget
+def test_oversized_base_grids_are_rejected_before_any_array(d, N):
+    base = zd_product_spec(FiniteGraph(1), d)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError) as exc:  # matched after the trace, which a regex compile would enter
+            floquet.base_grid(base, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**10
+    assert str(exc.value) == f"base band grid needs {N**d} points, over the budget {1 << 22}"
 
 
 @pytest.mark.parametrize(

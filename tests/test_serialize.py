@@ -230,7 +230,7 @@ def _table_line_by_line(header, keys, *columns):
 
 
 def _distribution(values, N, d, nu):
-    return TimeAveragedDistribution(values=values, horizon=1.0, start=((0,) * d, 0), N=N, d=d, nu=nu)
+    return TimeAveragedDistribution(values=values, N=N, d=d, nu=nu)
 
 
 def _distribution_keys(N, d, nu):
@@ -390,9 +390,7 @@ def test_distribution_csv_two_axes():
     assert len(lines) == 1 + 18
     assert lines[1].startswith("0,0,0,")
     assert lines[-1].startswith("2,2,1,")
-    pinned = TimeAveragedDistribution(
-        values=np.arange(18) / 153, horizon=5.0, start=((0, 0), 0), N=3, d=2, nu=2
-    )
+    pinned = TimeAveragedDistribution(values=np.arange(18) / 153, N=3, d=2, nu=2)
     assert distribution_csv(pinned) == (
         "cell_0,cell_1,q,mass\n"
         "0,0,0,0\n0,0,1,0.00653594771242\n"

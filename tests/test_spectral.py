@@ -107,17 +107,28 @@ def test_one_rule_decides_at_the_gap(above):
     assert flat_band_check(bands) == ([] if above else [0, 1])
 
 
-@pytest.mark.parametrize(
+_BAD_ENDS = pytest.mark.parametrize(
     "ends",
     [[1, 3, 5], [1, 3], [1, 1, 4], [3, 1, 4], [[1, 3, 4]]],
     ids=["overshoot", "short", "repeated", "decreasing", "two-dimensional"],
 )
+
+
+@_BAD_ENDS
 def test_decomposition_rejects_bad_cluster_ends(ends):
     vals, vecs = np.linalg.eigh(build_named("cycle", [4]).adjacency)  # -2, 0, 0, 2
     dec = SpectralDecomposition(vals, vecs, [1, 3, 4])
     assert dec.clusters == (range(0, 1), range(1, 3), range(3, 4))
     with pytest.raises(ValueError, match="cluster ends"):
         SpectralDecomposition(vals, vecs, ends)
+
+
+@_BAD_ENDS
+def test_squared_projection_sum_rejects_bad_cluster_ends(ends):
+    vecs = np.linalg.eigh(build_named("cycle", [4]).adjacency)[1]  # clusters [1, 3, 4]
+    np.testing.assert_allclose(squared_projection_sum(vecs, np.array([1, 3, 4])).sum(axis=1), 1.0, atol=1e-12)
+    with pytest.raises(ValueError, match="^cluster ends must rise strictly to the eigenvalue count$"):
+        squared_projection_sum(vecs, np.array(ends))
 
 
 def test_eigendecompose_p2():
@@ -160,11 +171,11 @@ def test_eigendecompose_rejects_nan(monkeypatch):
 
 
 def test_validate_rejects_nan():
-    dec = SpectralDecomposition(
-        eigenvalues=np.zeros(2), eigenvectors=np.array([[1.0, 0.0], [0.0, np.nan]]), ends=np.array([2])
-    )
-    with pytest.raises(NumericalError, match="orthonormal"):
-        dec.validate()
+    # a decomposition checks its columns when it is built, so none with NaN or skewed columns exists
+    for vecs in ([[1.0, 0.0], [0.0, np.nan]], [[1.0, 0.0], [1e-9, 1.0]]):
+        with pytest.raises(NumericalError, match="^eigenvectors not orthonormal: deviation "):
+            SpectralDecomposition(eigenvalues=np.zeros(2), eigenvectors=np.array(vecs), ends=np.array([2]))
+    SpectralDecomposition(eigenvalues=np.zeros(2), eigenvectors=np.eye(2), ends=np.array([2]))
 
 
 def test_eigendecompose_reconstructs_random_matrices():
@@ -342,13 +353,11 @@ def analytic_spectrum(family, params=()):
     and character bases. Clusters reflect the exact multiplicities.
     """
     groups = sorted(_analytic_groups(family, params), key=lambda g: g[0])
-    dec = SpectralDecomposition(
+    return SpectralDecomposition(
         eigenvalues=np.array([val for val, vecs in groups for _ in vecs]),
         eigenvectors=np.column_stack([w for _, vecs in groups for w in vecs]),
         ends=np.cumsum([len(vecs) for _, vecs in groups]),
     )
-    dec.validate()
-    return dec
 
 
 @pytest.mark.parametrize(
@@ -593,6 +602,30 @@ def test_arrays_are_frozen_with_setflags():
             if isinstance(node, ast.Assign) and any(ast.unparse(t).endswith("flags.writeable") for t in node.targets):
                 bad.setdefault(path.name, []).append(node.lineno)
     assert bad == {}
+
+
+def _setattrs_outside_store(tree):
+    """Lines of ``object.__setattr__`` calls outside graphs._store, and how many it holds itself."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_store":
+            inside.update(map(id, ast.walk(node)))
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and ast.unparse(n.func) == "object.__setattr__"]
+    return [n.lineno for n in calls if id(n) not in inside], sum(id(n) in inside for n in calls)
+
+
+def test_records_set_their_fields_only_through_store():
+    sample = "def _store(r, **f):\n    object.__setattr__(r, 'a', 1)\nobject.__setattr__(r, 'b', 2)\n"
+    assert _setattrs_outside_store(ast.parse(sample)) == ([3], 1)
+    src = Path(crystalwalk.__file__).parent
+    bad, stores = {}, 0
+    for path in sorted(src.glob("*.py")):
+        lines, n = _setattrs_outside_store(ast.parse(path.read_text()))
+        stores += n
+        if lines:
+            bad[path.name] = lines
+    assert bad == {}
+    assert stores == 1
 
 
 def _referenced_names(tree):
