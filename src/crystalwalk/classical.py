@@ -94,17 +94,17 @@ def iterate_distribution(
 
 @dataclass(frozen=True)
 class WalkReport:
-    """Stationary law, bipartiteness, and optional iterates of the walk, as read-only arrays."""
+    """Stationary law, bipartiteness, and optional iterates (one per row) of the walk, as read-only arrays."""
 
     stationary: np.ndarray
     bipartite: bool
-    iterates: tuple[np.ndarray, ...] | None = None
+    iterates: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         stationary = np.asarray(self.stationary, dtype=float)
-        iterates = None if self.iterates is None else tuple(np.asarray(a, dtype=float) for a in self.iterates)
-        for a in iterates or ():  # ``_store`` freezes the top-level arrays only
-            a.setflags(write=False)
+        iterates = None if self.iterates is None else np.asarray(self.iterates, dtype=float)
+        if iterates is not None and iterates.shape[1:] != stationary.shape:  # a lone 1-D distribution too
+            raise ValueError("iterates must hold one distribution over the vertices per row")
         _store(self, stationary=stationary, iterates=iterates)
 
 
@@ -119,7 +119,7 @@ def walk_report(
         raise ParameterError("start and steps must be given together")
     iterates = None
     if start is not None:
-        iterates = (iterate_distribution(graph, start, steps, lazy=lazy),)
+        iterates = iterate_distribution(graph, start, steps, lazy=lazy)[None]
     return WalkReport(
         stationary=stationary_distribution(graph),
         bipartite=is_bipartite(graph),

@@ -23,10 +23,10 @@ r - Delta of the finite-horizon average.
 The grid quadrature walks the grid in blocks of K = max(1, 64 // nu^2, 24 // nu)
 fibers, so a block of several fibers holds at most 288 matrix entries: per
 block one stacked fiber-matrix build, one stacked ``eigh``, the row-wise
-clustering rule of ``spectral`` and one ``squared_projection_sum`` per
-cluster pattern, so a block costs a fixed few dozen numpy calls instead of K
-times a per-fiber loop. It adds the fibers in grid order and so gives the
-per-fiber loop's values bit for bit.
+clustering rule of ``spectral`` and one ``squared_projection_sum`` per run
+of fibers with one cluster pattern, so a block costs a fixed few dozen numpy
+calls instead of K times a per-fiber loop. It adds the fibers in grid order
+and so gives the per-fiber loop's values bit for bit.
 """
 
 from __future__ import annotations
@@ -488,21 +488,6 @@ def _block_fibers(nu: int) -> int:
     return max(1, _BLOCK_ENTRIES // nu**2, _BLOCK_ROWS // nu)
 
 
-def _mixed_densities(vecs: np.ndarray, split: np.ndarray) -> np.ndarray:
-    """sum_s |P_s|^2 of each fiber of a block whose cluster patterns differ, shape (K, nu, nu).
-
-    One ``squared_projection_sum`` per pattern, over the fibers that share it.
-    """
-    d = np.empty(vecs.shape, dtype=float)
-    todo = np.ones(len(split), dtype=bool)
-    while todo.any():
-        same = (split == split[todo.argmax()]).all(axis=1)
-        rows = np.flatnonzero(same)
-        d[rows] = squared_projection_sum(vecs[rows], _split_ends(split[rows[0]]))
-        todo &= ~same
-    return d
-
-
 def general_density(
     spec: PeriodicGraphSpec, N: int, tol: float = DEFAULT_CLUSTER_TOL
 ) -> DensityMatrix:
@@ -513,10 +498,10 @@ def general_density(
     Each block builds its K fiber matrices with one ``build_floquet_matrix``
     call, diagonalizes them with one stacked ``eigh``, clusters every row
     with the shared single-linkage rule, and adds the squared moduli of the
-    distinct-eigenvalue projections, one ``squared_projection_sum`` per
-    cluster pattern in the block. A block whose fibers all repeat the last
-    uniform block's pattern reuses its cluster ends, which is all that
-    crosses blocks. That is O(K nu^3) work per block and O(K nu^2) memory.
+    distinct-eigenvalue projections, one ``squared_projection_sum`` per run
+    of consecutive fibers with one cluster pattern. A block whose fibers all
+    repeat the last uniform block's pattern reuses its cluster ends, which is
+    all that crosses blocks. That is O(K nu^3) work per block and O(K nu^2) memory.
     ``tol`` is checked once, before the first fiber. The fibers are summed
     in grid order, so the result is bit for bit that of a loop over single
     fibers. The ``DensityMatrix`` checks the result's symmetry, its range and
@@ -548,7 +533,12 @@ def general_density(
                 pattern, ends = split[0].copy(), _split_ends(split[0])
             else:
                 pattern = None
-        d = _mixed_densities(vecs, split) if pattern is None else squared_projection_sum(vecs, ends)
+        if pattern is None:  # one call per run of consecutive fibers that share a pattern, each on a view
+            cuts = [0, *(np.flatnonzero((split[1:] != split[:-1]).any(axis=1)) + 1).tolist(), len(split)]
+            d = np.concatenate([squared_projection_sum(vecs[a:b], _split_ends(split[a]))
+                                for a, b in zip(cuts, cuts[1:])])
+        else:
+            d = squared_projection_sum(vecs, ends)
         d[0] += acc  # then the sum over the block adds fiber after fiber, as a per-fiber loop would
         acc = d.sum(axis=0)
         del vals, vecs, split, d  # so two blocks' temporaries are never alive at once

@@ -18,7 +18,7 @@ last-ulp noise of the summation order. The 17-digit JSON stays exact.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,10 +51,6 @@ def _float_rows(rows: np.ndarray) -> list[str]:
     """JSON list text of each row of a 2-D array, all rows through one template."""
     template = "[" + ",".join([f"%.{JSON_DIGITS}g"] * rows.shape[1]) + "]"
     return [template % tuple(row.tolist()) for row in rows]
-
-
-def _float_list(values: Iterable[float]) -> str:
-    return _float_rows(np.asarray(values, dtype=float).reshape(1, -1))[0]
 
 
 def _distinct_strings(bits: np.ndarray, digits: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -194,12 +190,11 @@ def distribution_csv(dist: TimeAveragedDistribution) -> str:
 
 def walk_report_json(report: WalkReport) -> str:
     parts = [
-        f'"stationary":{_float_list(report.stationary)}',
+        f'"stationary":{_float_rows(report.stationary[None])[0]}',
         f'"bipartite":{"true" if report.bipartite else "false"}',
     ]
     if report.iterates is not None:
-        iterates = ",".join(_float_list(it) for it in report.iterates)
-        parts.append(f'"iterates":[{iterates}]')
+        parts.append(f'"iterates":[{",".join(_float_rows(report.iterates))}]')
     return "{" + ",".join(parts) + "}\n"
 
 

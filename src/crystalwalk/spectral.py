@@ -46,6 +46,7 @@ _RECONSTRUCTION_REL = 1e-9
 _ORTHONORMALITY_TOL = 1e-10
 _ROW_SUM_TOL = 1e-10
 _ENDS_ERROR = "cluster ends must rise strictly to the eigenvalue count"
+_FLOAT_MAX = np.finfo(float).max  # at import: the first finfo call allocates
 
 
 class NumericalError(RuntimeError):
@@ -75,16 +76,25 @@ def _gap(values: np.ndarray, tol: float) -> np.ndarray:
     return min(tol, 2.0) * np.abs(values).max(axis=-1, initial=1.0, keepdims=True)
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values`` as a float array; ValueError if one is NaN or infinite, which min and max propagate."""
+    values = np.asarray(values, dtype=float)
+    reach = np.maximum(-values.min(initial=0.0), values.max(initial=0.0))  # max |value|, with no temporary
+    _within(reach, _FLOAT_MAX, "values must be finite", ValueError)
+    return values
+
+
 def cluster_gap(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> float | np.ndarray:
     """Clustering gap tol * max(1, max|value|) over the last axis of eigenvalues.
 
     A float for a 1-D array, one gap per row for a stack of rows. Raises
-    ParameterError unless tol is a finite real above 0 (``_cluster_tol``).
-    No two values of a row are more than 2 max|value| apart, so tol = 2
-    already joins every row into one cluster; larger tolerances are taken as
-    2, which keeps the gap finite.
+    ParameterError unless tol is a finite real above 0 (``_cluster_tol``) and
+    ValueError for a NaN or infinite value. No two values of a row are more
+    than 2 max|value| apart, so tol = 2 already joins every row into one
+    cluster; larger tolerances are taken as 2, which keeps the gap finite.
     """
-    return _gap(values, _cluster_tol(tol))[..., 0]
+    gap = _gap(_finite(values), _cluster_tol(tol))[..., 0]
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def _cluster_splits(values: np.ndarray, tol: float) -> np.ndarray:
@@ -111,9 +121,10 @@ def cluster_eigenvalues(values: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) ->
 
     The rows of ``_cluster_splits`` for one array: every cluster is a
     contiguous run. Returns the exclusive end of each run, rising to
-    len(values); its length is the number of clusters.
+    len(values); its length is the number of clusters. Values that are not
+    one-dimensional, ascending and finite raise ValueError.
     """
-    values = np.asarray(values, dtype=float)
+    values = _finite(values)
     if values.ndim != 1:
         raise ValueError("values must be one-dimensional")
     split = _cluster_splits(values, _cluster_tol(tol))  # before the empty return, so tol is checked there too
@@ -139,10 +150,13 @@ class SpectralDecomposition:
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=float)
         vecs = np.asarray(self.eigenvectors, dtype=float)
-        ends = np.asarray(self.ends, dtype=np.intp)
+        ends = np.asarray(self.ends)
         n = vals.size
         if vecs.shape != (n, n):
             raise ValueError("eigenvectors must be square and match eigenvalues")
+        if ends.dtype.kind not in "iu" and ends.size:  # an empty list is float64
+            raise ValueError(_ENDS_ERROR)
+        ends = ends.astype(np.intp)
         if ends.ndim != 1 or np.any(np.diff(ends, prepend=0) <= 0) or ends.max(initial=0) != n:
             raise ValueError(_ENDS_ERROR)
         err = np.abs(vecs.T @ vecs - np.eye(n)).max(initial=0.0)
@@ -255,10 +269,10 @@ def squared_projection_sum(vecs: np.ndarray, ends: np.ndarray) -> np.ndarray:
     eigenvalues runs the first GEMM alone, and when no cluster is larger
     than ``_pair_max(n)`` that GEMM reads V itself, with no gathered copy.
     Larger clusters form their projection, one block at a time. Ends that
-    do not rise strictly to n raise ValueError.
+    are not integers rising strictly to n raise ValueError.
     """
     n = vecs.shape[-1]
-    if ends.ndim != 1:
+    if ends.ndim != 1 or ends.dtype.kind not in "iu":
         raise ValueError(_ENDS_ERROR)
     pair_max = _pair_max(n)
     own: list[int] = []

@@ -5,6 +5,7 @@ from crystalwalk import (
     STEP_BUDGET,
     FiniteGraph,
     ParameterError,
+    WalkReport,
     build_named,
     classical,
     is_bipartite,
@@ -167,6 +168,14 @@ def test_walk_report_refuses_a_lone_start_or_steps(lone):
     # before any work: the isolated vertices would fail the stationary law first
     with pytest.raises(ParameterError, match="together"):
         walk_report(FiniteGraph(3), **lone)
+
+
+@pytest.mark.parametrize("iterates", [np.full(3, 1 / 3), np.full((1, 4), 0.25), np.full((1, 3, 1), 1 / 3)],
+                         ids=["one-dimensional", "wrong-length", "three-dimensional"])
+def test_walk_report_iterates_are_rows_over_the_vertices(iterates):
+    with pytest.raises(ValueError, match="^iterates must hold one distribution over the vertices per row$"):
+        WalkReport(np.full(3, 1 / 3), True, iterates)
+    assert WalkReport(np.full(3, 1 / 3), True, np.full((2, 3), 1 / 3)).iterates.shape == (2, 3)
 
 
 def test_walk_report_arrays_are_read_only():

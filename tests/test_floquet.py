@@ -246,6 +246,28 @@ def test_blocked_quadrature_is_the_per_fiber_loop_bit_for_bit(monkeypatch, spec,
     assert mixed == (block > 1 and expected)
 
 
+def test_mixed_block_sums_each_run_of_one_pattern_on_a_view(monkeypatch):
+    # honeycomb N = 3 is one block of nine fibers, whose bands touch at fibers 5 and 7 (the Dirac points)
+    want = general_density(honeycomb_spec(), 3).values
+    stacks, calls = [], []
+    eigh, kernel = np.linalg.eigh, floquet.squared_projection_sum
+
+    def recording_eigh(m):
+        vals, vecs = eigh(m)
+        stacks.append(vecs)
+        return vals, vecs
+
+    def recording_kernel(vecs, ends):
+        calls.append((vecs, ends.tolist()))
+        return kernel(vecs, ends)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(floquet, "squared_projection_sum", recording_kernel)
+    assert np.array_equal(general_density(honeycomb_spec(), 3).values, want)
+    assert [(len(v), e) for v, e in calls] == [(5, [1, 2]), (1, [2]), (1, [1, 2]), (1, [2]), (1, [1, 2])]
+    assert all(not v.flags.owndata and np.shares_memory(v, stacks[0]) for v, _ in calls)
+
+
 def test_block_fibers_hold_at_most_288_entries():
     fibers = {nu: floquet._block_fibers(nu) for nu in range(1, 200)}
     assert [fibers[nu] for nu in (2, 6, 8, 10, 12, 13)] == [16, 4, 3, 2, 2, 1]

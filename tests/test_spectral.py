@@ -89,6 +89,26 @@ def test_cluster_eigenvalues_requires_ascending():
         cluster_eigenvalues(np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_clustering_refuses_non_finite_values(bad, at):
+    # a NaN step fails every comparison and an infinite value makes an infinite gap, so both once made one cluster
+    values = np.array([0.0, 1.0, 2.0])
+    values[at] = bad
+    with pytest.raises(ValueError, match="^values must be finite"):
+        cluster_eigenvalues(values)
+    with pytest.raises(ValueError, match="^values must be finite"):
+        cluster_gap(values)
+    with pytest.raises(ValueError, match="^values must be finite"):
+        cluster_gap(np.stack([np.zeros(3), values]))
+
+
+def test_cluster_gap_of_one_array_is_a_float():
+    gap = cluster_gap(np.array([0.0, 2.0]))
+    assert type(gap) is float and gap == 2e-8
+    assert cluster_gap(np.array([[0.0, 2.0], [0.0, 0.5]])).tolist() == [2e-8, 1e-8]
+
+
 @pytest.mark.parametrize("above", [False, True], ids=["at-gap", "one-ulp-above"])
 def test_one_rule_decides_at_the_gap(above):
     # gap g = tol * max(1, max|value|) with the default tol and values reaching 3
@@ -109,8 +129,8 @@ def test_one_rule_decides_at_the_gap(above):
 
 _BAD_ENDS = pytest.mark.parametrize(
     "ends",
-    [[1, 3, 5], [1, 3], [1, 1, 4], [3, 1, 4], [[1, 3, 4]]],
-    ids=["overshoot", "short", "repeated", "decreasing", "two-dimensional"],
+    [[1, 3, 5], [1, 3], [1, 1, 4], [3, 1, 4], [[1, 3, 4]], [1.0, 3.0, 4.0], [1.7, 3.2, 4.0]],
+    ids=["overshoot", "short", "repeated", "decreasing", "two-dimensional", "float", "fractional"],
 )
 
 
@@ -121,6 +141,12 @@ def test_decomposition_rejects_bad_cluster_ends(ends):
     assert dec.clusters == (range(0, 1), range(1, 3), range(3, 4))
     with pytest.raises(ValueError, match="cluster ends"):
         SpectralDecomposition(vals, vecs, ends)
+
+
+def test_empty_decomposition_takes_an_empty_list_of_ends():
+    # np.asarray([]) is float64, which ends of integer dtype would otherwise refuse
+    dec = SpectralDecomposition(np.zeros(0), np.zeros((0, 0)), [])
+    assert dec.ends.dtype == np.intp and dec.clusters == ()
 
 
 @_BAD_ENDS
@@ -626,6 +652,29 @@ def test_records_set_their_fields_only_through_store():
             bad[path.name] = lines
     assert bad == {}
     assert stores == 1
+
+
+def _private_defs(trees):
+    """Private (not dunder) function and class definitions of ``trees``."""
+    return [node for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+            and not node.name.endswith("__")]
+
+
+def _private_defs_without_a_caller(trees):
+    """Names of private functions and classes that no code of ``trees`` refers to outside their own definition."""
+    used = [name for tree in trees for name in _referenced_names(tree)]
+    return sorted(d.name for d in _private_defs(trees) if used.count(d.name) == list(_referenced_names(d)).count(d.name))
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a helper kept alive only by a test is dead code; recursion does not count as a caller
+    sample = "def _a():\n    return 1\ndef _b():\n    return _b()\nclass _C:\n    pass\nx = _a()\n"
+    assert _private_defs_without_a_caller([ast.parse(sample)]) == ["_C", "_b"]
+    src = Path(crystalwalk.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    assert len(_private_defs(trees)) > 40
+    assert _private_defs_without_a_caller(trees) == []
 
 
 def _referenced_names(tree):

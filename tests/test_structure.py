@@ -27,7 +27,6 @@ from crystalwalk import (
     FiniteGraph,
     build_floquet_matrix,
     build_named,
-    floquet,
     general_density,
     honeycomb_spec,
     limiting_density,
@@ -106,11 +105,12 @@ def test_random_relabelling_permutes_the_density():
 
 
 def _fiber_densities(spec, N):
-    """sum_s |P_s|^2 of every fiber of the (N,)*d grid, shape (N,)*d + (nu, nu), as the quadrature's blocks build it."""
+    """sum_s |P_s|^2 of every fiber of the (N,)*d grid, shape (N,)*d + (nu, nu), one kernel call per fiber."""
     shape = (N,) * spec.d
     theta = np.indices(shape).reshape(spec.d, -1).T / N
     vals, vecs = np.linalg.eigh(build_floquet_matrix(spec, theta))
-    d = floquet._mixed_densities(vecs, spectral._cluster_splits(vals, spectral.DEFAULT_CLUSTER_TOL))
+    split = spectral._cluster_splits(vals, spectral.DEFAULT_CLUSTER_TOL)
+    d = np.array([spectral.squared_projection_sum(v, spectral._split_ends(row)) for v, row in zip(vecs, split)])
     # the quadrature is these fibers' mean
     assert np.array_equal(d.sum(axis=0) / N**spec.d, general_density(spec, N).values)
     return d.reshape(shape + (spec.nu, spec.nu))
